@@ -27,11 +27,9 @@ from .model import (
     Task,
     TaskNetwork,
     WorldMap,
-    total_allocation_quality,
 )
-from .motion import GridPlanner, estimated_leg_seconds, travel_time
+from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
-    build_constraints,
     build_constraints_fast,
     make_travel_tables,
     solve_milp,
@@ -210,16 +208,7 @@ def brute_force_optimal(
         )
     if planner is None:
         planner = GridPlanner(domain.world)
-
-    def leg(robot_id: int, a, b) -> float:
-        result = planner.plan(a, b)
-        if result is None:
-            return math.inf
-        return travel_time(
-            result.length, domain.robots[robot_id].speed * domain.world.cell_size
-        )
-
-    tables = make_travel_tables(domain, leg)
+    tables = make_travel_tables(domain, planned_leg_seconds(planner, domain))
 
     totals = _coalition_quality_table(domain, 0)
     for task in range(1, m):
@@ -427,10 +416,9 @@ def random_instance(seed: int, *, alpha: float = 0.4) -> ProblemDomain:
         time_budget=1.0,
         alpha=alpha,
     )
-    null_cs = build_constraints(
-        base, Allocation.null(n_tasks, n_robots), estimated_leg_seconds(base)
-    )
-    floor = solve_milp(null_cs).schedule.makespan
+    tables = make_travel_tables(base, estimated_leg_seconds(base))
+    null = Allocation.null(n_tasks, n_robots)
+    floor = solve_milp(build_constraints_fast(tables, null)).schedule.makespan
     ceiling = worst_makespan(base)
     u = float(rng.uniform(0.25, 0.9))
     budget = floor + u * max(ceiling - floor, 0.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -28,17 +28,13 @@ from .model import (
     TaskNetwork,
     WorldMap,
 )
-from .scheduler import worst_makespan
 from .search import SearchStats
-
-TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class LoadedInstance:
     domain: ProblemDomain
     seed: Optional[int]
-    worst_makespan: float
     document: dict
 
 
@@ -233,21 +229,15 @@ def instance_from_document(
         alpha=alpha,
     )
 
-    # The root allocation must schedule; its makespan anchors overrun
-    # normalization and the default big-M constant.
-    c_worst = worst_makespan(domain)
-    if "big_m" in doc:
-        big_m = _as_number(doc["big_m"], "big_m")
-        if big_m < c_worst - TOL:
-            _fail("big_m", f"must be at least the worst-case makespan {c_worst}")
-    else:
-        big_m = c_worst
-    domain = replace(domain, big_m=big_m)
+    # big_m is accepted for compatibility with older documents and ignored:
+    # the solver branches on disjunctions instead of a large constant.
+    if "big_m" in doc and _as_number(doc["big_m"], "big_m") <= 0:
+        _fail("big_m", f"must be positive, got {doc['big_m']!r}")
 
     seed = doc.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         _fail("seed", f"expected an integer, got {seed!r}")
-    return LoadedInstance(domain=domain, seed=seed, worst_makespan=c_worst, document=doc)
+    return LoadedInstance(domain=domain, seed=seed, document=doc)
 
 
 def load_instance(
@@ -310,8 +300,6 @@ def instance_to_document(
         "time_budget": domain.time_budget,
         "alpha": domain.alpha,
     }
-    if domain.big_m is not None:
-        doc["big_m"] = domain.big_m
     if seed is not None:
         doc["seed"] = seed
     return doc

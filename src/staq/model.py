@@ -6,9 +6,8 @@ threads; the module-level operations are pure functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -245,7 +244,6 @@ class ProblemDomain:
     world: WorldMap
     time_budget: float
     alpha: float = 0.4
-    big_m: Optional[float] = None
     traits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -254,6 +252,11 @@ class ProblemDomain:
         object.__setattr__(self, "quality_maps", tuple(self.quality_maps))
         if not robots:
             raise InvalidInput("need at least one robot")
+        # The scheduler, the search and validation all index by position.
+        for kind, items in (("robot", robots), ("task", self.network.tasks)):
+            for k, item in enumerate(items):
+                if item.id != k:
+                    raise InvalidInput(f"{kind} at position {k} has id {item.id}; ids must be positions")
         u = robots[0].traits.size
         for r in robots:
             if r.traits.size != u:
@@ -270,8 +273,6 @@ class ProblemDomain:
             raise InvalidInput("time budget must be positive")
         if not (0.0 <= self.alpha <= 1.0):
             raise InvalidInput(f"alpha must be in [0,1], got {self.alpha}")
-        if self.big_m is not None and self.big_m <= 0:
-            raise InvalidInput("big_m must be positive when given")
         traits = np.stack([r.traits for r in robots])
         traits.setflags(write=False)
         object.__setattr__(self, "traits", traits)
@@ -319,7 +320,6 @@ class Solution:
     quality_loss: float
     overrun: float
     blended: float
-    bound_report: object = None
 
 
 def aggregate_traits(alloc: Allocation, traits: np.ndarray) -> np.ndarray:
@@ -365,7 +365,7 @@ def validate_solution(domain: ProblemDomain, sol: Solution, planner=None) -> Val
     not invalidate the solution.
     """
     from .motion import GridPlanner, planned_leg_seconds
-    from .scheduler import build_constraints
+    from .scheduler import build_constraints_fast, make_travel_tables
 
     if planner is None:
         planner = GridPlanner(domain.world)
@@ -391,7 +391,8 @@ def validate_solution(domain: ProblemDomain, sol: Solution, planner=None) -> Val
             f"makespan {makespan} exceeds time budget {domain.time_budget}"
         )
 
-    cs = build_constraints(domain, sol.allocation, planned_leg_seconds(planner, domain))
+    tables = make_travel_tables(domain, planned_leg_seconds(planner, domain))
+    cs = build_constraints_fast(tables, sol.allocation)
     for i, x in enumerate(cs.initial_offsets):
         if starts[i] < x - TOL:
             violations.append(f"task {i}: starts at {starts[i]} before initial travel {x}")

@@ -103,13 +103,6 @@ class GridPlanner:
         self._cache[key] = result
         return result
 
-    def length(self, start: Cell, goal: Cell) -> float:
-        """Planned path length; raises if the goal is unreachable."""
-        result = self.plan(start, goal)
-        if result is None:
-            raise InvalidInput(f"no path from {start} to {goal}")
-        return result.length
-
 
 def estimated_leg_seconds(domain: ProblemDomain) -> LegSeconds:
     """Travel times from straight-line distances; used before paths exist."""
@@ -124,12 +117,14 @@ def estimated_leg_seconds(domain: ProblemDomain) -> LegSeconds:
 
 
 def planned_leg_seconds(planner: GridPlanner, domain: ProblemDomain) -> LegSeconds:
-    """Travel times from planned grid paths."""
+    """Travel times from planned grid paths; inf where the goal is unreachable."""
     cell_size = domain.world.cell_size
     robots = domain.robots
 
     def leg(robot_id: int, a: Cell, b: Cell) -> float:
-        length = planner.length(a, b)
-        return travel_time(length, robots[robot_id].speed * cell_size)
+        result = planner.plan(a, b)
+        if result is None:
+            return math.inf
+        return travel_time(result.length, robots[robot_id].speed * cell_size)
 
     return leg

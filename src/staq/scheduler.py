@@ -11,11 +11,11 @@ path as a lower bound, so the returned makespan is exactly minimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .model import Allocation, InvalidInput, ProblemDomain, Schedule
-from .motion import GridPlanner, LegSeconds, estimated_leg_seconds, travel_time
+from .motion import LegSeconds, estimated_leg_seconds
 
 TOL = 1e-9
 
@@ -26,15 +26,12 @@ class ConstraintSet:
 
     mutex_pairs holds both travel terms of each disjunction, keyed by the
     canonical (i, j) with i < j: (x_ij, x_ji) = travel after i resp. after j.
-    big_m is carried for reporting only; the solver branches on disjunctions
-    directly instead of encoding them with a large constant.
     """
 
     durations: tuple[float, ...]
     initial_offsets: tuple[float, ...]
     precedence_travel: dict[tuple[int, int], float]
     mutex_pairs: dict[tuple[int, int], tuple[float, float]]
-    big_m: float = math.inf
 
     @property
     def n_quantities(self) -> int:
@@ -64,53 +61,6 @@ class ScheduleOutcome:
     nodes_explored: int = 0
 
 
-def build_constraints(
-    domain: ProblemDomain, alloc: Allocation, leg_seconds: LegSeconds
-) -> ConstraintSet:
-    """Derive the constraint set for an allocation from a travel-time source.
-
-    Mutex pairs are the user-declared ones plus every pair of tasks sharing a
-    robot, minus pairs already ordered by direct precedence. Travel terms take
-    the max over the robots that actually make the move; no robot means 0.
-    """
-    tasks = domain.network.tasks
-    m = len(tasks)
-    coalitions = [alloc.coalition(i) for i in range(m)]
-
-    def arrival(i: int) -> float:
-        return max(
-            (leg_seconds(r, domain.robots[r].start_cell, tasks[i].start_site) for r in coalitions[i]),
-            default=0.0,
-        )
-
-    def handover(i: int, j: int) -> float:
-        shared = set(coalitions[i]) & set(coalitions[j])
-        return max(
-            (leg_seconds(r, tasks[i].end_site, tasks[j].start_site) for r in sorted(shared)),
-            default=0.0,
-        )
-
-    precedence_travel = {(i, j): handover(i, j) for i, j in sorted(domain.network.precedence)}
-
-    pairs = set(domain.network.mutex)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if set(coalitions[i]) & set(coalitions[j]):
-                pairs.add((i, j))
-    pairs -= {
-        (min(i, j), max(i, j)) for i, j in domain.network.precedence
-    }
-    mutex_pairs = {(i, j): (handover(i, j), handover(j, i)) for i, j in sorted(pairs)}
-
-    return ConstraintSet(
-        durations=tuple(t.duration for t in tasks),
-        initial_offsets=tuple(arrival(i) for i in range(m)),
-        precedence_travel=precedence_travel,
-        mutex_pairs=mutex_pairs,
-        big_m=domain.big_m if domain.big_m is not None else math.inf,
-    )
-
-
 @dataclass(frozen=True)
 class TravelTables:
     """Per-domain travel times, precomputed so constraint sets for many
@@ -127,7 +77,6 @@ class TravelTables:
     precedence: tuple[tuple[int, int], ...]
     precedence_canonical: frozenset[tuple[int, int]]
     user_mutex: frozenset[tuple[int, int]]
-    big_m: float
 
 
 def make_travel_tables(domain: ProblemDomain, leg_seconds: LegSeconds) -> TravelTables:
@@ -158,12 +107,16 @@ def make_travel_tables(domain: ProblemDomain, leg_seconds: LegSeconds) -> Travel
             (min(i, j), max(i, j)) for i, j in domain.network.precedence
         ),
         user_mutex=domain.network.mutex,
-        big_m=domain.big_m if domain.big_m is not None else math.inf,
     )
 
 
 def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> ConstraintSet:
-    """Same result as build_constraints, reading travel times from tables."""
+    """Derive the constraint set for an allocation from a travel table.
+
+    Mutex pairs are the user-declared ones plus every pair of tasks sharing a
+    robot, minus pairs already ordered by direct precedence. Travel terms take
+    the max over the robots that actually make the move; no robot means 0.
+    """
     m = len(tables.durations)
     n = len(tables.arrive)
     if alloc.shape != (m, n):
@@ -223,7 +176,6 @@ def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> Constrain
         initial_offsets=tuple(offsets),
         precedence_travel=precedence_travel,
         mutex_pairs=mutex_pairs,
-        big_m=tables.big_m,
     )
 
 
@@ -365,83 +317,43 @@ def worst_makespan(domain: ProblemDomain) -> float:
     straight-line travel estimates; the reference point for normalizing
     budget overruns."""
     root = Allocation.root(domain.n_tasks, domain.n_robots)
-    outcome = solve_milp(build_constraints(domain, root, estimated_leg_seconds(domain)))
+    tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+    outcome = solve_milp(build_constraints_fast(tables, root))
     if outcome.status != "optimal":
         raise InvalidInput("root allocation admits no schedule")
     return outcome.schedule.makespan
 
 
 def refine_with_motion_plans(
-    domain: ProblemDomain,
+    planned: TravelTables,
     alloc: Allocation,
     schedule: Schedule,
-    planner: GridPlanner,
     cs: ConstraintSet,
 ) -> tuple[ConstraintSet, bool]:
     """Replace the travel quantities this schedule relies on with planned ones.
 
-    Every release offset and precedence travel term is active in any schedule;
-    of each mutex disjunction only the direction the schedule realized is. An
-    unreachable leg becomes an infinite quantity, which the solver reports as
-    infeasible. Returns the updated set and whether anything grew; planned
-    paths are never shorter than the straight-line estimate, so quantities
-    only increase and repeated refinement reaches a fixpoint.
+    planned holds travel times along grid paths (infinite where a leg is
+    unreachable, which the solver reports as infeasible). Every release
+    offset and precedence travel term is active in any schedule, so those
+    come from planned; of each mutex disjunction only the direction the
+    schedule realized is, and the other keeps its value from cs. Returns the
+    updated set and whether anything grew; planned paths are never shorter
+    than the straight-line estimate, so quantities only increase and repeated
+    refinement reaches a fixpoint.
     """
-    tasks = domain.network.tasks
-    world = domain.world
-
-    def planned(robot_id: int, a, b) -> float:
-        result = planner.plan(a, b)
-        if result is None:
-            return math.inf
-        return travel_time(result.length, domain.robots[robot_id].speed * world.cell_size)
-
-    def arrival(i: int) -> float:
-        return max(
-            (planned(r, domain.robots[r].start_cell, tasks[i].start_site) for r in alloc.coalition(i)),
-            default=0.0,
-        )
-
-    def handover(i: int, j: int) -> float:
-        shared = set(alloc.coalition(i)) & set(alloc.coalition(j))
-        return max(
-            (planned(r, tasks[i].end_site, tasks[j].start_site) for r in sorted(shared)),
-            default=0.0,
-        )
-
-    changed = False
-
-    offsets = []
-    for i in range(len(tasks)):
-        x = arrival(i)
-        if x > cs.initial_offsets[i] + TOL:
-            changed = True
-        offsets.append(x)
-
-    precedence_travel = {}
-    for (i, j), old in cs.precedence_travel.items():
-        x = handover(i, j)
-        if x > old + TOL:
-            changed = True
-        precedence_travel[(i, j)] = x
-
+    fresh = build_constraints_fast(planned, alloc)
     mutex_pairs = {}
-    for (i, j), (x_ij, x_ji) in cs.mutex_pairs.items():
-        direction = schedule.orderings.get((i, j))
-        if direction == 1:
-            x = handover(i, j)
-            if x > x_ij + TOL:
-                changed = True
-            mutex_pairs[(i, j)] = (x, x_ji)
-        elif direction == -1:
-            x = handover(j, i)
-            if x > x_ji + TOL:
-                changed = True
-            mutex_pairs[(i, j)] = (x_ij, x)
-        else:
-            mutex_pairs[(i, j)] = (x_ij, x_ji)
-
-    return (
-        ConstraintSet(cs.durations, tuple(offsets), precedence_travel, mutex_pairs, cs.big_m),
-        changed,
+    for pair, (x_ij, x_ji) in fresh.mutex_pairs.items():
+        old_ij, old_ji = cs.mutex_pairs[pair]
+        mutex_pairs[pair] = (x_ij, old_ji) if schedule.orderings[pair] == 1 else (old_ij, x_ji)
+    refined = replace(fresh, mutex_pairs=mutex_pairs)
+    changed = (
+        any(x > old + TOL for x, old in zip(refined.initial_offsets, cs.initial_offsets))
+        or any(x > cs.precedence_travel[p] + TOL for p, x in refined.precedence_travel.items())
+        or any(
+            x > old + TOL
+            for p, pair in mutex_pairs.items()
+            for x, old in zip(pair, cs.mutex_pairs[p])
+        )
     )
+    return refined, changed

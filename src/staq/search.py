@@ -30,10 +30,11 @@ from .model import (
     successors,
     total_allocation_quality,
 )
-from .motion import GridPlanner, estimated_leg_seconds
+from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
     ConstraintSet,
     ScheduleOutcome,
+    TravelTables,
     build_constraints_fast,
     make_travel_tables,
     refine_with_motion_plans,
@@ -92,7 +93,7 @@ class SearchStats:
     scheduler_calls: int = 0  # estimate-phase scheduling, once per allocation
     refinement_rounds: int = 0  # re-solves triggered by planned travel times
     reinserted: int = 0
-    planner_calls: int = 0
+    planner_calls: int = 0  # A* runs this solve made; memo hits excluded
     worst_makespan: float = 0.0
     quality_root: float = 0.0
     quality_null: float = 0.0
@@ -152,7 +153,9 @@ def solve(
     """
     if planner is None:
         planner = GridPlanner(domain.world)
+    astar_before = planner.calls - planner.cache_hits
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+    planned: Optional[TravelTables] = None  # built at the first refinement
     stats = SearchStats()
 
     def fetch(alloc: Allocation) -> tuple[float, ConstraintSet, ScheduleOutcome]:
@@ -209,11 +212,14 @@ def solve(
     while len(open_set):
         node = open_set.pop()
         if node.overrun == 0.0 and node.outcome.status == "optimal":
-            _refine_node(domain, node, planner, ctx, stats, schedule_cache)
+            if planned is None:
+                planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
+            _refine_node(node, planned, ctx, stats, schedule_cache)
             if node.overrun == 0.0 and node.outcome.status == "optimal":
                 stats.frontier = open_set.snapshot()
-                stats.planner_calls = planner.calls
-                return _build_solution(domain, node, planner), stats
+                solution = _build_solution(domain, node, planner)
+                stats.planner_calls = planner.calls - planner.cache_hits - astar_before
+                return solution, stats
             stats.reinserted += 1
             open_set.push(node)
             continue
@@ -228,14 +234,13 @@ def solve(
             open_set.push(child_node)
 
     stats.frontier = ()
-    stats.planner_calls = planner.calls
+    stats.planner_calls = planner.calls - planner.cache_hits - astar_before
     return None, stats
 
 
 def _refine_node(
-    domain: ProblemDomain,
     node: SearchNode,
-    planner: GridPlanner,
+    planned: TravelTables,
     ctx: HeuristicContext,
     stats: SearchStats,
     schedule_cache: Optional[ScheduleCache] = None,
@@ -257,7 +262,7 @@ def _refine_node(
         if node.outcome.status != "optimal":
             break
         new_cs, changed = refine_with_motion_plans(
-            domain, node.allocation, node.outcome.schedule, planner, node.cs
+            planned, node.allocation, node.outcome.schedule, node.cs
         )
         if not changed:
             break

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the library internals:
 breadth-first search instead of A*, dense linear algebra instead of the
-cached Cholesky path, and exhaustive enumeration instead of branch and
-bound.  Tests compare library output against these references.
+cached Cholesky path, exhaustive enumeration instead of branch and bound,
+and per-leg travel callbacks instead of bitmasks over travel tables.
+Tests compare library output against these references.
 """
 
 from __future__ import annotations
@@ -73,6 +74,50 @@ def enumerate_schedules(cs: ConstraintSet):
     return best
 
 
+def build_constraints(domain, alloc, leg_seconds):
+    """Derive the constraint set for an allocation from a travel-time source.
+
+    Mutex pairs are the user-declared ones plus every pair of tasks sharing a
+    robot, minus pairs already ordered by direct precedence. Travel terms take
+    the max over the robots that actually make the move; no robot means 0.
+    """
+    tasks = domain.network.tasks
+    m = len(tasks)
+    coalitions = [alloc.coalition(i) for i in range(m)]
+
+    def arrival(i: int) -> float:
+        return max(
+            (leg_seconds(r, domain.robots[r].start_cell, tasks[i].start_site) for r in coalitions[i]),
+            default=0.0,
+        )
+
+    def handover(i: int, j: int) -> float:
+        shared = set(coalitions[i]) & set(coalitions[j])
+        return max(
+            (leg_seconds(r, tasks[i].end_site, tasks[j].start_site) for r in sorted(shared)),
+            default=0.0,
+        )
+
+    precedence_travel = {(i, j): handover(i, j) for i, j in sorted(domain.network.precedence)}
+
+    pairs = set(domain.network.mutex)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if set(coalitions[i]) & set(coalitions[j]):
+                pairs.add((i, j))
+    pairs -= {
+        (min(i, j), max(i, j)) for i, j in domain.network.precedence
+    }
+    mutex_pairs = {(i, j): (handover(i, j), handover(j, i)) for i, j in sorted(pairs)}
+
+    return ConstraintSet(
+        durations=tuple(t.duration for t in tasks),
+        initial_offsets=tuple(arrival(i) for i in range(m)),
+        precedence_travel=precedence_travel,
+        mutex_pairs=mutex_pairs,
+    )
+
+
 def random_constraint_set(rng, *, max_tasks=6, max_mutex=8):
     """Random scheduling instance with at most eight disjunctions."""
     m = int(rng.integers(2, max_tasks + 1))
@@ -99,7 +144,6 @@ def random_constraint_set(rng, *, max_tasks=6, max_mutex=8):
         initial_offsets=offsets,
         precedence_travel=precedence,
         mutex_pairs=mutex,
-        big_m=1e4,
     )
 
 

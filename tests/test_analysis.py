@@ -1,5 +1,3 @@
-import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -7,7 +5,6 @@ import pytest
 
 from staq.analysis import (
     OracleBudgetExceeded,
-    OracleResult,
     alpha_sweep,
     apriori_bound,
     best_frontier_entry,
@@ -28,11 +25,12 @@ from staq.model import (
     validate_solution,
 )
 from staq.motion import GridPlanner, planned_leg_seconds
-from staq.scheduler import build_constraints, worst_makespan
+from staq.scheduler import worst_makespan
 from staq.search import FrontierEntry, solve
 
 from helpers import (
     LinearMap,
+    build_constraints,
     drop_one_domain,
     enumerate_schedules,
     open_world,
@@ -134,17 +132,10 @@ def oracle_by_enumeration(domain, planner):
     builder and the 2^k orientation enumeration, no pruning anywhere."""
     m, n = domain.n_tasks, domain.n_robots
     leg = planned_leg_seconds(planner, domain)
-
-    def leg_inf(r, a, b):
-        try:
-            return leg(r, a, b)
-        except InvalidInput:
-            return math.inf
-
     best = None
     for key in range(2 ** (m * n)):
         alloc = Allocation.from_key(key, m, n)
-        makespan = enumerate_schedules(build_constraints(domain, alloc, leg_inf))
+        makespan = enumerate_schedules(build_constraints(domain, alloc, leg))
         if makespan is None or makespan > domain.time_budget + 1e-9:
             continue
         quality = total_allocation_quality(alloc, domain)

@@ -46,7 +46,7 @@ def test_instance_document_roundtrip():
     assert got.network.precedence == domain.network.precedence
     assert got.network.mutex == domain.network.mutex
     assert loaded.seed == 0
-    assert loaded.worst_makespan == pytest.approx(worst_makespan(domain))
+    assert worst_makespan(got) == pytest.approx(worst_makespan(domain))
     # same instance solves the same way
     a, _ = solve(domain)
     b, _ = solve(got)
@@ -61,8 +61,7 @@ def test_save_and_load_instance_file(tmp_path):
     loaded = load_instance(path)
     assert loaded.seed == 1
     assert loaded.domain.time_budget == domain.time_budget
-    # default big_m is pinned to the worst-case makespan on load
-    assert loaded.domain.big_m == pytest.approx(loaded.worst_makespan)
+    assert worst_makespan(loaded.domain) == pytest.approx(worst_makespan(domain))
 
     override = load_instance(path, alpha_override=0.7)
     assert override.domain.alpha == 0.7
@@ -123,14 +122,18 @@ def test_instance_rejects_malformed_fields():
         instance_from_document(doc)
 
 
-def test_big_m_must_cover_the_worst_case():
+def test_big_m_is_validated_then_ignored():
     domain = random_instance(4)
     doc = instance_to_document(domain)
-    doc["big_m"] = 0.5
-    with pytest.raises(InvalidInput, match="big_m"):
-        instance_from_document(doc)
-    doc["big_m"] = 1e6
-    assert instance_from_document(doc).domain.big_m == 1e6
+    assert "big_m" not in doc
+    for bad in (0.0, -1.0, float("inf"), "large", True):
+        doc["big_m"] = bad
+        with pytest.raises(InvalidInput, match="big_m"):
+            instance_from_document(doc)
+    for ok in (0.5, 1e6):
+        doc["big_m"] = ok
+        loaded = instance_from_document(doc).domain
+        assert instance_to_document(loaded) == instance_to_document(domain)
 
 
 def test_quality_map_documents_are_validated():

@@ -274,6 +274,26 @@ def test_domain_validation_errors():
         ProblemDomain(**{**kw, "world": blocked})
 
 
+def test_domain_ids_must_equal_positions():
+    # robots, tasks and allocation columns are all indexed by position, so a
+    # swapped or offset id would make the search plan for the wrong robot
+    world = open_world(6, 1)
+    near = Robot(id=1, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
+    far = Robot(id=0, traits=np.array([1.0]), start_cell=(5, 0), speed=1.0)
+    task = Task(id=0, duration=1.0, start_site=(1, 0), end_site=(1, 0))
+    kw = dict(network=TaskNetwork(tasks=(task,)), quality_maps=(LinearMap([1.0]),),
+              world=world, time_budget=10.0)
+    with pytest.raises(InvalidInput, match="robot at position 0 has id 1"):
+        ProblemDomain(robots=(near, far), **kw)
+    lone = Robot(id=7, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
+    with pytest.raises(InvalidInput, match="robot at position 0 has id 7"):
+        ProblemDomain(robots=(lone,), **kw)
+    shifted = Task(id=1, duration=1.0, start_site=(1, 0), end_site=(1, 0))
+    with pytest.raises(InvalidInput, match="task at position 0 has id 1"):
+        ProblemDomain(robots=(far,), **{**kw, "network": TaskNetwork(tasks=(shifted,))})
+    ProblemDomain(robots=(far, near), **kw)  # the same robots in id order are fine
+
+
 def test_domain_traits_matrix_is_stacked():
     domain = two_task_domain()
     assert domain.traits.shape == (2, 2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from staq.model import InvalidInput, WorldMap
+from staq.model import InvalidInput, ProblemDomain, Robot, Task, TaskNetwork, WorldMap
 from staq.motion import (
     GridPlanner,
     estimated_leg_seconds,
@@ -13,7 +13,7 @@ from staq.motion import (
     travel_time,
 )
 
-from helpers import bfs_grid_distance, open_world, two_task_domain, walled_world
+from helpers import LinearMap, bfs_grid_distance, open_world, two_task_domain, walled_world
 
 
 # ------------------------------------------------------------ estimates
@@ -146,8 +146,18 @@ def test_planner_caches_unreachable_results_too():
     assert planner.plan((0, 0), (2, 0)) is None
     assert planner.plan((0, 0), (2, 0)) is None
     assert planner.cache_hits == 1
-    with pytest.raises(InvalidInput):
-        planner.length((0, 0), (2, 0))
+
+
+def test_planned_leg_seconds_is_infinite_when_unreachable():
+    world = WorldMap.from_ascii((".#.", ".#.", ".#."))
+    robot = Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
+    task = Task(id=0, duration=1.0, start_site=(2, 0), end_site=(2, 0))
+    domain = ProblemDomain(network=TaskNetwork(tasks=(task,)), robots=(robot,),
+                           quality_maps=(LinearMap([1.0]),), world=world,
+                           time_budget=10.0)
+    leg = planned_leg_seconds(GridPlanner(world), domain)
+    assert leg(0, (0, 0), (2, 0)) == math.inf
+    assert leg(0, (0, 0), (0, 2)) == pytest.approx(2.0)
 
 
 # ------------------------------------------------------- leg time sources

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -17,8 +16,6 @@ from staq.model import (
 from staq.motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from staq.scheduler import (
     ConstraintSet,
-    TravelTables,
-    build_constraints,
     build_constraints_fast,
     evaluate_fixed_order,
     make_travel_tables,
@@ -29,6 +26,7 @@ from staq.scheduler import (
 
 from helpers import (
     LinearMap,
+    build_constraints,
     enumerate_schedules,
     open_world,
     random_constraint_set,
@@ -45,6 +43,14 @@ def _cs(durations, offsets=None, precedence=None, mutex=None):
         precedence_travel=dict(precedence or {}),
         mutex_pairs=dict(mutex or {}),
     )
+
+
+def _build(domain, alloc, leg):
+    return build_constraints_fast(make_travel_tables(domain, leg), alloc)
+
+
+def _planned(domain):
+    return make_travel_tables(domain, planned_leg_seconds(GridPlanner(domain.world), domain))
 
 
 def linprog_makespan(cs, orderings):
@@ -85,7 +91,7 @@ def linprog_makespan(cs, orderings):
 def test_disjoint_coalitions_create_no_disjunctions():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
-    cs = build_constraints(domain, Allocation(np.array([[1, 0], [0, 1]])), leg)
+    cs = _build(domain, Allocation(np.array([[1, 0], [0, 1]])), leg)
     assert cs.mutex_pairs == {}
     assert cs.precedence_travel == {}
     assert cs.durations == (4.0, 3.0)
@@ -94,7 +100,7 @@ def test_disjoint_coalitions_create_no_disjunctions():
 def test_shared_robot_induces_a_mutex_pair():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
-    cs = build_constraints(domain, Allocation(np.array([[1, 0], [1, 0]])), leg)
+    cs = _build(domain, Allocation(np.array([[1, 0], [1, 0]])), leg)
     assert set(cs.mutex_pairs) == {(0, 1)}
     # robot 0 (speed 1) moves end of task 0 (3,0) -> start of task 1 (5,7)
     want_fwd = math.hypot(5 - 3, 7 - 0)
@@ -108,7 +114,7 @@ def test_shared_robot_induces_a_mutex_pair():
 def test_precedence_pair_is_not_doubled_as_mutex():
     domain = two_task_domain(precedence={(0, 1)}, mutex={(0, 1)})
     leg = estimated_leg_seconds(domain)
-    cs = build_constraints(domain, Allocation(np.array([[1, 0], [1, 0]])), leg)
+    cs = _build(domain, Allocation(np.array([[1, 0], [1, 0]])), leg)
     assert (0, 1) in cs.precedence_travel
     assert cs.mutex_pairs == {}
 
@@ -116,11 +122,11 @@ def test_precedence_pair_is_not_doubled_as_mutex():
 def test_release_offsets_take_the_slowest_assigned_robot():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
-    cs = build_constraints(domain, Allocation.root(2, 2), leg)
+    cs = _build(domain, Allocation.root(2, 2), leg)
     # task 0 at (2,0): robot 0 needs 2.0s, robot 1 needs hypot(5,7)/2
     assert cs.initial_offsets[0] == pytest.approx(max(2.0, math.hypot(5, 7) / 2))
     # empty coalition -> no travel requirement
-    cs = build_constraints(domain, Allocation.null(2, 2), leg)
+    cs = _build(domain, Allocation.null(2, 2), leg)
     assert cs.initial_offsets == (0.0, 0.0)
 
 
@@ -327,11 +333,10 @@ def test_refinement_fixpoint_on_open_map():
                            quality_maps=(LinearMap([1.0]),),
                            world=world, time_budget=50.0)
     alloc = Allocation.root(1, 1)
-    cs = build_constraints(domain, alloc, estimated_leg_seconds(domain))
+    cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
-    planner = GridPlanner(world)
-    refined, changed = refine_with_motion_plans(domain, alloc,
-                                                outcome.schedule, planner, cs)
+    refined, changed = refine_with_motion_plans(_planned(domain), alloc,
+                                                outcome.schedule, cs)
     assert not changed
     assert refined.initial_offsets == cs.initial_offsets
 
@@ -345,18 +350,18 @@ def test_refinement_grows_travel_around_walls():
                            quality_maps=(LinearMap([1.0]),),
                            world=world, time_budget=50.0)
     alloc = Allocation.root(1, 1)
-    cs = build_constraints(domain, alloc, estimated_leg_seconds(domain))
+    cs = _build(domain, alloc, estimated_leg_seconds(domain))
     before = solve_milp(cs).schedule.makespan
-    planner = GridPlanner(world)
+    planned = _planned(domain)
     refined, changed = refine_with_motion_plans(
-        domain, alloc, solve_milp(cs).schedule, planner, cs)
+        planned, alloc, solve_milp(cs).schedule, cs)
     assert changed
     after_outcome = solve_milp(refined)
     assert after_outcome.schedule.makespan >= before
     assert after_outcome.schedule.makespan == pytest.approx(20.0 + 2.0)
     # second pass is a fixpoint
     again, changed2 = refine_with_motion_plans(
-        domain, alloc, after_outcome.schedule, planner, refined)
+        planned, alloc, after_outcome.schedule, refined)
     assert not changed2
     assert again == refined
 
@@ -372,12 +377,11 @@ def test_refinement_updates_only_the_realized_mutex_direction():
                            quality_maps=(LinearMap([1.0]),) * 2,
                            world=world, time_budget=200.0)
     alloc = Allocation(np.array([[1], [1]]))
-    cs = build_constraints(domain, alloc, estimated_leg_seconds(domain))
+    cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
     direction = outcome.schedule.orderings[(0, 1)]
-    planner = GridPlanner(world)
-    refined, changed = refine_with_motion_plans(domain, alloc,
-                                                outcome.schedule, planner, cs)
+    refined, changed = refine_with_motion_plans(_planned(domain), alloc,
+                                                outcome.schedule, cs)
     assert changed
     old = cs.mutex_pairs[(0, 1)]
     new = refined.mutex_pairs[(0, 1)]
@@ -399,11 +403,10 @@ def test_refinement_marks_unreachable_legs_infinite():
                            quality_maps=(LinearMap([1.0]),),
                            world=world, time_budget=50.0)
     alloc = Allocation.root(1, 1)
-    cs = build_constraints(domain, alloc, estimated_leg_seconds(domain))
+    cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
-    planner = GridPlanner(world)
-    refined, changed = refine_with_motion_plans(domain, alloc,
-                                                outcome.schedule, planner, cs)
+    refined, changed = refine_with_motion_plans(_planned(domain), alloc,
+                                                outcome.schedule, cs)
     assert changed
     assert math.isinf(refined.initial_offsets[0])
     assert refined.infeasible_on_construction

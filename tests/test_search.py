@@ -1,9 +1,9 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
+from staq.analysis import random_instance
 from staq.model import (
     Allocation,
     ContractViolation,
@@ -149,6 +149,23 @@ def test_unreachable_task_degrades_to_the_empty_allocation():
     assert report.empty_coalitions == (0,)
 
 
+def test_unreachable_handover_in_the_unused_direction_still_validates():
+    # a wall splits the map, so the only robot can go from task 1's end to
+    # task 0's start but never from task 0's end to task 1's start
+    world = WorldMap.from_ascii(("...#...", "...#...", "...#..."))
+    robots = (Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
+    tasks = (Task(id=0, duration=1.0, start_site=(1, 0), end_site=(5, 0)),
+             Task(id=1, duration=1.0, start_site=(2, 1), end_site=(0, 2)))
+    domain = ProblemDomain(network=TaskNetwork(tasks=tasks), robots=robots,
+                           quality_maps=(LinearMap([1.0]),) * 2,
+                           world=world, time_budget=100.0)
+    sol, _ = solve(domain)
+    assert sol.allocation == Allocation.root(2, 1)
+    assert sol.schedule.orderings == {(0, 1): -1}
+    report = validate_solution(domain, sol)
+    assert report.ok, report.violations
+
+
 # ------------------------------------------------------------- invariants
 
 def dip_domain():
@@ -211,6 +228,40 @@ def test_cached_and_uncached_runs_agree():
     assert sol1.allocation == sol2.allocation == sol3.allocation
     assert sol1.schedule.start_times == sol2.schedule.start_times
     assert sol1.schedule.start_times == sol3.schedule.start_times
+
+
+def test_planner_calls_count_the_astar_runs_of_one_solve():
+    domain = two_task_domain(time_budget=60.0)
+    planner = GridPlanner(domain.world)
+    counts = [solve(domain, planner=planner)[1].planner_calls for _ in range(3)]
+    assert counts[0] == planner.calls - planner.cache_hits > 0
+    assert counts[1:] == [0, 0]   # every leg is a memo hit the second time
+
+
+# Search results on generated instances. Refactors of the search, the
+# scheduler or the travel tables must leave node order and every counter
+# exactly as they are.
+PINNED = (
+    # seed, allocation key, makespan, expanded, refinement rounds, reinserted
+    (0, 2383, 32.74497788907867, 43, 1, 0),
+    (1, 4054, 49.19148813334264, 10, 21, 16),
+    (2, 2399, 39.71652589970252, 11, 18, 10),
+    (3, 2759, 44.60609057469941, 13, 4, 2),
+    (4, 1032169, 53.979412712564056, 147, 535, 519),
+    (5, 134141, 33.328205438044506, 33, 12, 10),
+    (6, 3809, 27.910483862180357, 47, 4, 3),
+    (7, 19391, 47.92793466985958, 5, 5, 2),
+    (8, 1365, 28.592560814657595, 34, 13, 12),
+    (9, 31511, 27.95464897451987, 34, 51, 36),
+)
+
+
+@pytest.mark.parametrize("seed,key,makespan,expanded,rounds,reinserted", PINNED)
+def test_search_results_are_pinned(seed, key, makespan, expanded, rounds, reinserted):
+    sol, stats = solve(random_instance(seed))
+    assert (sol.allocation.key, sol.schedule.makespan) == (key, makespan)
+    assert (stats.nodes_expanded, stats.refinement_rounds, stats.reinserted) == (
+        expanded, rounds, reinserted)
 
 
 # ------------------------------------------------------------ solution body
