@@ -30,6 +30,7 @@ from .model import (
 )
 from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
+    ScheduleOutcome,
     build_constraints_fast,
     make_travel_tables,
     solve_milp,
@@ -198,8 +199,9 @@ def brute_force_optimal(
     Scheduling is skipped when the slowest arrival alone already overshoots
     the budget, and for any allocation containing a known-infeasible one as
     a subset of its assignments: adding assignments only tightens the
-    constraints. Guarded to at most 2^20 allocations; schedule_cap, when
-    given, aborts with OracleBudgetExceeded after that many solver calls.
+    constraints. Allocations with equal constraint sets share one branch and
+    bound run. Guarded to at most 2^20 allocations; schedule_cap, when given,
+    aborts with OracleBudgetExceeded after that many allocations scheduled.
     """
     m, n = domain.n_tasks, domain.n_robots
     if m * n > ORACLE_MAX_BITS:
@@ -220,6 +222,7 @@ def brute_force_optimal(
     known_infeasible = np.empty(totals.size, dtype=np.int64)
     n_known = 0
     n_scheduled = 0
+    memo: dict[tuple, ScheduleOutcome] = {}
     for raw_key in order:
         if too_slow[raw_key]:
             continue
@@ -232,7 +235,10 @@ def brute_force_optimal(
                 f"gave up after scheduling {n_scheduled} allocations"
             )
         alloc = Allocation.from_key(key, m, n)
-        outcome = solve_milp(build_constraints_fast(tables, alloc))
+        cs = build_constraints_fast(tables, alloc)
+        outcome = memo.get(cs.key)
+        if outcome is None:
+            outcome = memo[cs.key] = solve_milp(cs)
         n_scheduled += 1
         if (
             outcome.status == "optimal"

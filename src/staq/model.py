@@ -6,6 +6,7 @@ threads; the module-level operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -24,6 +25,11 @@ class InvalidInput(ValueError):
     """An operation received arguments that violate its contract."""
 
 
+def _positive_finite(x: float) -> bool:
+    """NaN fails every comparison, so a plain `x <= 0` check lets it through."""
+    return math.isfinite(x) and x > 0
+
+
 class ContractViolation(RuntimeError):
     """A numeric precondition was broken beyond tolerance."""
 
@@ -40,8 +46,8 @@ class WorldMap:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise InvalidInput("map dimensions must be positive")
-        if self.cell_size <= 0:
-            raise InvalidInput("cell_size must be positive")
+        if not _positive_finite(self.cell_size):
+            raise InvalidInput(f"cell_size must be positive and finite, got {self.cell_size}")
         for cell in self.occupied:
             if not self.in_bounds(cell):
                 raise InvalidInput(f"occupied cell {cell} outside map bounds")
@@ -92,10 +98,12 @@ class Robot:
         object.__setattr__(self, "traits", traits)
         if traits.ndim != 1 or traits.size < 1:
             raise InvalidInput(f"robot {self.id}: traits must be a non-empty vector")
+        if not np.all(np.isfinite(traits)):
+            raise InvalidInput(f"robot {self.id}: traits must be finite")
         if np.any(traits < 0):
             raise InvalidInput(f"robot {self.id}: traits must be non-negative")
-        if self.speed <= 0:
-            raise InvalidInput(f"robot {self.id}: speed must be positive")
+        if not _positive_finite(self.speed):
+            raise InvalidInput(f"robot {self.id}: speed must be positive and finite, got {self.speed}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,10 @@ class Task:
     end_site: Cell
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise InvalidInput(f"task {self.id}: duration must be positive")
+        if not _positive_finite(self.duration):
+            raise InvalidInput(
+                f"task {self.id}: duration must be positive and finite, got {self.duration}"
+            )
 
 
 def _canonical_pairs(pairs, m: int, *, ordered: bool, kind: str) -> frozenset[tuple[int, int]]:
@@ -269,8 +279,8 @@ class ProblemDomain:
                     raise InvalidInput(f"task {t.id}: site {site} blocked or out of bounds")
         if len(self.quality_maps) != len(self.network):
             raise InvalidInput("need exactly one quality map per task")
-        if self.time_budget <= 0:
-            raise InvalidInput("time budget must be positive")
+        if not _positive_finite(self.time_budget):
+            raise InvalidInput(f"time budget must be positive and finite, got {self.time_budget}")
         if not (0.0 <= self.alpha <= 1.0):
             raise InvalidInput(f"alpha must be in [0,1], got {self.alpha}")
         traits = np.stack([r.traits for r in robots])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .model import Allocation, InvalidInput, ProblemDomain, Schedule
@@ -32,6 +33,18 @@ class ConstraintSet:
     initial_offsets: tuple[float, ...]
     precedence_travel: dict[tuple[int, int], float]
     mutex_pairs: dict[tuple[int, int], tuple[float, float]]
+
+    @cached_property
+    def key(self) -> tuple:
+        """Every field as one hashable value. solve_milp is a pure function of
+        the set, so equal keys give equal outcomes; dict order is part of the
+        key, and build_constraints_fast fills both dicts in sorted order."""
+        return (
+            self.durations,
+            self.initial_offsets,
+            tuple(self.precedence_travel.items()),
+            tuple(self.mutex_pairs.items()),
+        )
 
     @property
     def n_quantities(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .heuristics import (
     HeuristicContext,
@@ -92,6 +92,8 @@ class SearchStats:
     duplicates_skipped: int = 0
     scheduler_calls: int = 0  # estimate-phase scheduling, once per allocation
     refinement_rounds: int = 0  # re-solves triggered by planned travel times
+    bnb_runs: int = 0  # branch-and-bound runs, both phases; memo hits excluded
+    bnb_nodes: int = 0  # sum of nodes_explored over those runs
     reinserted: int = 0
     planner_calls: int = 0  # A* runs this solve made; memo hits excluded
     worst_makespan: float = 0.0
@@ -146,10 +148,13 @@ def solve(
     check_invariants the search asserts that removing an assignment never
     reduces normalized quality loss, which the suboptimality bound relies on.
 
+    Within one call, branch and bound runs once per distinct constraint set:
+    allocations whose slowest arrivals and handovers coincide share it.
+
     schedule_cache, when given, memoizes per-allocation scheduling across
     calls. It is only valid for repeated solves of the same tasks, robots,
     world, and planner (e.g. the same instance at different alpha values);
-    scheduler_calls then counts actual solver invocations, not allocations.
+    scheduler_calls then counts the allocations the cache did not serve.
     """
     if planner is None:
         planner = GridPlanner(domain.world)
@@ -157,14 +162,25 @@ def solve(
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
     planned: Optional[TravelTables] = None  # built at the first refinement
     stats = SearchStats()
+    memo: dict[tuple, tuple[ConstraintSet, ScheduleOutcome]] = {}
+
+    def schedule(cs: ConstraintSet) -> tuple[ConstraintSet, ScheduleOutcome]:
+        """The first set seen with cs's content, and its outcome. Nodes with
+        equal sets share both objects, so a duplicate is freed once built."""
+        hit = memo.get(cs.key)
+        if hit is None:
+            outcome = solve_milp(cs)
+            stats.bnb_runs += 1
+            stats.bnb_nodes += outcome.nodes_explored
+            hit = memo[cs.key] = (cs, outcome)
+        return hit
 
     def fetch(alloc: Allocation) -> tuple[float, ConstraintSet, ScheduleOutcome]:
         entry = schedule_cache.get(alloc.key) if schedule_cache is not None else None
         if entry is not None:
             return entry.quality, entry.cs, entry.outcome
         quality = total_allocation_quality(alloc, domain)
-        cs = build_constraints_fast(tables, alloc)
-        outcome = solve_milp(cs)
+        cs, outcome = schedule(build_constraints_fast(tables, alloc))
         stats.scheduler_calls += 1
         if schedule_cache is not None:
             schedule_cache[alloc.key] = CacheEntry(quality, cs, outcome)
@@ -214,7 +230,7 @@ def solve(
         if node.overrun == 0.0 and node.outcome.status == "optimal":
             if planned is None:
                 planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
-            _refine_node(node, planned, ctx, stats, schedule_cache)
+            _refine_node(node, planned, ctx, stats, schedule, schedule_cache)
             if node.overrun == 0.0 and node.outcome.status == "optimal":
                 stats.frontier = open_set.snapshot()
                 solution = _build_solution(domain, node, planner)
@@ -243,6 +259,7 @@ def _refine_node(
     planned: TravelTables,
     ctx: HeuristicContext,
     stats: SearchStats,
+    schedule: Callable[[ConstraintSet], tuple[ConstraintSet, ScheduleOutcome]],
     schedule_cache: Optional[ScheduleCache] = None,
 ) -> None:
     """Swap estimated travel for planned travel until the schedule stops moving.
@@ -267,8 +284,7 @@ def _refine_node(
         if not changed:
             break
         stats.refinement_rounds += 1
-        node.cs = new_cs
-        node.outcome = solve_milp(new_cs)
+        node.cs, node.outcome = schedule(new_cs)
         _rescore(node, ctx)
     if entry is not None:
         entry.refined_cs = node.cs

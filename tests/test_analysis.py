@@ -240,6 +240,36 @@ def test_oracle_agrees_with_search_on_feasibility():
     assert checked == 6
 
 
+# Oracle results on generated instances. Sharing branch-and-bound runs among
+# allocations with equal constraint sets must leave them, and the allocation
+# count the cap applies to, exactly as they are. Seeds 0 and 5 need 32,768 and
+# 254,969 allocations, so they are checked against the cap instead.
+ORACLE_CAP = 6000
+ORACLE_PINNED = (
+    # seed, allocations scheduled, quality, allocation key, makespan
+    (1, 41, 2.520409893242477, 3966, 48.05130555531302),
+    (2, 175, 3.016299682787169, 2555, 37.728867227943866),
+    (3, 1380, 2.267236468578827, 2255, 44.957103340494996),
+    (4, 5415, 3.152565964171837, 1021439, 53.826874626668896),
+    (6, 1330, 1.7166314835780336, 3749, 29.233215622626663),
+    (7, 5131, 2.768511106637532, 12253, 49.15213991258618),
+)
+
+
+@pytest.mark.parametrize("seed,scheduled,quality,key,makespan", ORACLE_PINNED)
+def test_oracle_results_are_pinned(seed, scheduled, quality, key, makespan):
+    domain = random_instance(seed)
+    result = brute_force_optimal(domain, schedule_cap=ORACLE_CAP)
+    assert (result.n_scheduled, result.quality, result.allocation.key, result.makespan) == (
+        scheduled, quality, key, makespan)
+
+
+@pytest.mark.parametrize("seed", (0, 5))
+def test_oracle_cap_counts_allocations_not_solver_runs(seed):
+    with pytest.raises(OracleBudgetExceeded, match=f"after scheduling {ORACLE_CAP} allocations"):
+        brute_force_optimal(random_instance(seed), schedule_cap=ORACLE_CAP)
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_covers_the_default_alpha_grid():

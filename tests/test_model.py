@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ def test_world_rejects_bad_input():
         WorldMap.from_ascii(())
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_world_rejects_non_finite_cell_size(value):
+    with pytest.raises(InvalidInput, match="cell_size"):
+        WorldMap(width=3, height=3, cell_size=value)
+
+
 # ------------------------------------------------------------ Robot / Task
 
 def test_robot_validation():
@@ -66,6 +77,24 @@ def test_robot_validation():
         Robot(id=0, traits=np.array([]), start_cell=(0, 0), speed=1.0)
     with pytest.raises(InvalidInput):
         Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=0.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_robot_rejects_non_finite_speed(value):
+    with pytest.raises(InvalidInput, match="speed"):
+        Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_robot_rejects_non_finite_traits(value):
+    with pytest.raises(InvalidInput, match="traits must be finite"):
+        Robot(id=0, traits=np.array([1.0, value]), start_cell=(0, 0), speed=1.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_task_rejects_non_finite_duration(value):
+    with pytest.raises(InvalidInput, match="duration"):
+        Task(id=0, duration=value, start_site=(0, 0), end_site=(1, 0))
 
 
 def test_task_validation():
@@ -272,6 +301,12 @@ def test_domain_validation_errors():
     blocked = WorldMap(width=4, height=4, occupied=frozenset({(0, 0)}))
     with pytest.raises(InvalidInput):
         ProblemDomain(**{**kw, "world": blocked})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_domain_rejects_non_finite_time_budget(value):
+    with pytest.raises(InvalidInput, match="time budget"):
+        two_task_domain(time_budget=value)
 
 
 def test_domain_ids_must_equal_positions():

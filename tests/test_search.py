@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from staq import search
 from staq.analysis import random_instance
 from staq.model import (
     Allocation,
@@ -236,6 +237,32 @@ def test_planner_calls_count_the_astar_runs_of_one_solve():
     counts = [solve(domain, planner=planner)[1].planner_calls for _ in range(3)]
     assert counts[0] == planner.calls - planner.cache_hits > 0
     assert counts[1:] == [0, 0]   # every leg is a memo hit the second time
+
+
+def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
+    keys, nodes = [], []
+
+    def counting(cs):
+        outcome = real(cs)
+        keys.append(cs.key)
+        nodes.append(outcome.nodes_explored)
+        return outcome
+
+    real = search.solve_milp
+    monkeypatch.setattr(search, "solve_milp", counting)
+    for seed in range(10):
+        keys.clear()
+        nodes.clear()
+        _, stats = solve(random_instance(seed))
+        assert len(set(keys)) == len(keys), f"seed {seed}: a constraint set was scheduled twice"
+        assert (stats.bnb_runs, stats.bnb_nodes) == (len(keys), sum(nodes))
+        assert stats.bnb_runs <= stats.scheduler_calls + stats.refinement_rounds
+
+    domain = random_instance(1)
+    cache = {}
+    solve(domain, schedule_cache=cache)
+    _, again = solve(domain, schedule_cache=cache)
+    assert (again.bnb_runs, again.bnb_nodes) == (0, 0)
 
 
 # Search results on generated instances. Refactors of the search, the
