@@ -154,8 +154,8 @@ def bound_report(
 
 
 def _coalition_quality_table(domain: ProblemDomain, task: int) -> np.ndarray:
-    """Quality of one task under every coalition, indexed by the coalition
-    bitmask with robot 0 in the most significant bit."""
+    """Quality of one task under every coalition, indexed like
+    Allocation.coalition_mask (robot 0 in the most significant bit)."""
     n = domain.n_robots
     masks = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
     aggregated = masks.astype(float) @ domain.traits
@@ -178,7 +178,7 @@ def _arrival_floor(domain: ProblemDomain, tables) -> np.ndarray:
         per_mask = np.zeros(2**n)
         for mask in range(1, 2**n):
             low = mask & -mask
-            # robot 0 sits in the most significant bit of the coalition mask
+            # robot 0 sits in the most significant bit, as in coalition_mask
             robot = n - low.bit_length()
             per_mask[mask] = max(per_mask[mask ^ low], tables.arrive[robot][i])
         per_mask += tables.durations[i]
@@ -234,7 +234,7 @@ def brute_force_optimal(
             raise OracleBudgetExceeded(
                 f"gave up after scheduling {n_scheduled} allocations"
             )
-        alloc = Allocation.from_key(key, m, n)
+        alloc = Allocation(key, (m, n))
         cs = build_constraints_fast(tables, alloc)
         outcome = memo.get(cs.key)
         if outcome is None:

@@ -93,12 +93,3 @@ def blend(loss: float, overrun: float, alpha: float) -> float:
     if overrun == float("inf"):
         return float("inf") if alpha > 0.0 else loss
     return (1.0 - alpha) * loss + alpha * overrun
-
-
-def blended_score(quality: float, makespan: float, ctx: HeuristicContext) -> float:
-    """blend() evaluated from raw quality and makespan."""
-    return blend(
-        normalized_quality_loss(quality, ctx),
-        budget_overrun(makespan, ctx),
-        ctx.alpha,
-    )

@@ -35,7 +35,6 @@ from .search import SearchStats
 class LoadedInstance:
     domain: ProblemDomain
     seed: Optional[int]
-    document: dict
 
 
 def _fail(path: str, message: str) -> None:
@@ -237,7 +236,7 @@ def instance_from_document(
     seed = doc.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         _fail("seed", f"expected an integer, got {seed!r}")
-    return LoadedInstance(domain=domain, seed=seed, document=doc)
+    return LoadedInstance(domain=domain, seed=seed)
 
 
 def load_instance(

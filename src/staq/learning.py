@@ -229,7 +229,6 @@ def _learning_loop(
     pool: QueryPool,
     eval_set: EvalSet,
     picks: Sequence[Optional[int]],
-    gp_params: dict,
 ) -> tuple[Optional[GPModel], list[float]]:
     """Shared query loop; a None pick means choose by maximum variance."""
     x_eval, y_eval = eval_set
@@ -246,7 +245,7 @@ def _learning_loop(
         pool.mark_labeled(index)
         queried.append(index)
         labels.append(label)
-        model = gp_fit(pool.features[queried], np.asarray(labels), **gp_params)
+        model = gp_fit(pool.features[queried], np.asarray(labels))
         trace.append(rmse(model, x_eval, y_eval))
     return model, trace
 
@@ -256,7 +255,6 @@ def active_learn(
     pool: QueryPool,
     eval_set: EvalSet,
     budget: int,
-    **gp_params,
 ) -> tuple[Optional[GPModel], list[float]]:
     """Label the most uncertain pool point, refit, repeat `budget` times.
 
@@ -266,7 +264,7 @@ def active_learn(
     """
     if not (0 <= budget <= pool.n_unlabeled()):
         raise InvalidInput(f"budget must be in [0, {pool.n_unlabeled()}]")
-    return _learning_loop(labeler, pool, eval_set, [None] * budget, gp_params)
+    return _learning_loop(labeler, pool, eval_set, [None] * budget)
 
 
 def uniform_baseline(
@@ -275,7 +273,6 @@ def uniform_baseline(
     eval_set: EvalSet,
     budget: int,
     seed: int,
-    **gp_params,
 ) -> tuple[Optional[GPModel], list[float]]:
     """Label seeded uniform-random pool points; the active-learning control."""
     if not (0 <= budget <= pool.n_unlabeled()):
@@ -283,7 +280,7 @@ def uniform_baseline(
     rng = np.random.default_rng(seed)
     unlabeled = pool.unlabeled_indices()
     picks = unlabeled[rng.permutation(unlabeled.size)[:budget]]
-    return _learning_loop(labeler, pool, eval_set, [int(p) for p in picks], gp_params)
+    return _learning_loop(labeler, pool, eval_set, [int(p) for p in picks])
 
 
 def synthetic_position_dataset(

@@ -179,14 +179,30 @@ class TaskNetwork:
         return len(self.tasks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
-    """Binary M x N matrix; entry (m, n) = 1 iff robot n works on task m."""
+    """Binary M x N assignment; entry (m, n) = 1 iff robot n works on task m.
 
-    entries: np.ndarray
+    Stored only as an integer key holding the entries row-major, first cell
+    most significant, so within each task's row robot 0 is the most
+    significant bit. The search breaks ties on this key and the oracle
+    indexes its per-allocation tables by it.
+    """
+
+    key: int
+    shape: tuple[int, int]
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.entries)
+        m, n = self.shape
+        if m < 0 or n < 0:
+            raise InvalidInput(f"allocation shape must be non-negative, got {self.shape}")
+        if not 0 <= self.key < 1 << (m * n):
+            raise InvalidInput(f"allocation key {self.key} outside [0, 2^{m * n})")
+
+    @classmethod
+    def from_entries(cls, entries) -> Allocation:
+        """The allocation of a task-by-robot 0/1 matrix."""
+        raw = np.asarray(entries)
         if raw.ndim != 2:
             raise InvalidInput("allocation must be a 2-D matrix")
         if raw.size:
@@ -195,53 +211,43 @@ class Allocation:
                     raise InvalidInput("allocation entries must be 0 or 1")
             elif not np.all((raw == 0) | (raw == 1)):
                 raise InvalidInput("allocation entries must be 0 or 1")
-        entries = np.array(raw, dtype=np.int8)
-        flat = entries.ravel()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        # Row-major bit pattern, first cell most significant; used for
-        # visited-set membership and deterministic tie-breaking.
-        packed = np.packbits(flat)
-        key = int.from_bytes(packed.tobytes(), "big") >> (packed.size * 8 - flat.size)
-        object.__setattr__(self, "_key", key)
+        key = 0
+        for bit in raw.ravel().tolist():
+            key = (key << 1) | int(bit)
+        return cls(key, raw.shape)
 
     @classmethod
     def root(cls, m: int, n: int) -> Allocation:
-        return cls(np.ones((m, n), dtype=np.int8))
+        return cls((1 << (m * n)) - 1, (m, n))
 
     @classmethod
     def null(cls, m: int, n: int) -> Allocation:
-        return cls(np.zeros((m, n), dtype=np.int8))
-
-    @classmethod
-    def from_key(cls, key: int, m: int, n: int) -> Allocation:
-        bits = [(key >> (m * n - 1 - i)) & 1 for i in range(m * n)]
-        return cls(np.asarray(bits, dtype=np.int8).reshape(m, n))
+        return cls(0, (m, n))
 
     @property
-    def key(self) -> int:
-        return self._key  # type: ignore[attr-defined]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape  # type: ignore[return-value]
+    def entries(self) -> np.ndarray:
+        """The 0/1 matrix, derived from the key on each access (read-only)."""
+        m, n = self.shape
+        bits = [(self.key >> shift) & 1 for shift in range(m * n - 1, -1, -1)]
+        entries = np.array(bits, dtype=np.int8).reshape(m, n)
+        entries.setflags(write=False)
+        return entries
 
     def popcount(self) -> int:
-        return int(self.entries.sum())
+        return self.key.bit_count()
+
+    def coalition_mask(self, task: int) -> int:
+        """The task's row of the key: bit n - 1 - r is set iff robot r works on it."""
+        m, n = self.shape
+        if not 0 <= task < m:
+            raise InvalidInput(f"task {task} outside [0, {m})")
+        return (self.key >> ((m - 1 - task) * n)) & ((1 << n) - 1)
 
     def coalition(self, task: int) -> tuple[int, ...]:
         """Indices of the robots assigned to a task."""
-        return tuple(int(n) for n in np.nonzero(self.entries[task])[0])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Allocation)
-            and self.shape == other.shape
-            and self.key == other.key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.key))
+        mask = self.coalition_mask(task)
+        n = self.shape[1]
+        return tuple(r for r in range(n) if (mask >> (n - 1 - r)) & 1)
 
 
 @dataclass(frozen=True)
@@ -335,9 +341,9 @@ class Solution:
 def aggregate_traits(alloc: Allocation, traits: np.ndarray) -> np.ndarray:
     """Aggregated traits per task: row m sums the trait rows of task m's coalition."""
     traits = np.asarray(traits, dtype=float)
-    if traits.ndim != 2 or alloc.entries.shape[1] != traits.shape[0]:
+    if traits.ndim != 2 or alloc.shape[1] != traits.shape[0]:
         raise InvalidInput(
-            f"allocation is {alloc.entries.shape} but trait matrix is {traits.shape}"
+            f"allocation is {alloc.shape} but trait matrix is {traits.shape}"
         )
     return alloc.entries.astype(float) @ traits
 
@@ -356,15 +362,9 @@ def successors(alloc: Allocation) -> list[Allocation]:
 
     Emitted in row-major bit order, so the list is deterministic.
     """
-    out = []
-    m, n = alloc.shape
-    for i in range(m):
-        for j in range(n):
-            if alloc.entries[i, j]:
-                child = np.array(alloc.entries)
-                child[i, j] = 0
-                out.append(Allocation(child))
-    return out
+    key, shape = alloc.key, alloc.shape
+    bits = (1 << shift for shift in range(shape[0] * shape[1] - 1, -1, -1))
+    return [Allocation(key ^ bit, shape) for bit in bits if key & bit]
 
 
 def validate_solution(domain: ProblemDomain, sol: Solution, planner=None) -> ValidationReport:
@@ -427,8 +427,9 @@ def _check_motion_plans(domain: ProblemDomain, sol: Solution) -> list[str]:
     violations: list[str] = []
     starts = sol.schedule.start_times
     tasks = domain.network.tasks
+    entries = sol.allocation.entries
     for robot in domain.robots:
-        assigned = [i for i in range(domain.n_tasks) if sol.allocation.entries[i, robot.id]]
+        assigned = [i for i in range(domain.n_tasks) if entries[i, robot.id]]
         assigned.sort(key=lambda i: (starts[i], i))
         origin = robot.start_cell
         depart = 0.0

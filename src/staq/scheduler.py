@@ -134,14 +134,8 @@ def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> Constrain
     n = len(tables.arrive)
     if alloc.shape != (m, n):
         raise InvalidInput(f"allocation {alloc.shape} does not match tables ({m},{n})")
-    # Bit j of masks[i] is set iff robot j works on task i.
-    masks = []
-    for row in alloc.entries.tolist():
-        mask = 0
-        for j, bit in enumerate(row):
-            if bit:
-                mask |= 1 << j
-        masks.append(mask)
+    # Robot r sits in bit n - 1 - r of each coalition mask.
+    masks = [alloc.coalition_mask(i) for i in range(m)]
     arrive = tables.arrive
     hand = tables.hand
 
@@ -151,7 +145,7 @@ def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> Constrain
         x = 0.0
         while mask:
             low = mask & -mask
-            t = arrive[low.bit_length() - 1][i]
+            t = arrive[n - low.bit_length()][i]
             if t > x:
                 x = t
             mask ^= low
@@ -161,7 +155,7 @@ def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> Constrain
         x = 0.0
         while shared:
             low = shared & -shared
-            t = hand[low.bit_length() - 1][i][j]
+            t = hand[n - low.bit_length()][i][j]
             if t > x:
                 x = t
             shared ^= low

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .heuristics import (
     HeuristicContext,
-    blended_score,
+    blend,
     budget_overrun,
     make_context,
     normalized_quality_loss,
@@ -209,15 +209,9 @@ def solve(
             raise ContractViolation(
                 f"quality loss dropped from {parent_loss} to {quality_loss} on removing an assignment"
             )
-        if outcome.status == "optimal":
-            makespan = outcome.schedule.makespan
-            overrun = budget_overrun(makespan, ctx)
-            blended = blended_score(quality, makespan, ctx)
-        else:
-            makespan = math.inf
-            overrun = math.inf
-            blended = math.inf
-        return SearchNode(alloc, quality, quality_loss, overrun, blended, makespan, depth, cs, outcome)
+        node = SearchNode(alloc, quality, quality_loss, math.inf, math.inf, math.inf, depth, cs, outcome)
+        _rescore(node, ctx)
+        return node
 
     open_set = OpenSet()
     root = make_node(root_alloc, 0, None, prefetched=root_fetch)
@@ -295,7 +289,7 @@ def _rescore(node: SearchNode, ctx: HeuristicContext) -> None:
     if node.outcome.status == "optimal":
         node.makespan = node.outcome.schedule.makespan
         node.overrun = budget_overrun(node.makespan, ctx)
-        node.blended = blended_score(node.quality, node.makespan, ctx)
+        node.blended = blend(node.quality_loss, node.overrun, ctx.alpha)
     else:
         node.makespan = math.inf
         node.overrun = math.inf
@@ -308,8 +302,9 @@ def _build_solution(domain: ProblemDomain, node: SearchNode, planner: GridPlanne
     motion_plans = {}
     starts = schedule.start_times
     tasks = domain.network.tasks
+    entries = node.allocation.entries
     for robot in domain.robots:
-        assigned = [i for i in range(domain.n_tasks) if node.allocation.entries[i, robot.id]]
+        assigned = [i for i in range(domain.n_tasks) if entries[i, robot.id]]
         assigned.sort(key=lambda i: (starts[i], i))
         origin = robot.start_cell
         for i in assigned:

@@ -189,7 +189,7 @@ def test_loss_is_monotone_under_assignment_removal():
         m, n = domain.n_tasks, domain.n_robots
         for _ in range(8):
             key = int(rng.integers(1, 2 ** (m * n)))
-            parent = Allocation.from_key(key, m, n)
+            parent = Allocation(key, (m, n))
             parent_loss = normalized_quality_loss(
                 total_allocation_quality(parent, domain), ctx)
             for child in successors(parent):

@@ -134,7 +134,7 @@ def oracle_by_enumeration(domain, planner):
     leg = planned_leg_seconds(planner, domain)
     best = None
     for key in range(2 ** (m * n)):
-        alloc = Allocation.from_key(key, m, n)
+        alloc = Allocation(key, (m, n))
         makespan = enumerate_schedules(build_constraints(domain, alloc, leg))
         if makespan is None or makespan > domain.time_budget + 1e-9:
             continue

@@ -5,7 +5,6 @@ import pytest
 from staq.heuristics import (
     HeuristicContext,
     blend,
-    blended_score,
     budget_overrun,
     make_context,
     normalized_quality_loss,
@@ -91,6 +90,9 @@ def test_blend_endpoints_select_one_component():
 
 def test_blend_hand_example():
     assert blend(0.4, 0.2, 0.5) == pytest.approx(0.3)
+    ctx = _ctx(root=2.0, null=0.0, worst=200.0, budget=100.0, alpha=0.5)
+    composed = blend(normalized_quality_loss(1.5, ctx), budget_overrun(120.0, ctx), 0.5)
+    assert composed == pytest.approx(0.5 * 0.25 + 0.5 * 0.2)
 
 
 def test_blend_ignores_infinite_overrun_at_alpha_zero():
@@ -123,12 +125,3 @@ def test_make_context_uses_domain_quality_extremes():
     assert ctx.makespan_worst == 42.0
     assert ctx.time_budget == domain.time_budget
     assert ctx.alpha == 0.3
-
-
-def test_blended_score_composes_the_pieces():
-    ctx = _ctx(root=2.0, null=0.0, worst=200.0, budget=100.0, alpha=0.5)
-    got = blended_score(1.5, 120.0, ctx)
-    want = blend(normalized_quality_loss(1.5, ctx),
-                 budget_overrun(120.0, ctx), 0.5)
-    assert got == pytest.approx(want)
-    assert got == pytest.approx(0.5 * 0.25 + 0.5 * 0.2)

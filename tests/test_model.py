@@ -142,24 +142,38 @@ def test_network_rejects_precedence_cycle():
 # -------------------------------------------------------------- Allocation
 
 def test_allocation_key_is_row_major_most_significant_first():
-    alloc = Allocation(np.array([[1, 0], [0, 1]]))
+    alloc = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
     assert alloc.key == 0b1001
-    assert Allocation(np.array([[1, 1, 0]])).key == 0b110
+    assert Allocation.from_entries(np.array([[1, 1, 0]])).key == 0b110
     assert Allocation.root(2, 2).key == 0b1111
     assert Allocation.null(2, 2).key == 0
 
 
 def test_allocation_from_key_roundtrip():
     for key in range(16):
-        alloc = Allocation.from_key(key, 2, 2)
+        alloc = Allocation(key, (2, 2))
         assert alloc.key == key
-        assert Allocation(alloc.entries.copy()).key == key
+        assert Allocation.from_entries(alloc.entries.copy()).key == key
+
+
+def test_allocation_from_entries_inverts_entries_for_every_key():
+    for key in range(1 << 6):
+        alloc = Allocation(key, (2, 3))
+        assert Allocation.from_entries(alloc.entries) == alloc
+
+
+def test_allocation_rejects_keys_outside_its_shape():
+    for key, shape in ((-1, (2, 2)), (16, (2, 2)), (1, (0, 3)), (0, (-1, 2)), (0, (2, -1))):
+        with pytest.raises(InvalidInput):
+            Allocation(key, shape)
+    assert Allocation(15, (2, 2)) == Allocation.root(2, 2)
+    assert Allocation(0, (0, 3)).entries.shape == (0, 3)
 
 
 def test_allocation_equality_and_hash():
-    a = Allocation(np.array([[1, 0], [0, 1]]))
-    b = Allocation(np.array([[1, 0], [0, 1]], dtype=bool))
-    c = Allocation(np.array([[1, 0, 0, 1]]))   # same bits, different shape
+    a = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
+    b = Allocation.from_entries(np.array([[1, 0], [0, 1]], dtype=bool))
+    c = Allocation.from_entries(np.array([[1, 0, 0, 1]]))   # same bits, different shape
     assert a == b and hash(a) == hash(b)
     assert a != c
 
@@ -167,12 +181,12 @@ def test_allocation_equality_and_hash():
 def test_allocation_rejects_non_binary_entries():
     for bad in ([[0.5, 0.0]], [[2, 0]], [[-1, 1]], [[256, 0]]):
         with pytest.raises(InvalidInput):
-            Allocation(np.array(bad))
+            Allocation.from_entries(np.array(bad))
     with pytest.raises(InvalidInput):
-        Allocation(np.array([1, 0]))   # 1-D
+        Allocation.from_entries(np.array([1, 0]))   # 1-D
     # exact floats and bools are accepted
-    assert Allocation(np.array([[1.0, 0.0]])).key == 0b10
-    assert Allocation(np.array([[True, False]])).key == 0b10
+    assert Allocation.from_entries(np.array([[1.0, 0.0]])).key == 0b10
+    assert Allocation.from_entries(np.array([[True, False]])).key == 0b10
 
 
 def test_allocation_entries_are_read_only():
@@ -182,7 +196,7 @@ def test_allocation_entries_are_read_only():
 
 
 def test_allocation_coalition_and_popcount():
-    alloc = Allocation(np.array([[1, 0, 1], [0, 0, 0]]))
+    alloc = Allocation.from_entries(np.array([[1, 0, 1], [0, 0, 0]]))
     assert alloc.coalition(0) == (0, 2)
     assert alloc.coalition(1) == ()
     assert alloc.popcount() == 2
@@ -192,9 +206,9 @@ def test_allocation_coalition_and_popcount():
 
 def test_aggregate_traits_identity_returns_trait_matrix():
     traits = np.array([[3.0, 1.0], [2.0, 5.0]])
-    assert np.array_equal(aggregate_traits(Allocation(np.eye(2, dtype=int)), traits),
+    assert np.array_equal(aggregate_traits(Allocation.from_entries(np.eye(2, dtype=int)), traits),
                           traits)
-    swapped = aggregate_traits(Allocation(np.array([[0, 1], [1, 0]])), traits)
+    swapped = aggregate_traits(Allocation.from_entries(np.array([[0, 1], [1, 0]])), traits)
     assert np.array_equal(swapped, traits[::-1])
 
 
@@ -206,7 +220,7 @@ def test_aggregate_traits_null_is_zero():
 
 def test_aggregate_traits_hand_example():
     traits = np.array([[1.0, 0.0], [0.0, 2.0]])
-    alloc = Allocation(np.array([[1, 1], [0, 1]]))
+    alloc = Allocation.from_entries(np.array([[1, 1], [0, 1]]))
     assert np.array_equal(aggregate_traits(alloc, traits),
                           np.array([[1.0, 2.0], [0.0, 2.0]]))
 
@@ -246,7 +260,7 @@ def test_quality_weighted_sum_example():
     traits = np.array([[0.2, 0.4], [0.8, 0.6]])
     domain = _domain_with_maps([LinearMap([0.5, 0.5]), LinearMap([0.5, 0.5])],
                                traits)
-    alloc = Allocation(np.array([[1, 0], [1, 1]]))
+    alloc = Allocation.from_entries(np.array([[1, 0], [1, 1]]))
     # rows of A @ Q are (0.2, 0.4) and (1.0, 1.0)
     assert total_allocation_quality(alloc, domain) == pytest.approx(1.3)
 
@@ -267,11 +281,30 @@ def test_successors_of_null_is_empty():
 
 
 def test_successors_exact_set():
-    alloc = Allocation(np.array([[1, 0], [0, 1]]))
+    alloc = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
     got = set(successors(alloc))
-    want = {Allocation(np.array([[0, 0], [0, 1]])),
-            Allocation(np.array([[1, 0], [0, 0]]))}
+    want = {Allocation.from_entries(np.array([[0, 0], [0, 1]])),
+            Allocation.from_entries(np.array([[1, 0], [0, 0]]))}
     assert got == want
+
+
+def test_successors_and_coalition_masks_follow_the_key_layout():
+    entries = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0]])
+    alloc = Allocation.from_entries(entries)
+    set_cells = [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)]   # row-major
+    children = successors(alloc)
+    assert [alloc.key ^ c.key for c in children] == [1 << (8 - 3 * i - j) for i, j in set_cells]
+    for child, (i, j) in zip(children, set_cells):
+        want = entries.copy()
+        want[i, j] = 0
+        assert np.array_equal(child.entries, want)
+    assert [alloc.coalition_mask(t) for t in range(3)] == [0b101, 0b011, 0b100]
+    for task in range(3):
+        mask = alloc.coalition_mask(task)
+        assert tuple(r for r in range(3) if mask >> (2 - r) & 1) == alloc.coalition(task)
+    for task in (-1, 3):
+        with pytest.raises(InvalidInput):
+            alloc.coalition_mask(task)
 
 
 # ---------------------------------------------------------- ProblemDomain
@@ -384,7 +417,7 @@ def test_validate_flags_budget_and_makespan_mismatch():
 def test_validate_flags_precedence_violation():
     domain = two_task_domain(precedence={(0, 1)}, time_budget=100.0)
     planner = GridPlanner(domain.world)
-    alloc = Allocation(np.array([[1, 0], [0, 1]]))
+    alloc = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
     plans = {
         (0, 0): planner.plan((0, 0), (2, 0)),
         (1, 1): planner.plan((7, 7), (5, 7)),
@@ -431,7 +464,7 @@ def test_validate_flags_bad_motion_plans():
 def test_validate_flags_travel_slower_than_schedule():
     domain = two_task_domain(time_budget=100.0)
     planner = GridPlanner(domain.world)
-    alloc = Allocation(np.array([[1, 0], [0, 0]]))
+    alloc = Allocation.from_entries(np.array([[1, 0], [0, 0]]))
     plans = {(0, 0): planner.plan((0, 0), (2, 0))}
     # robot 0 needs 2s to reach the site but the task is scheduled at t=1
     sol = _solution(domain, alloc, (1.0, 50.0), 53.0, plans)
@@ -442,7 +475,7 @@ def test_validate_flags_travel_slower_than_schedule():
 def test_validate_reports_empty_coalitions_without_violation():
     domain = two_task_domain(time_budget=100.0)
     planner = GridPlanner(domain.world)
-    alloc = Allocation(np.array([[1, 0], [0, 0]]))
+    alloc = Allocation.from_entries(np.array([[1, 0], [0, 0]]))
     plans = {(0, 0): planner.plan((0, 0), (2, 0))}
     sol = _solution(domain, alloc, (2.0, 0.0), 6.0, plans)
     report = validate_solution(domain, sol, planner)

@@ -91,7 +91,7 @@ def linprog_makespan(cs, orderings):
 def test_disjoint_coalitions_create_no_disjunctions():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
-    cs = _build(domain, Allocation(np.array([[1, 0], [0, 1]])), leg)
+    cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [0, 1]])), leg)
     assert cs.mutex_pairs == {}
     assert cs.precedence_travel == {}
     assert cs.durations == (4.0, 3.0)
@@ -100,7 +100,7 @@ def test_disjoint_coalitions_create_no_disjunctions():
 def test_shared_robot_induces_a_mutex_pair():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
-    cs = _build(domain, Allocation(np.array([[1, 0], [1, 0]])), leg)
+    cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [1, 0]])), leg)
     assert set(cs.mutex_pairs) == {(0, 1)}
     # robot 0 (speed 1) moves end of task 0 (3,0) -> start of task 1 (5,7)
     want_fwd = math.hypot(5 - 3, 7 - 0)
@@ -114,7 +114,7 @@ def test_shared_robot_induces_a_mutex_pair():
 def test_precedence_pair_is_not_doubled_as_mutex():
     domain = two_task_domain(precedence={(0, 1)}, mutex={(0, 1)})
     leg = estimated_leg_seconds(domain)
-    cs = _build(domain, Allocation(np.array([[1, 0], [1, 0]])), leg)
+    cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [1, 0]])), leg)
     assert (0, 1) in cs.precedence_travel
     assert cs.mutex_pairs == {}
 
@@ -276,7 +276,7 @@ def test_fast_constraints_match_reference_everywhere():
                     planned_leg_seconds(planner, domain)):
             tables = make_travel_tables(domain, leg)
             for key in range(16):
-                alloc = Allocation.from_key(key, 2, 2)
+                alloc = Allocation(key, (2, 2))
                 want = build_constraints(domain, alloc, leg)
                 got = build_constraints_fast(tables, alloc)
                 assert got == want
@@ -376,7 +376,7 @@ def test_refinement_updates_only_the_realized_mutex_direction():
     domain = ProblemDomain(network=net, robots=robots,
                            quality_maps=(LinearMap([1.0]),) * 2,
                            world=world, time_budget=200.0)
-    alloc = Allocation(np.array([[1], [1]]))
+    alloc = Allocation.from_entries(np.array([[1], [1]]))
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
     direction = outcome.schedule.orderings[(0, 1)]

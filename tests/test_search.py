@@ -27,7 +27,7 @@ from helpers import LinearMap, drop_one_domain, open_world, two_task_domain
 def _node(key, blended, depth):
     cs = ConstraintSet(durations=(1.0,), initial_offsets=(0.0,),
                        precedence_travel={}, mutex_pairs={})
-    return SearchNode(allocation=Allocation.from_key(key, 2, 2), quality=0.0,
+    return SearchNode(allocation=Allocation(key, (2, 2)), quality=0.0,
                       quality_loss=0.0, overrun=0.0, blended=blended,
                       makespan=0.0, depth=depth, cs=cs,
                       outcome=ScheduleOutcome("optimal", None, 0))
@@ -97,7 +97,7 @@ def test_tight_budget_drops_exactly_one_assignment():
     assert sol is not None
     assert sol.allocation.popcount() == 3
     # deterministic tie-break: the smaller-key optimum wins
-    assert sol.allocation == Allocation(np.array([[1, 0], [1, 1]]))
+    assert sol.allocation == Allocation.from_entries(np.array([[1, 0], [1, 1]]))
     assert sol.total_quality == pytest.approx(1.5)
     assert sol.schedule.makespan == pytest.approx(9.0)
     assert sol.quality_loss == pytest.approx(0.25)
