@@ -18,7 +18,6 @@ from .model import (
     TaskNetwork,
     ValidationReport,
     WorldMap,
-    aggregate_traits,
     successors,
     total_allocation_quality,
     validate_solution,
@@ -36,7 +35,6 @@ __all__ = [
     "TaskNetwork",
     "ValidationReport",
     "WorldMap",
-    "aggregate_traits",
     "successors",
     "total_allocation_quality",
     "validate_solution",

@@ -51,9 +51,10 @@ class BoundReport:
     """Bounds on how far the returned quality can sit below the optimum.
 
     Oracle-dependent fields (q_optimal, gap, holds_*) are None until an
-    exhaustive result is supplied. guarantee_applies records the precondition
-    that the worst-case makespan reaches the budget, without which the
-    overrun normalization can exceed 1 and the guarantee is void.
+    exhaustive result is supplied. guarantee_applies records the two
+    preconditions of the guarantee: every quality map is a LinearQualityMap,
+    the one kind known to be monotone, and the worst-case makespan reaches
+    the budget, without which the overrun normalization can exceed 1.
     """
 
     alpha: float
@@ -139,7 +140,10 @@ def bound_report(
         posthoc_bound=posthoc,
         overrun_of_best_open=overrun_best,
         apriori_trivial=apriori >= span - 1e-12,
-        guarantee_applies=stats.worst_makespan >= domain.time_budget - TOL,
+        guarantee_applies=(
+            stats.worst_makespan >= domain.time_budget - TOL
+            and all(isinstance(q, LinearQualityMap) for q in domain.quality_maps)
+        ),
     )
     if oracle is not None and oracle.feasible:
         gap = oracle.quality - solution.total_quality
@@ -151,18 +155,6 @@ def bound_report(
             holds_posthoc=gap <= posthoc + TOL,
         )
     return report
-
-
-def _coalition_quality_table(domain: ProblemDomain, task: int) -> np.ndarray:
-    """Quality of one task under every coalition, indexed like
-    Allocation.coalition_mask (robot 0 in the most significant bit)."""
-    n = domain.n_robots
-    masks = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
-    aggregated = masks.astype(float) @ domain.traits
-    quality_map = domain.quality_maps[task]
-    return np.array(
-        [min(1.0, max(0.0, float(quality_map(row)))) for row in aggregated]
-    )
 
 
 def _arrival_floor(domain: ProblemDomain, tables) -> np.ndarray:
@@ -212,9 +204,11 @@ def brute_force_optimal(
         planner = GridPlanner(domain.world)
     tables = make_travel_tables(domain, planned_leg_seconds(planner, domain))
 
-    totals = _coalition_quality_table(domain, 0)
-    for task in range(1, m):
-        totals = (totals[:, None] + _coalition_quality_table(domain, task)[None, :]).ravel()
+    # indexed by allocation key: task 0's coalition mask is the most significant
+    totals = np.zeros(1)
+    for task in range(m):
+        per_mask = np.array([domain.task_quality(task, mask) for mask in range(2**n)])
+        totals = (totals[:, None] + per_mask[None, :]).ravel()
 
     too_slow = _arrival_floor(domain, tables) > domain.time_budget + TOL
 
@@ -282,8 +276,8 @@ def alpha_sweep(
     the exhaustive optimum, all normalized by the root-to-null quality span.
     Returns None when the instance has no feasible allocation at all.
 
-    Scheduling work that does not depend on alpha is shared between the runs
-    through a per-instance cache; pass one in to extend the sharing further.
+    The runs share one schedule cache, so a constraint set is scheduled once
+    across all of them; pass one in to extend the sharing further.
     """
     if alphas is None:
         alphas = tuple(round(i / 10, 1) for i in range(11))

@@ -79,17 +79,29 @@ def _as_pairs(value, where: str) -> list[tuple[int, int]]:
 def load_gp_model(path: Union[str, Path]) -> GPModel:
     """Read a GP quality-map model from its JSON document."""
     doc = _read_json(path)
+    if not isinstance(doc, dict):
+        _fail(str(path), "model document must be a JSON object")
     for key in ("x_train", "y_train"):
         if key not in doc:
             _fail(str(path), f"model document missing key {key!r}")
-    return gp_fit(
-        np.asarray(doc["x_train"], dtype=float),
-        np.asarray(doc["y_train"], dtype=float),
-        length_scale=doc.get("length_scale"),
-        signal_var=doc.get("signal_var", 0.25),
-        noise_var=doc.get("noise_var", 1e-4),
-        prior_mean=doc.get("prior_mean", 0.5),
-    )
+    rows, labels = doc["x_train"], doc["y_train"]
+    if (
+        not isinstance(rows, list)
+        or not rows
+        or not all(isinstance(row, list) and row for row in rows)
+        or len({len(row) for row in rows}) != 1
+    ):
+        _fail(f"{path}: x_train", "expected a non-empty rectangular matrix of numbers")
+    if not isinstance(labels, list) or len(labels) != len(rows):
+        _fail(f"{path}: y_train", f"expected a list of {len(rows)} numbers, one per x_train row")
+    x = [[_as_number(v, f"{path}: x_train[{i}]") for v in row] for i, row in enumerate(rows)]
+    y = [_as_number(v, f"{path}: y_train") for v in labels]
+    hyperparameters = {
+        key: _as_number(doc[key], f"{path}: {key}")
+        for key in ("length_scale", "signal_var", "noise_var", "prior_mean")
+        if key in doc
+    }
+    return gp_fit(np.asarray(x), np.asarray(y), **hyperparameters)
 
 
 def save_gp_model(model: GPModel, path: Union[str, Path]) -> None:

@@ -1,7 +1,10 @@
 """Domain model: robots, tasks, allocations, schedules, and solution validation.
 
-Everything here is immutable after construction and safe to share across
-threads; the module-level operations are pure functions.
+Values are observably immutable after construction and safe to share
+across threads; the module-level operations are pure functions. The one
+mutable part is ProblemDomain's quality memo, a pure cache: it holds only
+values task_quality would compute again, and dataclasses.replace starts a
+fresh one.
 """
 
 from __future__ import annotations
@@ -261,6 +264,9 @@ class ProblemDomain:
     time_budget: float
     alpha: float = 0.4
     traits: np.ndarray = field(init=False, repr=False)
+    _quality_memo: dict[tuple[int, int], float] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         robots = tuple(self.robots)
@@ -292,6 +298,27 @@ class ProblemDomain:
         traits = np.stack([r.traits for r in robots])
         traits.setflags(write=False)
         object.__setattr__(self, "traits", traits)
+        object.__setattr__(self, "_quality_memo", {})
+
+    def task_quality(self, task: int, mask: int) -> float:
+        """Quality of one task under a coalition, clamped to [0, 1].
+
+        mask is laid out as Allocation.coalition_mask (robot 0 in the most
+        significant bit). The coalition's traits are summed in robot order
+        and each (task, mask) is evaluated once per domain value.
+        """
+        quality = self._quality_memo.get((task, mask))
+        if quality is None:
+            n = self.n_robots
+            if not (0 <= task < self.n_tasks and 0 <= mask < 1 << n):
+                raise InvalidInput(f"no task {task} or coalition mask {mask} for {n} robots")
+            aggregated = np.zeros(self.n_traits)
+            for robot in range(n):
+                if (mask >> (n - 1 - robot)) & 1:
+                    aggregated += self.traits[robot]
+            raw = float(self.quality_maps[task](aggregated))
+            quality = self._quality_memo[(task, mask)] = min(1.0, max(0.0, raw))
+        return quality
 
     @property
     def n_tasks(self) -> int:
@@ -338,23 +365,27 @@ class Solution:
     blended: float
 
 
-def aggregate_traits(alloc: Allocation, traits: np.ndarray) -> np.ndarray:
-    """Aggregated traits per task: row m sums the trait rows of task m's coalition."""
-    traits = np.asarray(traits, dtype=float)
-    if traits.ndim != 2 or alloc.shape[1] != traits.shape[0]:
-        raise InvalidInput(
-            f"allocation is {alloc.shape} but trait matrix is {traits.shape}"
-        )
-    return alloc.entries.astype(float) @ traits
-
-
 def total_allocation_quality(alloc: Allocation, domain: ProblemDomain) -> float:
-    """Sum of per-task qualities, each clamped to [0, 1] before summation."""
-    y = aggregate_traits(alloc, domain.traits)
+    """Sum of per-task qualities in task order, each clamped to [0, 1]."""
+    if alloc.shape != (domain.n_tasks, domain.n_robots):
+        raise InvalidInput(
+            f"allocation is {alloc.shape} but the domain is ({domain.n_tasks}, {domain.n_robots})"
+        )
     total = 0.0
-    for m, quality_map in enumerate(domain.quality_maps):
-        total += min(1.0, max(0.0, float(quality_map(y[m]))))
+    for task in range(domain.n_tasks):
+        total += domain.task_quality(task, alloc.coalition_mask(task))
     return total
+
+
+def robot_routes(alloc: Allocation, starts: Sequence[float]) -> list[list[int]]:
+    """Each robot's tasks in the order it visits them: by start time, ties
+    by task index."""
+    m, n = alloc.shape
+    masks = [alloc.coalition_mask(i) for i in range(m)]
+    return [
+        sorted((i for i in range(m) if (masks[i] >> (n - 1 - r)) & 1), key=lambda i: (starts[i], i))
+        for r in range(n)
+    ]
 
 
 def successors(alloc: Allocation) -> list[Allocation]:
@@ -427,13 +458,10 @@ def _check_motion_plans(domain: ProblemDomain, sol: Solution) -> list[str]:
     violations: list[str] = []
     starts = sol.schedule.start_times
     tasks = domain.network.tasks
-    entries = sol.allocation.entries
-    for robot in domain.robots:
-        assigned = [i for i in range(domain.n_tasks) if entries[i, robot.id]]
-        assigned.sort(key=lambda i: (starts[i], i))
+    for robot, route in zip(domain.robots, robot_routes(sol.allocation, starts)):
         origin = robot.start_cell
         depart = 0.0
-        for i in assigned:
+        for i in route:
             plan = sol.motion_plans.get((robot.id, i))
             if plan is None:
                 violations.append(f"robot {robot.id}: no motion plan for task {i}")

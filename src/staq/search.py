@@ -27,6 +27,7 @@ from .model import (
     InvalidInput,
     ProblemDomain,
     Solution,
+    robot_routes,
     successors,
     total_allocation_quality,
 )
@@ -44,22 +45,8 @@ from .scheduler import (
 LOSS_SLACK = 1e-12
 
 
-@dataclass
-class CacheEntry:
-    """Scheduling results for one allocation, reusable across blend weights.
-
-    Quality, the estimate-phase constraints/outcome, and the refined
-    fixpoint depend only on the domain and the planner, never on alpha.
-    """
-
-    quality: float
-    cs: ConstraintSet
-    outcome: ScheduleOutcome
-    refined_cs: Optional[ConstraintSet] = None
-    refined_outcome: Optional[ScheduleOutcome] = None
-
-
-ScheduleCache = dict[int, CacheEntry]
+ScheduleCache = dict[tuple, tuple[ConstraintSet, ScheduleOutcome]]
+"""ConstraintSet.key -> (the first set seen with that content, its outcome)."""
 
 
 @dataclass
@@ -103,26 +90,23 @@ class SearchStats:
 
 
 class OpenSet:
-    """Min-heap on (score, depth, allocation key).
+    """Min-heap on (score, depth, allocation key), each entry carrying its node.
 
     Scores are rounded to 9 decimals before comparison so nodes within 1e-9
     of each other tie and fall through to the shallower-then-smaller-key rule.
+    A key is in the heap at most once, so the node itself is never compared.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int]] = []
-        self._nodes: dict[int, SearchNode] = {}
+        self._heap: list[tuple[float, int, int, SearchNode]] = []
 
     def push(self, node: SearchNode) -> None:
-        key = node.allocation.key
-        self._nodes[key] = node
-        heapq.heappush(self._heap, (round(node.blended, 9), node.depth, key))
+        heapq.heappush(self._heap, (round(node.blended, 9), node.depth, node.allocation.key, node))
 
     def pop(self) -> SearchNode:
         if not self._heap:
             raise ContractViolation("pop from an empty open set")
-        _, _, key = heapq.heappop(self._heap)
-        return self._nodes.pop(key)
+        return heapq.heappop(self._heap)[3]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -130,7 +114,7 @@ class OpenSet:
     def snapshot(self) -> tuple[FrontierEntry, ...]:
         return tuple(
             FrontierEntry(key, node.quality, node.overrun, node.blended)
-            for key, node in sorted(self._nodes.items())
+            for _, _, key, node in sorted(self._heap, key=lambda entry: entry[2])
         )
 
 
@@ -148,13 +132,13 @@ def solve(
     check_invariants the search asserts that removing an assignment never
     reduces normalized quality loss, which the suboptimality bound relies on.
 
-    Within one call, branch and bound runs once per distinct constraint set:
-    allocations whose slowest arrivals and handovers coincide share it.
-
-    schedule_cache, when given, memoizes per-allocation scheduling across
-    calls. It is only valid for repeated solves of the same tasks, robots,
-    world, and planner (e.g. the same instance at different alpha values);
-    scheduler_calls then counts the allocations the cache did not serve.
+    Branch and bound runs once per distinct constraint set: allocations
+    whose slowest arrivals and handovers coincide share it. schedule_cache,
+    when given, is that memo, so solves that share it (e.g. one instance at
+    several alpha values) share the runs. An outcome depends only on its
+    set's content, so any solves may share one cache. scheduler_calls and
+    refinement_rounds count every allocation and round this solve scheduled,
+    served by the cache or not; bnb_runs counts only the runs it made.
     """
     if planner is None:
         planner = GridPlanner(domain.world)
@@ -162,7 +146,7 @@ def solve(
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
     planned: Optional[TravelTables] = None  # built at the first refinement
     stats = SearchStats()
-    memo: dict[tuple, tuple[ConstraintSet, ScheduleOutcome]] = {}
+    memo: ScheduleCache = {} if schedule_cache is None else schedule_cache
 
     def schedule(cs: ConstraintSet) -> tuple[ConstraintSet, ScheduleOutcome]:
         """The first set seen with cs's content, and its outcome. Nodes with
@@ -176,14 +160,9 @@ def solve(
         return hit
 
     def fetch(alloc: Allocation) -> tuple[float, ConstraintSet, ScheduleOutcome]:
-        entry = schedule_cache.get(alloc.key) if schedule_cache is not None else None
-        if entry is not None:
-            return entry.quality, entry.cs, entry.outcome
         quality = total_allocation_quality(alloc, domain)
         cs, outcome = schedule(build_constraints_fast(tables, alloc))
         stats.scheduler_calls += 1
-        if schedule_cache is not None:
-            schedule_cache[alloc.key] = CacheEntry(quality, cs, outcome)
         return quality, cs, outcome
 
     # The root's minimal makespan under estimates is the normalization
@@ -224,7 +203,7 @@ def solve(
         if node.overrun == 0.0 and node.outcome.status == "optimal":
             if planned is None:
                 planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
-            _refine_node(node, planned, ctx, stats, schedule, schedule_cache)
+            _refine_node(node, planned, ctx, stats, schedule)
             if node.overrun == 0.0 and node.outcome.status == "optimal":
                 stats.frontier = open_set.snapshot()
                 solution = _build_solution(domain, node, planner)
@@ -254,20 +233,12 @@ def _refine_node(
     ctx: HeuristicContext,
     stats: SearchStats,
     schedule: Callable[[ConstraintSet], tuple[ConstraintSet, ScheduleOutcome]],
-    schedule_cache: Optional[ScheduleCache] = None,
 ) -> None:
     """Swap estimated travel for planned travel until the schedule stops moving.
 
     Each round replaces at least one estimate with its planned value and
     planned values are final, so the loop is bounded by the quantity count.
-    The fixpoint does not depend on alpha, so a cached one is reused as is.
     """
-    entry = schedule_cache.get(node.allocation.key) if schedule_cache is not None else None
-    if entry is not None and entry.refined_outcome is not None:
-        node.cs = entry.refined_cs
-        node.outcome = entry.refined_outcome
-        _rescore(node, ctx)
-        return
     cap = node.cs.n_quantities + 1
     for _ in range(cap):
         if node.outcome.status != "optimal":
@@ -280,9 +251,6 @@ def _refine_node(
         stats.refinement_rounds += 1
         node.cs, node.outcome = schedule(new_cs)
         _rescore(node, ctx)
-    if entry is not None:
-        entry.refined_cs = node.cs
-        entry.refined_outcome = node.outcome
 
 
 def _rescore(node: SearchNode, ctx: HeuristicContext) -> None:
@@ -300,14 +268,10 @@ def _build_solution(domain: ProblemDomain, node: SearchNode, planner: GridPlanne
     schedule = node.outcome.schedule
     assert schedule is not None
     motion_plans = {}
-    starts = schedule.start_times
     tasks = domain.network.tasks
-    entries = node.allocation.entries
-    for robot in domain.robots:
-        assigned = [i for i in range(domain.n_tasks) if entries[i, robot.id]]
-        assigned.sort(key=lambda i: (starts[i], i))
+    for robot, route in zip(domain.robots, robot_routes(node.allocation, schedule.start_times)):
         origin = robot.start_cell
-        for i in assigned:
+        for i in route:
             plan = planner.plan(origin, tasks[i].start_site)
             assert plan is not None, "accepted node has an unreachable leg"
             motion_plans[(robot.id, i)] = plan

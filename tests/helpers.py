@@ -14,6 +14,7 @@ from collections import deque
 
 import numpy as np
 
+from staq.learning import LinearQualityMap
 from staq.model import ProblemDomain, Robot, Task, TaskNetwork, WorldMap
 from staq.scheduler import ConstraintSet, evaluate_fixed_order
 
@@ -210,6 +211,8 @@ def drop_one_domain(time_budget=9.0, alpha=0.4):
         Task(id=1, duration=4.0, start_site=(1, 0), end_site=(1, 0)),
     )
     network = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
-    maps = (LinearMap([1.0, 1.0], 2.0), LinearMap([1.0, 1.0], 2.0))
+    # the library's linear maps: monotone, so the bound report's guarantee
+    # applies, and serializable, so the domain round-trips through JSON
+    maps = (LinearQualityMap([1.0, 1.0], 2.0), LinearQualityMap([1.0, 1.0], 2.0))
     return ProblemDomain(network=network, robots=robots, quality_maps=maps,
                          world=world, time_budget=time_budget, alpha=alpha)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from staq.analysis import (
     posthoc_bound,
     random_instance,
 )
+from staq.learning import GPQualityMap, gp_fit
 from staq.model import (
     Allocation,
     InvalidInput,
@@ -123,6 +125,18 @@ def test_bound_report_flags_trivial_and_inapplicable_regimes():
     assert not report.guarantee_applies   # worst case 10 << budget 60
     assert report.overrun_of_best_open == 0.0   # empty frontier
     assert report.posthoc_bound == 0.0
+
+
+def test_guarantee_applies_only_to_linear_quality_maps():
+    domain = drop_one_domain(time_budget=9.0)
+    coalitions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    model = gp_fit(coalitions, [0.0, 0.5, 0.5, 1.0])
+    learned = dataclasses.replace(
+        domain, quality_maps=tuple(GPQualityMap(model) for _ in domain.network.tasks))
+    sol, stats = solve(learned)
+    assert stats.worst_makespan >= learned.time_budget   # the budget precondition holds
+    assert not bound_report(learned, sol, stats).guarantee_applies
+    assert bound_report(domain, *solve(domain)).guarantee_applies
 
 
 # ------------------------------------------------------------------ oracle

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import subprocess
 import sys
@@ -8,25 +7,16 @@ import numpy as np
 import pytest
 
 from staq.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
-from staq.instance_io import save_dataset_csv, save_instance
+from staq.instance_io import instance_to_document, save_dataset_csv, save_instance
 from staq.learning import LinearQualityMap
 
 from helpers import drop_one_domain
 
 
-def _writable_drop_one(time_budget):
-    # same domain as helpers.drop_one_domain, but with the library's
-    # serializable linear maps so it can round-trip through JSON
-    domain = drop_one_domain(time_budget=time_budget)
-    maps = tuple(LinearQualityMap(np.array([1.0, 1.0]), 2.0)
-                 for _ in domain.network.tasks)
-    return dataclasses.replace(domain, quality_maps=maps)
-
-
 @pytest.fixture
 def instance_file(tmp_path):
     path = tmp_path / "instance.json"
-    save_instance(_writable_drop_one(9.0), path)
+    save_instance(drop_one_domain(time_budget=9.0), path)
     return path
 
 
@@ -65,7 +55,7 @@ def test_solve_alpha_override(instance_file, tmp_path):
 
 def test_solve_reports_infeasible_with_exit_2(tmp_path, capsys):
     path = tmp_path / "tight.json"
-    save_instance(_writable_drop_one(0.5), path)
+    save_instance(drop_one_domain(time_budget=0.5), path)
     out = tmp_path / "result.json"
     rc = main(["solve", str(path), "-o", str(out)])
     assert rc == EXIT_INFEASIBLE
@@ -150,7 +140,7 @@ def test_sweep_rejects_bad_alphas(instance_file, tmp_path, capsys):
 
 def test_sweep_infeasible_instance(tmp_path):
     path = tmp_path / "tight.json"
-    save_instance(_writable_drop_one(0.5), path)
+    save_instance(drop_one_domain(time_budget=0.5), path)
     rc = main(["sweep", str(path), "-o", str(tmp_path / "sweep.csv")])
     assert rc == EXIT_INFEASIBLE
 
@@ -208,6 +198,34 @@ def test_malformed_instance_reports_position(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "line 2" in err
+
+
+GOOD_MODEL = {"x_train": [[0.5, 0.5], [1.0, 0.0]], "y_train": [0.5, 0.4]}
+
+
+@pytest.mark.parametrize("model,field", [
+    ([GOOD_MODEL], "JSON object"),
+    ({**GOOD_MODEL, "length_scale": "wide"}, "length_scale"),
+    ({**GOOD_MODEL, "signal_var": None}, "signal_var"),
+    ({**GOOD_MODEL, "noise_var": True}, "noise_var"),
+    ({**GOOD_MODEL, "prior_mean": [0.5]}, "prior_mean"),
+    ({**GOOD_MODEL, "x_train": [[0.5, 0.5], [1.0]]}, "x_train"),
+    ({**GOOD_MODEL, "x_train": []}, "x_train"),
+    ({**GOOD_MODEL, "x_train": [[0.5, "a"], [1.0, 0.0]]}, "x_train[0]"),
+    ({**GOOD_MODEL, "y_train": [0.5]}, "y_train"),
+    ({**GOOD_MODEL, "y_train": [0.5, "b"]}, "y_train"),
+], ids=["not-an-object", "length_scale", "signal_var", "noise_var", "prior_mean",
+        "ragged-x_train", "empty-x_train", "non-numeric-x_train", "short-y_train",
+        "non-numeric-y_train"])
+def test_malformed_gp_model_is_an_input_error(model, field, tmp_path, capsys):
+    doc = json.loads(json.dumps(instance_to_document(drop_one_domain(time_budget=9.0))))
+    doc["tasks"][0]["quality_map"] = {"type": "learned", "model_path": "model.json"}
+    (tmp_path / "instance.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+    rc = main(["solve", str(tmp_path / "instance.json"), "-o", str(tmp_path / "out.json")])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
 
 
 def test_missing_instance_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from staq.analysis import brute_force_optimal, random_instance
 from staq.model import (
     Allocation,
     InvalidInput,
@@ -14,12 +16,12 @@ from staq.model import (
     TaskNetwork,
     ValidationReport,
     WorldMap,
-    aggregate_traits,
     successors,
     total_allocation_quality,
     validate_solution,
 )
 from staq.motion import GridPlanner, PathResult
+from staq.search import solve
 
 from helpers import LinearMap, open_world, two_task_domain
 
@@ -204,30 +206,76 @@ def test_allocation_coalition_and_popcount():
 
 # -------------------------------------------------- trait aggregation
 
-def test_aggregate_traits_identity_returns_trait_matrix():
+class RecordingMap:
+    """Quality 0.5 for any coalition; keeps every trait vector it is given."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, traits):
+        self.seen.append(np.array(traits))
+        return 0.5
+
+
+def _aggregated(alloc, traits):
+    """The trait vector each task's quality map receives under alloc."""
+    maps = [RecordingMap() for _ in range(alloc.shape[0])]
+    total_allocation_quality(alloc, _domain_with_maps(maps, traits))
+    return np.array([qm.seen[-1] for qm in maps])
+
+
+def test_task_quality_sees_each_lone_robots_traits():
     traits = np.array([[3.0, 1.0], [2.0, 5.0]])
-    assert np.array_equal(aggregate_traits(Allocation.from_entries(np.eye(2, dtype=int)), traits),
+    assert np.array_equal(_aggregated(Allocation.from_entries(np.eye(2, dtype=int)), traits),
                           traits)
-    swapped = aggregate_traits(Allocation.from_entries(np.array([[0, 1], [1, 0]])), traits)
+    swapped = _aggregated(Allocation.from_entries(np.array([[0, 1], [1, 0]])), traits)
     assert np.array_equal(swapped, traits[::-1])
 
 
-def test_aggregate_traits_null_is_zero():
+def test_task_quality_of_the_empty_coalition_sees_zero_traits():
     traits = np.array([[3.0, 1.0], [2.0, 5.0]])
-    assert np.array_equal(aggregate_traits(Allocation.null(2, 2), traits),
-                          np.zeros((2, 2)))
+    assert np.array_equal(_aggregated(Allocation.null(2, 2), traits), np.zeros((2, 2)))
 
 
-def test_aggregate_traits_hand_example():
+def test_task_quality_sums_the_coalition_traits():
     traits = np.array([[1.0, 0.0], [0.0, 2.0]])
     alloc = Allocation.from_entries(np.array([[1, 1], [0, 1]]))
-    assert np.array_equal(aggregate_traits(alloc, traits),
-                          np.array([[1.0, 2.0], [0.0, 2.0]]))
+    assert np.array_equal(_aggregated(alloc, traits), np.array([[1.0, 2.0], [0.0, 2.0]]))
 
 
-def test_aggregate_traits_shape_mismatch():
+def test_quality_rejects_allocations_and_masks_outside_the_domain():
+    domain = _domain_with_maps([LinearMap([1, 1]), LinearMap([1, 1])], np.ones((2, 2)))
     with pytest.raises(InvalidInput):
-        aggregate_traits(Allocation.root(2, 3), np.ones((2, 2)))
+        total_allocation_quality(Allocation.root(2, 3), domain)
+    for task, mask in ((2, 0), (-1, 0), (0, 4), (0, -1)):
+        with pytest.raises(InvalidInput):
+            domain.task_quality(task, mask)
+
+
+def test_each_task_and_coalition_is_evaluated_once_per_domain():
+    class Counting:
+        def __init__(self, inner):
+            self.inner, self.calls = inner, 0
+
+        def __call__(self, traits):
+            self.calls += 1
+            return self.inner(traits)
+
+    base = random_instance(1)
+    maps = tuple(Counting(qm) for qm in base.quality_maps)
+    domain = dataclasses.replace(base, quality_maps=maps)
+    every_mask = 2 ** domain.n_robots
+    solve(domain)
+    assert all(0 < qm.calls <= every_mask for qm in maps)
+    oracle = brute_force_optimal(domain)   # reads every (task, mask)
+    assert [qm.calls for qm in maps] == [every_mask] * domain.n_tasks
+    solve(domain)
+    assert [qm.calls for qm in maps] == [every_mask] * domain.n_tasks
+    assert brute_force_optimal(base) == oracle
+
+    again = dataclasses.replace(domain, alpha=0.1)   # a new value, a new memo
+    again.task_quality(0, every_mask - 1)
+    assert maps[0].calls == every_mask + 1
 
 
 # ---------------------------------------------- total allocation quality
