@@ -32,7 +32,9 @@ from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
     ScheduleOutcome,
     build_constraints_fast,
+    constraint_key,
     make_travel_tables,
+    slowest_arrival,
     solve_milp,
     worst_makespan,
 )
@@ -167,12 +169,7 @@ def _arrival_floor(domain: ProblemDomain, tables) -> np.ndarray:
     m, n = domain.n_tasks, domain.n_robots
     floor = None
     for i in range(m):
-        per_mask = np.zeros(2**n)
-        for mask in range(1, 2**n):
-            low = mask & -mask
-            # robot 0 sits in the most significant bit, as in coalition_mask
-            robot = n - low.bit_length()
-            per_mask[mask] = max(per_mask[mask ^ low], tables.arrive[robot][i])
+        per_mask = np.array([slowest_arrival(tables, i, mask) for mask in range(2**n)])
         per_mask += tables.durations[i]
         floor = per_mask if floor is None else np.maximum(floor[:, None], per_mask[None, :]).ravel()
     return floor
@@ -192,8 +189,10 @@ def brute_force_optimal(
     the budget, and for any allocation containing a known-infeasible one as
     a subset of its assignments: adding assignments only tightens the
     constraints. Allocations with equal constraint sets share one branch and
-    bound run. Guarded to at most 2^20 allocations; schedule_cap, when given,
-    aborts with OracleBudgetExceeded after that many allocations scheduled.
+    bound run, looked up by the set's key; the set is built only for the
+    first of them. Guarded to at most 2^20 allocations; schedule_cap, when
+    given, aborts with OracleBudgetExceeded after that many allocations
+    scheduled.
     """
     m, n = domain.n_tasks, domain.n_robots
     if m * n > ORACLE_MAX_BITS:
@@ -229,10 +228,10 @@ def brute_force_optimal(
                 f"gave up after scheduling {n_scheduled} allocations"
             )
         alloc = Allocation(key, (m, n))
-        cs = build_constraints_fast(tables, alloc)
-        outcome = memo.get(cs.key)
+        cs_key = constraint_key(tables, alloc.coalition_masks())
+        outcome = memo.get(cs_key)
         if outcome is None:
-            outcome = memo[cs.key] = solve_milp(cs)
+            outcome = memo[cs_key] = solve_milp(build_constraints_fast(tables, alloc))
         n_scheduled += 1
         if (
             outcome.status == "optimal"

@@ -22,12 +22,13 @@ NOISE_FLOOR = 1e-8
 LABEL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearQualityMap:
     """Quality as a non-negative weighted trait sum scaled by a normalizer.
 
     Non-negative weights keep the map monotone in every trait, which the
-    search's suboptimality guarantee relies on.
+    search's suboptimality guarantee relies on. Equality is identity: a
+    weight array has no single truth value.
     """
 
     weights: np.ndarray
@@ -59,10 +60,11 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, signal_var: float, length_scale: fl
     return signal_var * np.exp(-sq / (2.0 * length_scale * length_scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GPModel:
     """A fit Gaussian process: training data, hyperparameters, and the cached
-    Cholesky factor of the regularized kernel matrix."""
+    Cholesky factor of the regularized kernel matrix. Equality is identity,
+    as for LinearQualityMap."""
 
     x_train: np.ndarray
     y_train: np.ndarray
@@ -70,8 +72,8 @@ class GPModel:
     signal_var: float
     noise_var: float
     prior_mean: float
-    chol: np.ndarray = field(repr=False, compare=False, default=None)
-    weights: np.ndarray = field(repr=False, compare=False, default=None)
+    chol: np.ndarray = field(repr=False, default=None)
+    weights: np.ndarray = field(repr=False, default=None)
 
 
 def gp_fit(

@@ -86,9 +86,12 @@ class WorldMap:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Robot:
-    """A robot: a trait vector plus its start cell and speed (cells/second)."""
+    """A robot: a trait vector plus its start cell and speed (cells/second).
+
+    Equality is identity: a trait array has no single truth value.
+    """
 
     id: int
     traits: np.ndarray
@@ -236,15 +239,22 @@ class Allocation:
         entries.setflags(write=False)
         return entries
 
-    def popcount(self) -> int:
-        return self.key.bit_count()
-
     def coalition_mask(self, task: int) -> int:
         """The task's row of the key: bit n - 1 - r is set iff robot r works on it."""
         m, n = self.shape
         if not 0 <= task < m:
             raise InvalidInput(f"task {task} outside [0, {m})")
         return (self.key >> ((m - 1 - task) * n)) & ((1 << n) - 1)
+
+    def coalition_masks(self) -> tuple[int, ...]:
+        """Every task's coalition_mask, in task order."""
+        m, n = self.shape
+        key, full = self.key, (1 << n) - 1
+        masks = [0] * m
+        for task in range(m - 1, -1, -1):
+            masks[task] = key & full
+            key >>= n
+        return tuple(masks)
 
     def coalition(self, task: int) -> tuple[int, ...]:
         """Indices of the robots assigned to a task."""
@@ -253,9 +263,12 @@ class Allocation:
         return tuple(r for r in range(n) if (mask >> (n - 1 - r)) & 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemDomain:
-    """The full problem: tasks, team, quality maps, world, and budget."""
+    """The full problem: tasks, team, quality maps, world, and budget.
+
+    Equality is identity, as for Robot; quality maps need not compare.
+    """
 
     network: TaskNetwork
     robots: tuple[Robot, ...]
@@ -371,9 +384,11 @@ def total_allocation_quality(alloc: Allocation, domain: ProblemDomain) -> float:
         raise InvalidInput(
             f"allocation is {alloc.shape} but the domain is ({domain.n_tasks}, {domain.n_robots})"
         )
+    # a left fold: builtin sum() compensates on Python >= 3.12, which can
+    # change the last bit
     total = 0.0
-    for task in range(domain.n_tasks):
-        total += domain.task_quality(task, alloc.coalition_mask(task))
+    for task, mask in enumerate(alloc.coalition_masks()):
+        total += domain.task_quality(task, mask)
     return total
 
 
@@ -381,7 +396,7 @@ def robot_routes(alloc: Allocation, starts: Sequence[float]) -> list[list[int]]:
     """Each robot's tasks in the order it visits them: by start time, ties
     by task index."""
     m, n = alloc.shape
-    masks = [alloc.coalition_mask(i) for i in range(m)]
+    masks = alloc.coalition_masks()
     return [
         sorted((i for i in range(m) if (masks[i] >> (n - 1 - r)) & 1), key=lambda i: (starts[i], i))
         for r in range(n)

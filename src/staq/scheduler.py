@@ -11,9 +11,9 @@ path as a lower bound, so the returned makespan is exactly minimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .model import Allocation, InvalidInput, ProblemDomain, Schedule
 from .motion import LegSeconds, estimated_leg_seconds
@@ -81,15 +81,28 @@ class TravelTables:
 
     arrive[n][i] is robot n's time from its start cell to task i's start
     site; hand[n][i][j] its time from task i's end site to task j's start
-    site (diagonal unused, stored as 0).
+    site (diagonal unused, stored as 0). unordered lists, sorted, the
+    canonical pairs (i, j), i < j, that no direct precedence orders: the
+    candidates for mutex pairs.
+
+    Each piece of a constraint set depends on few coalitions: an offset on
+    one task's mask, a travel term on the robots two tasks share. The memo
+    holds each piece under exactly that, derived once per table: the
+    slowest arrival under (task, mask), and the precedence or mutex item of
+    a pair under (i, j, shared mask). It is a pure cache; replace() starts
+    a fresh one.
     """
 
     durations: tuple[float, ...]
     arrive: tuple[tuple[float, ...], ...]
     hand: tuple[tuple[tuple[float, ...], ...], ...]
     precedence: tuple[tuple[int, int], ...]
-    precedence_canonical: frozenset[tuple[int, int]]
+    unordered: tuple[tuple[int, int], ...]
     user_mutex: frozenset[tuple[int, int]]
+    _memo: dict[tuple, object] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_memo", {})
 
 
 def make_travel_tables(domain: ProblemDomain, leg_seconds: LegSeconds) -> TravelTables:
@@ -111,16 +124,88 @@ def make_travel_tables(domain: ProblemDomain, leg_seconds: LegSeconds) -> Travel
         )
         for r in range(n)
     )
+    ordered = {(min(i, j), max(i, j)) for i, j in domain.network.precedence}
     return TravelTables(
         durations=tuple(t.duration for t in tasks),
         arrive=arrive,
         hand=hand,
         precedence=tuple(sorted(domain.network.precedence)),
-        precedence_canonical=frozenset(
-            (min(i, j), max(i, j)) for i, j in domain.network.precedence
+        unordered=tuple(
+            (i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in ordered
         ),
         user_mutex=domain.network.mutex,
     )
+
+
+def _slowest(travel: list[float], mask: int) -> float:
+    """Max of travel[r] over the robots r in mask, robot 0 in the most
+    significant of len(travel) bits; 0 for the empty mask."""
+    n = len(travel)
+    x = 0.0
+    while mask:
+        low = mask & -mask
+        t = travel[n - low.bit_length()]
+        if t > x:
+            x = t
+        mask ^= low
+    return x
+
+
+def slowest_arrival(tables: TravelTables, task: int, mask: int) -> float:
+    """Release offset of a task under a coalition mask (the
+    Allocation.coalition_mask layout): its slowest robot's arrival."""
+    x = tables._memo.get((task, mask))
+    if x is None:
+        x = tables._memo[(task, mask)] = _slowest([row[task] for row in tables.arrive], mask)
+    return x
+
+
+def _handover(tables: TravelTables, i: int, j: int, shared: int) -> float:
+    return _slowest([row[i][j] for row in tables.hand], shared)
+
+
+def _derived_parts(
+    tables: TravelTables, masks: Sequence[int]
+) -> tuple[tuple[float, ...], tuple, tuple]:
+    """Offsets, precedence items and mutex items of the allocation with these
+    coalition masks, each piece read from the memo or derived into it."""
+    if len(masks) != len(tables.durations):
+        raise InvalidInput(f"{len(masks)} coalition masks for {len(tables.durations)} tasks")
+    memo = tables._memo
+    get = memo.get
+    offsets = []
+    for i, mask in enumerate(masks):
+        x = get((i, mask))
+        if x is None:
+            x = slowest_arrival(tables, i, mask)
+        offsets.append(x)
+    precedence = []
+    for i, j in tables.precedence:
+        k = (i, j, masks[i] & masks[j])
+        item = get(k)
+        if item is None:
+            item = memo[k] = ((i, j), _handover(tables, i, j, k[2]))
+        precedence.append(item)
+    mutex: list = []
+    for i, j in tables.unordered:
+        shared = masks[i] & masks[j]
+        k = (i, j, shared)
+        entry = get(k)
+        if entry is None:
+            # a pair is a mutex pair when declared or when a robot serves both
+            entry = memo[k] = (
+                (((i, j), (_handover(tables, i, j, shared), _handover(tables, j, i, shared))),)
+                if shared or (i, j) in tables.user_mutex
+                else ()
+            )
+        mutex += entry
+    return tuple(offsets), tuple(precedence), tuple(mutex)
+
+
+def constraint_key(tables: TravelTables, masks: Sequence[int]) -> tuple:
+    """ConstraintSet.key of the allocation with these coalition masks (as
+    Allocation.coalition_masks gives them), without building the set."""
+    return (tables.durations, *_derived_parts(tables, masks))
 
 
 def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> ConstraintSet:
@@ -134,69 +219,8 @@ def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> Constrain
     n = len(tables.arrive)
     if alloc.shape != (m, n):
         raise InvalidInput(f"allocation {alloc.shape} does not match tables ({m},{n})")
-    # Robot r sits in bit n - 1 - r of each coalition mask.
-    masks = [alloc.coalition_mask(i) for i in range(m)]
-    arrive = tables.arrive
-    hand = tables.hand
-
-    offsets = []
-    for i in range(m):
-        mask = masks[i]
-        x = 0.0
-        while mask:
-            low = mask & -mask
-            t = arrive[n - low.bit_length()][i]
-            if t > x:
-                x = t
-            mask ^= low
-        offsets.append(x)
-
-    def handover(i: int, j: int, shared: int) -> float:
-        x = 0.0
-        while shared:
-            low = shared & -shared
-            t = hand[n - low.bit_length()][i][j]
-            if t > x:
-                x = t
-            shared ^= low
-        return x
-
-    precedence_travel = {
-        (i, j): handover(i, j, masks[i] & masks[j]) for i, j in tables.precedence
-    }
-
-    pairs = set(tables.user_mutex)
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if mi & masks[j]:
-                pairs.add((i, j))
-    pairs -= tables.precedence_canonical
-    mutex_pairs = {
-        (i, j): (handover(i, j, shared), handover(j, i, shared))
-        for i, j in sorted(pairs)
-        for shared in (masks[i] & masks[j],)
-    }
-
-    return ConstraintSet(
-        durations=tables.durations,
-        initial_offsets=tuple(offsets),
-        precedence_travel=precedence_travel,
-        mutex_pairs=mutex_pairs,
-    )
-
-
-def _edges(cs: ConstraintSet, oriented: dict[tuple[int, int], int]) -> list[tuple[int, int, float]]:
-    edges = [
-        (i, j, cs.durations[i] + x) for (i, j), x in cs.precedence_travel.items()
-    ]
-    for (i, j), direction in oriented.items():
-        x_ij, x_ji = cs.mutex_pairs[(i, j)]
-        if direction == 1:
-            edges.append((i, j, cs.durations[i] + x_ij))
-        else:
-            edges.append((j, i, cs.durations[j] + x_ji))
-    return edges
+    offsets, precedence, mutex = _derived_parts(tables, alloc.coalition_masks())
+    return ConstraintSet(tables.durations, offsets, dict(precedence), dict(mutex))
 
 
 def _relax(
@@ -234,31 +258,6 @@ def _relax(
     if math.isinf(makespan):
         return None
     return starts, makespan
-
-
-def _earliest_starts(
-    cs: ConstraintSet, oriented: dict[tuple[int, int], int]
-) -> Optional[tuple[list[float], float]]:
-    """Longest-path start times under the oriented constraints."""
-    return _relax(cs.initial_offsets, cs.durations, _edges(cs, oriented), len(cs.durations))
-
-
-def evaluate_fixed_order(
-    cs: ConstraintSet, orderings: dict[tuple[int, int], int]
-) -> Optional[float]:
-    """Minimal makespan once every mutex pair is given a direction.
-
-    orderings maps each canonical pair (i, j) to 1 (i first) or -1 (j first).
-    Returns None when the fixed orientation is unschedulable.
-    """
-    missing = set(cs.mutex_pairs) - set(orderings)
-    if missing:
-        raise InvalidInput(f"orderings missing mutex pairs {sorted(missing)}")
-    for pair, direction in orderings.items():
-        if pair in cs.mutex_pairs and direction not in (1, -1):
-            raise InvalidInput(f"ordering for {pair} must be 1 or -1, got {direction}")
-    result = _earliest_starts(cs, {p: orderings[p] for p in cs.mutex_pairs})
-    return None if result is None else result[1]
 
 
 def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:

@@ -37,6 +37,7 @@ from .scheduler import (
     ScheduleOutcome,
     TravelTables,
     build_constraints_fast,
+    constraint_key,
     make_travel_tables,
     refine_with_motion_plans,
     solve_milp,
@@ -133,7 +134,9 @@ def solve(
     reduces normalized quality loss, which the suboptimality bound relies on.
 
     Branch and bound runs once per distinct constraint set: allocations
-    whose slowest arrivals and handovers coincide share it. schedule_cache,
+    whose slowest arrivals and handovers coincide share it. A node's
+    schedule is looked up by its set's key, read from the travel table's
+    memo, before any set is built; only a miss builds one. schedule_cache,
     when given, is that memo, so solves that share it (e.g. one instance at
     several alpha values) share the runs. An outcome depends only on its
     set's content, so any solves may share one cache. scheduler_calls and
@@ -150,7 +153,8 @@ def solve(
 
     def schedule(cs: ConstraintSet) -> tuple[ConstraintSet, ScheduleOutcome]:
         """The first set seen with cs's content, and its outcome. Nodes with
-        equal sets share both objects, so a duplicate is freed once built."""
+        equal sets share both objects, so a duplicate refinement builds is
+        freed at once."""
         hit = memo.get(cs.key)
         if hit is None:
             outcome = solve_milp(cs)
@@ -160,8 +164,10 @@ def solve(
         return hit
 
     def fetch(alloc: Allocation) -> tuple[float, ConstraintSet, ScheduleOutcome]:
+        """Quality and schedule of a node; its set is built only on a miss."""
         quality = total_allocation_quality(alloc, domain)
-        cs, outcome = schedule(build_constraints_fast(tables, alloc))
+        hit = memo.get(constraint_key(tables, alloc.coalition_masks()))
+        cs, outcome = hit if hit is not None else schedule(build_constraints_fast(tables, alloc))
         stats.scheduler_calls += 1
         return quality, cs, outcome
 

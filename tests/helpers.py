@@ -15,8 +15,8 @@ from collections import deque
 import numpy as np
 
 from staq.learning import LinearQualityMap
-from staq.model import ProblemDomain, Robot, Task, TaskNetwork, WorldMap
-from staq.scheduler import ConstraintSet, evaluate_fixed_order
+from staq.model import InvalidInput, ProblemDomain, Robot, Task, TaskNetwork, WorldMap
+from staq.scheduler import ConstraintSet, _relax
 
 
 def bfs_grid_distance(world, start, goal):
@@ -57,6 +57,37 @@ def dense_gp_reference(x_train, y_train, x_query, *, length_scale,
     var = signal_var - np.einsum(
         "ij,ji->i", cross, np.linalg.solve(gram, cross.T))
     return mean, var
+
+
+def _edges(cs, oriented):
+    edges = [
+        (i, j, cs.durations[i] + x) for (i, j), x in cs.precedence_travel.items()
+    ]
+    for (i, j), direction in oriented.items():
+        x_ij, x_ji = cs.mutex_pairs[(i, j)]
+        if direction == 1:
+            edges.append((i, j, cs.durations[i] + x_ij))
+        else:
+            edges.append((j, i, cs.durations[j] + x_ji))
+    return edges
+
+
+def evaluate_fixed_order(cs: ConstraintSet, orderings):
+    """Minimal makespan once every mutex pair is given a direction.
+
+    orderings maps each canonical pair (i, j) to 1 (i first) or -1 (j first).
+    Returns None when the fixed orientation is unschedulable. One longest-path
+    pass, checked against a linear program in the scheduler tests.
+    """
+    missing = set(cs.mutex_pairs) - set(orderings)
+    if missing:
+        raise InvalidInput(f"orderings missing mutex pairs {sorted(missing)}")
+    for pair, direction in orderings.items():
+        if pair in cs.mutex_pairs and direction not in (1, -1):
+            raise InvalidInput(f"ordering for {pair} must be 1 or -1, got {direction}")
+    oriented = {p: orderings[p] for p in cs.mutex_pairs}
+    result = _relax(cs.initial_offsets, cs.durations, _edges(cs, oriented), len(cs.durations))
+    return None if result is None else result[1]
 
 
 def enumerate_schedules(cs: ConstraintSet):

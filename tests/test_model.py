@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from staq.analysis import brute_force_optimal, random_instance
+from staq.learning import gp_fit
 from staq.model import (
     Allocation,
     InvalidInput,
@@ -197,11 +198,24 @@ def test_allocation_entries_are_read_only():
         alloc.entries[0, 0] = 0
 
 
+def test_values_holding_arrays_are_identity_equal():
+    first, second = random_instance(1), random_instance(1)
+    values = [first, second, first.robots[0], second.robots[0],
+              first.quality_maps[0], second.quality_maps[0],
+              gp_fit([[0.0, 1.0], [1.0, 0.0]], [0.2, 0.8]),
+              gp_fit([[0.0, 1.0], [1.0, 0.0]], [0.2, 0.8])]
+    for a in values:
+        for b in values:
+            assert (a == b) is (a is b)
+            assert (a != b) is (a is not b)
+    assert len({first, second, first.robots[0]}) == 3   # hashable by identity
+
+
 def test_allocation_coalition_and_popcount():
     alloc = Allocation.from_entries(np.array([[1, 0, 1], [0, 0, 0]]))
     assert alloc.coalition(0) == (0, 2)
     assert alloc.coalition(1) == ()
-    assert alloc.popcount() == 2
+    assert alloc.key.bit_count() == 2
 
 
 # -------------------------------------------------- trait aggregation
@@ -318,9 +332,9 @@ def test_quality_weighted_sum_example():
 def test_successors_of_root_clear_one_bit_each():
     children = successors(Allocation.root(2, 2))
     assert len(children) == 4
-    assert all(c.popcount() == 3 for c in children)
+    assert all(c.key.bit_count() == 3 for c in children)
     # row-major emission: first child clears entry (0, 0)
-    assert children[0].entries[0, 0] == 0 and children[0].popcount() == 3
+    assert children[0].entries[0, 0] == 0 and children[0].key.bit_count() == 3
     assert len(set(children)) == 4
 
 
@@ -347,6 +361,7 @@ def test_successors_and_coalition_masks_follow_the_key_layout():
         want[i, j] = 0
         assert np.array_equal(child.entries, want)
     assert [alloc.coalition_mask(t) for t in range(3)] == [0b101, 0b011, 0b100]
+    assert alloc.coalition_masks() == (0b101, 0b011, 0b100)
     for task in range(3):
         mask = alloc.coalition_mask(task)
         assert tuple(r for r in range(3) if mask >> (2 - r) & 1) == alloc.coalition(task)

@@ -14,10 +14,11 @@ from staq.model import (
     WorldMap,
 )
 from staq.motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
+from staq.analysis import random_instance
 from staq.scheduler import (
     ConstraintSet,
     build_constraints_fast,
-    evaluate_fixed_order,
+    constraint_key,
     make_travel_tables,
     refine_with_motion_plans,
     solve_milp,
@@ -28,6 +29,7 @@ from helpers import (
     LinearMap,
     build_constraints,
     enumerate_schedules,
+    evaluate_fixed_order,
     open_world,
     random_constraint_set,
     two_task_domain,
@@ -267,19 +269,70 @@ def test_solver_start_times_respect_all_constraints():
 
 # ---------------------------------------------------- travel table variant
 
+# random_instance seeds 0-9 with at most 12 assignment bits; between them
+# they have user mutex pairs, precedence chains and 3 to 4 robots
+SMALL_SEEDS = (1, 2, 3, 6, 8)
+
+
 def test_fast_constraints_match_reference_everywhere():
-    rng = np.random.default_rng(2)
-    for precedence, mutex in (((), ()), ({(0, 1)}, ()), ((), {(0, 1)})):
-        domain = two_task_domain(precedence=precedence, mutex=mutex)
+    domains = [two_task_domain(precedence=precedence, mutex=mutex)
+               for precedence, mutex in (((), ()), ({(0, 1)}, ()), ((), {(0, 1)}))]
+    domains += [random_instance(seed) for seed in SMALL_SEEDS]
+    for domain in domains:
+        m, n = domain.n_tasks, domain.n_robots
         planner = GridPlanner(domain.world)
         for leg in (estimated_leg_seconds(domain),
                     planned_leg_seconds(planner, domain)):
             tables = make_travel_tables(domain, leg)
-            for key in range(16):
-                alloc = Allocation(key, (2, 2))
+            for key in range(1 << (m * n)):
+                alloc = Allocation(key, (m, n))
                 want = build_constraints(domain, alloc, leg)
                 got = build_constraints_fast(tables, alloc)
                 assert got == want
+                # the key read from the memo is the built set's, field
+                # order and dict order included
+                assert constraint_key(tables, alloc.coalition_masks()) == got.key == want.key
+
+
+class CountingMemo(dict):
+    """A memo that records every key stored into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_each_memo_entry_is_derived_once_per_table():
+    domain = random_instance(8)   # precedence and a user mutex pair
+    m, n = domain.n_tasks, domain.n_robots
+    tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+    memo = CountingMemo()
+    object.__setattr__(tables, "_memo", memo)
+    allocs = [Allocation(key, (m, n)) for key in range(1 << (m * n))]
+    keys = [constraint_key(tables, alloc.coalition_masks()) for alloc in allocs]
+    assert len(set(memo.stored)) == len(memo.stored) == len(memo)
+    # at most one arrival per (task, mask) and one item per (pair, shared mask)
+    pairs = len(tables.precedence) + len(tables.unordered)
+    assert len(memo) <= (m + pairs) << n
+    derived = len(memo)
+    for alloc, key in zip(allocs, keys):
+        assert build_constraints_fast(tables, alloc).key == key
+        assert constraint_key(tables, alloc.coalition_masks()) == key
+    assert len(memo.stored) == derived   # everything after the first pass hit
+
+    fresh = make_travel_tables(domain, estimated_leg_seconds(domain))
+    assert fresh._memo == {}   # the memo belongs to one table
+
+
+def test_constraint_key_rejects_a_mask_count_mismatch():
+    domain = two_task_domain()
+    tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+    with pytest.raises(InvalidInput):
+        constraint_key(tables, (0b11,))
 
 
 def test_fast_constraints_reject_shape_mismatch():

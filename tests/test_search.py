@@ -95,7 +95,7 @@ def test_tight_budget_drops_exactly_one_assignment():
     domain = drop_one_domain(time_budget=9.0)
     sol, stats = solve(domain)
     assert sol is not None
-    assert sol.allocation.popcount() == 3
+    assert sol.allocation.key.bit_count() == 3
     # deterministic tie-break: the smaller-key optimum wins
     assert sol.allocation == Allocation.from_entries(np.array([[1, 0], [1, 1]]))
     assert sol.total_quality == pytest.approx(1.5)
@@ -264,6 +264,42 @@ def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
     assert (again.bnb_runs, again.bnb_nodes) == (0, 0)
 
 
+def test_sets_are_built_only_for_memo_misses(monkeypatch):
+    events = []
+
+    def counting_build(tables, alloc):
+        cs = real_build(tables, alloc)
+        events.append(("build", cs.key))
+        return cs
+
+    def counting_milp(cs):
+        events.append(("milp", cs.key))
+        return real_milp(cs)
+
+    real_build, real_milp = search.build_constraints_fast, search.solve_milp
+    monkeypatch.setattr(search, "build_constraints_fast", counting_build)
+    monkeypatch.setattr(search, "solve_milp", counting_milp)
+    for seed in range(10):
+        events.clear()
+        _, stats = solve(random_instance(seed))
+        built = [key for kind, key in events if kind == "build"]
+        assert 0 < len(built) < stats.scheduler_calls
+        # every set built under estimates is new and goes straight to branch
+        # and bound; the other runs are refinements, built by the scheduler
+        for before, after in zip(events, events[1:]):
+            if before[0] == "build":
+                assert after == ("milp", before[1]), f"seed {seed}: a built set was a memo hit"
+        assert stats.bnb_runs == len(events) - len(built)
+        assert stats.bnb_runs - len(built) <= stats.refinement_rounds
+
+    domain = random_instance(1)
+    cache = {}
+    solve(domain, schedule_cache=cache)
+    events.clear()
+    solve(domain, schedule_cache=cache)
+    assert events == []   # a repeat solve neither builds nor schedules
+
+
 # Search results on generated instances. Refactors of the search, the
 # scheduler or the travel tables must leave node order and every counter
 # exactly as they are.
@@ -301,4 +337,4 @@ def test_solution_motion_plans_cover_every_assignment():
             if sol.allocation.entries[i, j]:
                 assert (j, i) in sol.motion_plans
     # exactly one plan per set bit
-    assert len(sol.motion_plans) == sol.allocation.popcount()
+    assert len(sol.motion_plans) == sol.allocation.key.bit_count()
