@@ -30,9 +30,7 @@ from .model import (
 )
 from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
-    ScheduleOutcome,
     build_constraints_fast,
-    constraint_key,
     make_travel_tables,
     slowest_arrival,
     solve_milp,
@@ -186,11 +184,9 @@ def brute_force_optimal(
     the budget.
 
     Scheduling is skipped when the slowest arrival alone already overshoots
-    the budget, and for any allocation containing a known-infeasible one as
-    a subset of its assignments: adding assignments only tightens the
-    constraints. Allocations with equal constraint sets share one branch and
-    bound run, looked up by the set's key; the set is built only for the
-    first of them. Guarded to at most 2^20 allocations; schedule_cap, when
+    the budget. Each allocation's constraint set is derived once and is its
+    own memo key, so allocations with equal sets share one branch and bound
+    run. Guarded to at most 2^20 allocations; schedule_cap, when
     given, aborts with OracleBudgetExceeded after that many allocations
     scheduled.
     """
@@ -212,26 +208,21 @@ def brute_force_optimal(
     too_slow = _arrival_floor(domain, tables) > domain.time_budget + TOL
 
     order = np.argsort(-totals, kind="stable")
-    known_infeasible = np.empty(totals.size, dtype=np.int64)
-    n_known = 0
     n_scheduled = 0
-    memo: dict[tuple, ScheduleOutcome] = {}
+    memo: ScheduleCache = {}
     for raw_key in order:
         if too_slow[raw_key]:
-            continue
-        key = int(raw_key)
-        bad = known_infeasible[:n_known]
-        if n_known and bool(np.any((key & bad) == bad)):
             continue
         if schedule_cap is not None and n_scheduled >= schedule_cap:
             raise OracleBudgetExceeded(
                 f"gave up after scheduling {n_scheduled} allocations"
             )
+        key = int(raw_key)
         alloc = Allocation(key, (m, n))
-        cs_key = constraint_key(tables, alloc.coalition_masks())
-        outcome = memo.get(cs_key)
+        cs = build_constraints_fast(tables, alloc)
+        outcome = memo.get(cs)
         if outcome is None:
-            outcome = memo[cs_key] = solve_milp(build_constraints_fast(tables, alloc))
+            outcome = memo[cs] = solve_milp(cs)
         n_scheduled += 1
         if (
             outcome.status == "optimal"
@@ -246,8 +237,6 @@ def brute_force_optimal(
                 n_strictly_better=int(np.sum(totals > quality + 1e-12)),
                 n_scheduled=n_scheduled,
             )
-        known_infeasible[n_known] = key
-        n_known += 1
     return OracleResult(False, None, None, None, int(totals.size), n_scheduled)
 
 

@@ -452,12 +452,12 @@ def validate_solution(domain: ProblemDomain, sol: Solution, planner=None) -> Val
     for i, x in enumerate(cs.initial_offsets):
         if starts[i] < x - TOL:
             violations.append(f"task {i}: starts at {starts[i]} before initial travel {x}")
-    for (i, j), x in cs.precedence_travel.items():
+    for (i, j), x in cs.precedence_travel:
         if starts[j] < starts[i] + durations[i] + x - TOL:
             violations.append(
                 f"precedence ({i},{j}): start {starts[j]} < {starts[i]} + {durations[i]} + {x}"
             )
-    for (i, j), (x_ij, x_ji) in cs.mutex_pairs.items():
+    for (i, j), (x_ij, x_ji) in cs.mutex_pairs:
         fwd = starts[j] >= starts[i] + durations[i] + x_ij - TOL
         rev = starts[i] >= starts[j] + durations[j] + x_ji - TOL
         if not (fwd or rev):

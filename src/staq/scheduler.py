@@ -11,9 +11,8 @@ path as a lower bound, so the returned makespan is exactly minimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .model import Allocation, InvalidInput, ProblemDomain, Schedule
 from .motion import LegSeconds, estimated_leg_seconds
@@ -21,30 +20,20 @@ from .motion import LegSeconds, estimated_leg_seconds
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Numeric scheduling inputs for one allocation.
+class ConstraintSet(NamedTuple):
+    """Numeric scheduling inputs for one allocation, compared and hashed by
+    content. solve_milp is a pure function of the set, so the set is its own
+    memo key.
 
-    mutex_pairs holds both travel terms of each disjunction, keyed by the
-    canonical (i, j) with i < j: (x_ij, x_ji) = travel after i resp. after j.
+    precedence_travel holds ((i, j), x) items: the travel after i before j.
+    mutex_pairs holds ((i, j), (x_ij, x_ji)) items, i < j: both travel terms
+    of a disjunction, after i resp. after j. Both are sorted by pair.
     """
 
     durations: tuple[float, ...]
     initial_offsets: tuple[float, ...]
-    precedence_travel: dict[tuple[int, int], float]
-    mutex_pairs: dict[tuple[int, int], tuple[float, float]]
-
-    @cached_property
-    def key(self) -> tuple:
-        """Every field as one hashable value. solve_milp is a pure function of
-        the set, so equal keys give equal outcomes; dict order is part of the
-        key, and build_constraints_fast fills both dicts in sorted order."""
-        return (
-            self.durations,
-            self.initial_offsets,
-            tuple(self.precedence_travel.items()),
-            tuple(self.mutex_pairs.items()),
-        )
+    precedence_travel: tuple[tuple[tuple[int, int], float], ...]
+    mutex_pairs: tuple[tuple[tuple[int, int], tuple[float, float]], ...]
 
     @property
     def n_quantities(self) -> int:
@@ -60,10 +49,8 @@ class ConstraintSet:
         or precedence leg, or a mutex pair unreachable in both directions."""
         return (
             any(math.isinf(x) for x in self.initial_offsets)
-            or any(math.isinf(x) for x in self.precedence_travel.values())
-            or any(
-                math.isinf(a) and math.isinf(b) for a, b in self.mutex_pairs.values()
-            )
+            or any(math.isinf(x) for _, x in self.precedence_travel)
+            or any(math.isinf(a) and math.isinf(b) for _, (a, b) in self.mutex_pairs)
         )
 
 
@@ -89,8 +76,10 @@ class TravelTables:
     one task's mask, a travel term on the robots two tasks share. The memo
     holds each piece under exactly that, derived once per table: the
     slowest arrival under (task, mask), and the precedence or mutex item of
-    a pair under (i, j, shared mask). It is a pure cache; replace() starts
-    a fresh one.
+    a pair under (i, j, shared mask). build_constraints_fast assembles a set
+    from these pieces as they are, so allocations with equal pieces give
+    equal sets, each its own schedule-memo key. The memo is a pure cache;
+    replace() starts a fresh one.
     """
 
     durations: tuple[float, ...]
@@ -164,13 +153,19 @@ def _handover(tables: TravelTables, i: int, j: int, shared: int) -> float:
     return _slowest([row[i][j] for row in tables.hand], shared)
 
 
-def _derived_parts(
-    tables: TravelTables, masks: Sequence[int]
-) -> tuple[tuple[float, ...], tuple, tuple]:
-    """Offsets, precedence items and mutex items of the allocation with these
-    coalition masks, each piece read from the memo or derived into it."""
-    if len(masks) != len(tables.durations):
-        raise InvalidInput(f"{len(masks)} coalition masks for {len(tables.durations)} tasks")
+def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> ConstraintSet:
+    """Derive the constraint set for an allocation from a travel table, each
+    piece read from the table's memo or derived into it.
+
+    Mutex pairs are the user-declared ones plus every pair of tasks sharing a
+    robot, minus pairs already ordered by direct precedence. Travel terms take
+    the max over the robots that actually make the move; no robot means 0.
+    """
+    m = len(tables.durations)
+    n = len(tables.arrive)
+    if alloc.shape != (m, n):
+        raise InvalidInput(f"allocation {alloc.shape} does not match tables ({m},{n})")
+    masks = alloc.coalition_masks()
     memo = tables._memo
     get = memo.get
     offsets = []
@@ -199,28 +194,7 @@ def _derived_parts(
                 else ()
             )
         mutex += entry
-    return tuple(offsets), tuple(precedence), tuple(mutex)
-
-
-def constraint_key(tables: TravelTables, masks: Sequence[int]) -> tuple:
-    """ConstraintSet.key of the allocation with these coalition masks (as
-    Allocation.coalition_masks gives them), without building the set."""
-    return (tables.durations, *_derived_parts(tables, masks))
-
-
-def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> ConstraintSet:
-    """Derive the constraint set for an allocation from a travel table.
-
-    Mutex pairs are the user-declared ones plus every pair of tasks sharing a
-    robot, minus pairs already ordered by direct precedence. Travel terms take
-    the max over the robots that actually make the move; no robot means 0.
-    """
-    m = len(tables.durations)
-    n = len(tables.arrive)
-    if alloc.shape != (m, n):
-        raise InvalidInput(f"allocation {alloc.shape} does not match tables ({m},{n})")
-    offsets, precedence, mutex = _derived_parts(tables, alloc.coalition_masks())
-    return ConstraintSet(tables.durations, offsets, dict(precedence), dict(mutex))
+    return ConstraintSet(tables.durations, tuple(offsets), tuple(precedence), tuple(mutex))
 
 
 def _relax(
@@ -274,15 +248,16 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
     durations = cs.durations
     offsets = cs.initial_offsets
     m = len(durations)
-    pairs = sorted(cs.mutex_pairs, key=lambda p: (-max(cs.mutex_pairs[p]), p))
+    items = sorted(cs.mutex_pairs, key=lambda item: (-max(item[1]), item[0]))
+    pairs = [pair for pair, _ in items]
     n_pairs = len(pairs)
     # Both orientations of every disjunction, built once: (i before j, j before i).
-    pair_arcs = []
-    for i, j in pairs:
-        x_ij, x_ji = cs.mutex_pairs[(i, j)]
-        pair_arcs.append(((i, j, durations[i] + x_ij), (j, i, durations[j] + x_ji)))
+    pair_arcs = [
+        ((i, j, durations[i] + x_ij), (j, i, durations[j] + x_ji))
+        for (i, j), (x_ij, x_ji) in items
+    ]
     edges: list[tuple[int, int, float]] = [
-        (i, j, durations[i] + x) for (i, j), x in cs.precedence_travel.items()
+        (i, j, durations[i] + x) for (i, j), x in cs.precedence_travel
     ]
     directions = [0] * n_pairs
     best: Optional[tuple[tuple[float, ...], dict[tuple[int, int], int]]] = None
@@ -342,24 +317,29 @@ def refine_with_motion_plans(
     unreachable, which the solver reports as infeasible). Every release
     offset and precedence travel term is active in any schedule, so those
     come from planned; of each mutex disjunction only the direction the
-    schedule realized is, and the other keeps its value from cs. Returns the
-    updated set and whether anything grew; planned paths are never shorter
-    than the straight-line estimate, so quantities only increase and repeated
-    refinement reaches a fixpoint.
+    schedule realized is, and the other keeps its value from cs, a set of
+    the same allocation, which lists the same pairs in the same order.
+    Returns the updated set and whether anything grew; planned paths are
+    never shorter than the straight-line estimate, so quantities only
+    increase and repeated refinement reaches a fixpoint.
     """
     fresh = build_constraints_fast(planned, alloc)
-    mutex_pairs = {}
-    for pair, (x_ij, x_ji) in fresh.mutex_pairs.items():
-        old_ij, old_ji = cs.mutex_pairs[pair]
-        mutex_pairs[pair] = (x_ij, old_ji) if schedule.orderings[pair] == 1 else (old_ij, x_ji)
-    refined = replace(fresh, mutex_pairs=mutex_pairs)
+    orderings = schedule.orderings
+    mutex_pairs = tuple(
+        (pair, (x_ij, old_ji) if orderings[pair] == 1 else (old_ij, x_ji))
+        for (pair, (x_ij, x_ji)), (_, (old_ij, old_ji)) in zip(fresh.mutex_pairs, cs.mutex_pairs)
+    )
+    refined = fresh._replace(mutex_pairs=mutex_pairs)
     changed = (
         any(x > old + TOL for x, old in zip(refined.initial_offsets, cs.initial_offsets))
-        or any(x > cs.precedence_travel[p] + TOL for p, x in refined.precedence_travel.items())
         or any(
             x > old + TOL
-            for p, pair in mutex_pairs.items()
-            for x, old in zip(pair, cs.mutex_pairs[p])
+            for (_, x), (_, old) in zip(refined.precedence_travel, cs.precedence_travel)
+        )
+        or any(
+            x > old + TOL
+            for (_, xs), (_, olds) in zip(mutex_pairs, cs.mutex_pairs)
+            for x, old in zip(xs, olds)
         )
     )
     return refined, changed

@@ -37,7 +37,6 @@ from .scheduler import (
     ScheduleOutcome,
     TravelTables,
     build_constraints_fast,
-    constraint_key,
     make_travel_tables,
     refine_with_motion_plans,
     solve_milp,
@@ -46,8 +45,8 @@ from .scheduler import (
 LOSS_SLACK = 1e-12
 
 
-ScheduleCache = dict[tuple, tuple[ConstraintSet, ScheduleOutcome]]
-"""ConstraintSet.key -> (the first set seen with that content, its outcome)."""
+ScheduleCache = dict[ConstraintSet, ScheduleOutcome]
+"""Branch-and-bound outcomes by constraint set."""
 
 
 @dataclass
@@ -57,9 +56,7 @@ class SearchNode:
     quality_loss: float
     overrun: float
     blended: float
-    makespan: float  # inf when no schedule exists
     depth: int
-    cs: ConstraintSet
     outcome: ScheduleOutcome
 
 
@@ -134,14 +131,15 @@ def solve(
     reduces normalized quality loss, which the suboptimality bound relies on.
 
     Branch and bound runs once per distinct constraint set: allocations
-    whose slowest arrivals and handovers coincide share it. A node's
-    schedule is looked up by its set's key, read from the travel table's
-    memo, before any set is built; only a miss builds one. schedule_cache,
-    when given, is that memo, so solves that share it (e.g. one instance at
-    several alpha values) share the runs. An outcome depends only on its
-    set's content, so any solves may share one cache. scheduler_calls and
-    refinement_rounds count every allocation and round this solve scheduled,
-    served by the cache or not; bnb_runs counts only the runs it made.
+    whose slowest arrivals and handovers coincide share it. A node's set is
+    assembled from the travel table's memo, once per generated node, and is
+    its own key in the schedule memo. schedule_cache, when given, is that
+    memo, so solves that share it (e.g. one instance at several alpha
+    values) share the runs. An outcome depends only on its set's content,
+    so any solves may share one cache. scheduler_calls and
+    refinement_rounds count every allocation and round this solve
+    scheduled, served by the cache or not; bnb_runs counts only the runs it
+    made.
     """
     if planner is None:
         planner = GridPlanner(domain.world)
@@ -151,33 +149,27 @@ def solve(
     stats = SearchStats()
     memo: ScheduleCache = {} if schedule_cache is None else schedule_cache
 
-    def schedule(cs: ConstraintSet) -> tuple[ConstraintSet, ScheduleOutcome]:
-        """The first set seen with cs's content, and its outcome. Nodes with
-        equal sets share both objects, so a duplicate refinement builds is
-        freed at once."""
-        hit = memo.get(cs.key)
-        if hit is None:
-            outcome = solve_milp(cs)
+    def schedule(cs: ConstraintSet) -> ScheduleOutcome:
+        outcome = memo.get(cs)
+        if outcome is None:
+            outcome = memo[cs] = solve_milp(cs)
             stats.bnb_runs += 1
             stats.bnb_nodes += outcome.nodes_explored
-            hit = memo[cs.key] = (cs, outcome)
-        return hit
+        return outcome
 
-    def fetch(alloc: Allocation) -> tuple[float, ConstraintSet, ScheduleOutcome]:
-        """Quality and schedule of a node; its set is built only on a miss."""
+    def fetch(alloc: Allocation) -> tuple[float, ScheduleOutcome]:
+        """Quality and schedule of a node under estimated travel."""
         quality = total_allocation_quality(alloc, domain)
-        hit = memo.get(constraint_key(tables, alloc.coalition_masks()))
-        cs, outcome = hit if hit is not None else schedule(build_constraints_fast(tables, alloc))
         stats.scheduler_calls += 1
-        return quality, cs, outcome
+        return quality, schedule(build_constraints_fast(tables, alloc))
 
     # The root's minimal makespan under estimates is the normalization
     # reference for overruns; reuse its solve for the root node.
     root_alloc = Allocation.root(domain.n_tasks, domain.n_robots)
     root_fetch = fetch(root_alloc)
-    if root_fetch[2].status != "optimal":
+    if root_fetch[1].status != "optimal":
         raise InvalidInput("root allocation admits no schedule")
-    ctx = make_context(domain, root_fetch[2].schedule.makespan)
+    ctx = make_context(domain, root_fetch[1].schedule.makespan)
     stats.worst_makespan = ctx.makespan_worst
     stats.quality_root = ctx.quality_root
     stats.quality_null = ctx.quality_null
@@ -186,15 +178,15 @@ def solve(
         alloc: Allocation,
         depth: int,
         parent_loss: Optional[float],
-        prefetched: Optional[tuple[float, ConstraintSet, ScheduleOutcome]] = None,
+        prefetched: Optional[tuple[float, ScheduleOutcome]] = None,
     ) -> SearchNode:
-        quality, cs, outcome = prefetched if prefetched is not None else fetch(alloc)
+        quality, outcome = prefetched if prefetched is not None else fetch(alloc)
         quality_loss = normalized_quality_loss(quality, ctx)
         if check_invariants and parent_loss is not None and quality_loss < parent_loss - LOSS_SLACK:
             raise ContractViolation(
                 f"quality loss dropped from {parent_loss} to {quality_loss} on removing an assignment"
             )
-        node = SearchNode(alloc, quality, quality_loss, math.inf, math.inf, math.inf, depth, cs, outcome)
+        node = SearchNode(alloc, quality, quality_loss, math.inf, math.inf, depth, outcome)
         _rescore(node, ctx)
         return node
 
@@ -209,7 +201,8 @@ def solve(
         if node.overrun == 0.0 and node.outcome.status == "optimal":
             if planned is None:
                 planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
-            _refine_node(node, planned, ctx, stats, schedule)
+            estimate = build_constraints_fast(tables, node.allocation)
+            _refine_node(node, estimate, planned, ctx, stats, schedule)
             if node.overrun == 0.0 and node.outcome.status == "optimal":
                 stats.frontier = open_set.snapshot()
                 solution = _build_solution(domain, node, planner)
@@ -235,37 +228,34 @@ def solve(
 
 def _refine_node(
     node: SearchNode,
+    cs: ConstraintSet,
     planned: TravelTables,
     ctx: HeuristicContext,
     stats: SearchStats,
-    schedule: Callable[[ConstraintSet], tuple[ConstraintSet, ScheduleOutcome]],
+    schedule: Callable[[ConstraintSet], ScheduleOutcome],
 ) -> None:
     """Swap estimated travel for planned travel until the schedule stops moving.
 
-    Each round replaces at least one estimate with its planned value and
-    planned values are final, so the loop is bounded by the quantity count.
+    cs is the node's set under estimated travel. Each round replaces at least
+    one estimate with its planned value and planned values are final, so the
+    loop is bounded by the quantity count.
     """
-    cap = node.cs.n_quantities + 1
-    for _ in range(cap):
+    for _ in range(cs.n_quantities + 1):
         if node.outcome.status != "optimal":
             break
-        new_cs, changed = refine_with_motion_plans(
-            planned, node.allocation, node.outcome.schedule, node.cs
-        )
+        cs, changed = refine_with_motion_plans(planned, node.allocation, node.outcome.schedule, cs)
         if not changed:
             break
         stats.refinement_rounds += 1
-        node.cs, node.outcome = schedule(new_cs)
+        node.outcome = schedule(cs)
         _rescore(node, ctx)
 
 
 def _rescore(node: SearchNode, ctx: HeuristicContext) -> None:
     if node.outcome.status == "optimal":
-        node.makespan = node.outcome.schedule.makespan
-        node.overrun = budget_overrun(node.makespan, ctx)
+        node.overrun = budget_overrun(node.outcome.schedule.makespan, ctx)
         node.blended = blend(node.quality_loss, node.overrun, ctx.alpha)
     else:
-        node.makespan = math.inf
         node.overrun = math.inf
         node.blended = math.inf
 

@@ -61,10 +61,11 @@ def dense_gp_reference(x_train, y_train, x_query, *, length_scale,
 
 def _edges(cs, oriented):
     edges = [
-        (i, j, cs.durations[i] + x) for (i, j), x in cs.precedence_travel.items()
+        (i, j, cs.durations[i] + x) for (i, j), x in cs.precedence_travel
     ]
+    mutex = dict(cs.mutex_pairs)
     for (i, j), direction in oriented.items():
-        x_ij, x_ji = cs.mutex_pairs[(i, j)]
+        x_ij, x_ji = mutex[(i, j)]
         if direction == 1:
             edges.append((i, j, cs.durations[i] + x_ij))
         else:
@@ -79,13 +80,14 @@ def evaluate_fixed_order(cs: ConstraintSet, orderings):
     Returns None when the fixed orientation is unschedulable. One longest-path
     pass, checked against a linear program in the scheduler tests.
     """
-    missing = set(cs.mutex_pairs) - set(orderings)
+    pairs = {pair for pair, _ in cs.mutex_pairs}
+    missing = pairs - set(orderings)
     if missing:
         raise InvalidInput(f"orderings missing mutex pairs {sorted(missing)}")
     for pair, direction in orderings.items():
-        if pair in cs.mutex_pairs and direction not in (1, -1):
+        if pair in pairs and direction not in (1, -1):
             raise InvalidInput(f"ordering for {pair} must be 1 or -1, got {direction}")
-    oriented = {p: orderings[p] for p in cs.mutex_pairs}
+    oriented = {p: orderings[p] for p in sorted(pairs)}
     result = _relax(cs.initial_offsets, cs.durations, _edges(cs, oriented), len(cs.durations))
     return None if result is None else result[1]
 
@@ -96,7 +98,7 @@ def enumerate_schedules(cs: ConstraintSet):
     Exhaustive 2^k reference for the branch-and-bound solver.  Returns
     None when no orientation admits a schedule.
     """
-    pairs = sorted(cs.mutex_pairs)
+    pairs = sorted(pair for pair, _ in cs.mutex_pairs)
     best = None
     for signs in itertools.product((1, -1), repeat=len(pairs)):
         orderings = dict(zip(pairs, signs))
@@ -130,7 +132,7 @@ def build_constraints(domain, alloc, leg_seconds):
             default=0.0,
         )
 
-    precedence_travel = {(i, j): handover(i, j) for i, j in sorted(domain.network.precedence)}
+    precedence_travel = tuple(((i, j), handover(i, j)) for i, j in sorted(domain.network.precedence))
 
     pairs = set(domain.network.mutex)
     for i in range(m):
@@ -140,7 +142,7 @@ def build_constraints(domain, alloc, leg_seconds):
     pairs -= {
         (min(i, j), max(i, j)) for i, j in domain.network.precedence
     }
-    mutex_pairs = {(i, j): (handover(i, j), handover(j, i)) for i, j in sorted(pairs)}
+    mutex_pairs = tuple(((i, j), (handover(i, j), handover(j, i))) for i, j in sorted(pairs))
 
     return ConstraintSet(
         durations=tuple(t.duration for t in tasks),
@@ -174,8 +176,8 @@ def random_constraint_set(rng, *, max_tasks=6, max_mutex=8):
     return ConstraintSet(
         durations=durations,
         initial_offsets=offsets,
-        precedence_travel=precedence,
-        mutex_pairs=mutex,
+        precedence_travel=tuple(precedence.items()),
+        mutex_pairs=tuple(sorted(mutex.items())),
     )
 
 

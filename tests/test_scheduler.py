@@ -18,7 +18,6 @@ from staq.analysis import random_instance
 from staq.scheduler import (
     ConstraintSet,
     build_constraints_fast,
-    constraint_key,
     make_travel_tables,
     refine_with_motion_plans,
     solve_milp,
@@ -42,8 +41,8 @@ def _cs(durations, offsets=None, precedence=None, mutex=None):
     return ConstraintSet(
         durations=tuple(float(d) for d in durations),
         initial_offsets=tuple(float(x) for x in (offsets or [0.0] * m)),
-        precedence_travel=dict(precedence or {}),
-        mutex_pairs=dict(mutex or {}),
+        precedence_travel=tuple(sorted((precedence or {}).items())),
+        mutex_pairs=tuple(sorted((mutex or {}).items())),
     )
 
 
@@ -59,9 +58,10 @@ def linprog_makespan(cs, orderings):
     """LP reference for a fixed orientation: min C over start times."""
     m = len(cs.durations)
     arcs = [(i, j, cs.durations[i] + x)
-            for (i, j), x in cs.precedence_travel.items()]
+            for (i, j), x in cs.precedence_travel]
+    mutex = dict(cs.mutex_pairs)
     for (i, j), direction in orderings.items():
-        x_ij, x_ji = cs.mutex_pairs[(i, j)]
+        x_ij, x_ji = mutex[(i, j)]
         if direction == 1:
             arcs.append((i, j, cs.durations[i] + x_ij))
         else:
@@ -94,8 +94,8 @@ def test_disjoint_coalitions_create_no_disjunctions():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
     cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [0, 1]])), leg)
-    assert cs.mutex_pairs == {}
-    assert cs.precedence_travel == {}
+    assert cs.mutex_pairs == ()
+    assert cs.precedence_travel == ()
     assert cs.durations == (4.0, 3.0)
 
 
@@ -103,12 +103,12 @@ def test_shared_robot_induces_a_mutex_pair():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
     cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [1, 0]])), leg)
-    assert set(cs.mutex_pairs) == {(0, 1)}
+    [(pair, (x_ij, x_ji))] = cs.mutex_pairs
+    assert pair == (0, 1)
     # robot 0 (speed 1) moves end of task 0 (3,0) -> start of task 1 (5,7)
     want_fwd = math.hypot(5 - 3, 7 - 0)
     # and start of task 0 (2,0) from end of task 1 (5,6) the other way
     want_rev = math.hypot(5 - 2, 6 - 0)
-    x_ij, x_ji = cs.mutex_pairs[(0, 1)]
     assert x_ij == pytest.approx(want_fwd)
     assert x_ji == pytest.approx(want_rev)
 
@@ -117,8 +117,8 @@ def test_precedence_pair_is_not_doubled_as_mutex():
     domain = two_task_domain(precedence={(0, 1)}, mutex={(0, 1)})
     leg = estimated_leg_seconds(domain)
     cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [1, 0]])), leg)
-    assert (0, 1) in cs.precedence_travel
-    assert cs.mutex_pairs == {}
+    assert [pair for pair, _ in cs.precedence_travel] == [(0, 1)]
+    assert cs.mutex_pairs == ()
 
 
 def test_release_offsets_take_the_slowest_assigned_robot():
@@ -188,7 +188,7 @@ def test_fixed_order_matches_lp_reference():
     for _ in range(60):
         cs = random_constraint_set(rng)
         orderings = {p: (1 if rng.random() < 0.5 else -1)
-                     for p in cs.mutex_pairs}
+                     for p, _ in cs.mutex_pairs}
         got = evaluate_fixed_order(cs, orderings)
         want = linprog_makespan(cs, orderings)
         if want is None:
@@ -260,9 +260,9 @@ def test_solver_start_times_respect_all_constraints():
         s = outcome.schedule.start_times
         for i, x in enumerate(cs.initial_offsets):
             assert s[i] >= x - 1e-9
-        for (i, j), x in cs.precedence_travel.items():
+        for (i, j), x in cs.precedence_travel:
             assert s[j] >= s[i] + cs.durations[i] + x - 1e-9
-        for (i, j), (x_ij, x_ji) in cs.mutex_pairs.items():
+        for (i, j), (x_ij, x_ji) in cs.mutex_pairs:
             assert (s[j] >= s[i] + cs.durations[i] + x_ij - 1e-9
                     or s[i] >= s[j] + cs.durations[j] + x_ji - 1e-9)
 
@@ -288,10 +288,8 @@ def test_fast_constraints_match_reference_everywhere():
                 alloc = Allocation(key, (m, n))
                 want = build_constraints(domain, alloc, leg)
                 got = build_constraints_fast(tables, alloc)
+                # item order included
                 assert got == want
-                # the key read from the memo is the built set's, field
-                # order and dict order included
-                assert constraint_key(tables, alloc.coalition_masks()) == got.key == want.key
 
 
 class CountingMemo(dict):
@@ -313,26 +311,46 @@ def test_each_memo_entry_is_derived_once_per_table():
     memo = CountingMemo()
     object.__setattr__(tables, "_memo", memo)
     allocs = [Allocation(key, (m, n)) for key in range(1 << (m * n))]
-    keys = [constraint_key(tables, alloc.coalition_masks()) for alloc in allocs]
+    sets = [build_constraints_fast(tables, alloc) for alloc in allocs]
     assert len(set(memo.stored)) == len(memo.stored) == len(memo)
     # at most one arrival per (task, mask) and one item per (pair, shared mask)
     pairs = len(tables.precedence) + len(tables.unordered)
     assert len(memo) <= (m + pairs) << n
     derived = len(memo)
-    for alloc, key in zip(allocs, keys):
-        assert build_constraints_fast(tables, alloc).key == key
-        assert constraint_key(tables, alloc.coalition_masks()) == key
+    for alloc, cs in zip(allocs, sets):
+        assert build_constraints_fast(tables, alloc) == cs
     assert len(memo.stored) == derived   # everything after the first pass hit
 
     fresh = make_travel_tables(domain, estimated_leg_seconds(domain))
     assert fresh._memo == {}   # the memo belongs to one table
 
 
-def test_constraint_key_rejects_a_mask_count_mismatch():
-    domain = two_task_domain()
+def test_constraint_items_are_sorted_by_pair():
+    for seed in SMALL_SEEDS:
+        domain = random_instance(seed)
+        m, n = domain.n_tasks, domain.n_robots
+        tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+        for key in range(1 << (m * n)):
+            cs = build_constraints_fast(tables, Allocation(key, (m, n)))
+            for items in (cs.precedence_travel, cs.mutex_pairs):
+                pairs = [pair for pair, _ in items]
+                assert pairs == sorted(set(pairs))
+
+
+def test_different_allocations_with_equal_sets_are_one_key():
+    domain = random_instance(8)
+    m, n = domain.n_tasks, domain.n_robots
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
-    with pytest.raises(InvalidInput):
-        constraint_key(tables, (0b11,))
+    by_set = {}
+    for key in range(1 << (m * n)):
+        cs = build_constraints_fast(tables, Allocation(key, (m, n)))
+        by_set.setdefault(cs, []).append(cs)
+    shared = [sets for sets in by_set.values() if len(sets) > 1]
+    assert shared, "no two allocations share a constraint set"
+    for first, *others in shared:
+        for other in others:
+            assert other is not first
+            assert other == first and hash(other) == hash(first)
 
 
 def test_fast_constraints_reject_shape_mismatch():
@@ -436,14 +454,37 @@ def test_refinement_updates_only_the_realized_mutex_direction():
     refined, changed = refine_with_motion_plans(_planned(domain), alloc,
                                                 outcome.schedule, cs)
     assert changed
-    old = cs.mutex_pairs[(0, 1)]
-    new = refined.mutex_pairs[(0, 1)]
+    [(_, old)] = cs.mutex_pairs
+    [(_, new)] = refined.mutex_pairs
     if direction == 1:
         assert new[1] == old[1]       # unrealized direction untouched
         assert new[0] >= old[0]
     else:
         assert new[0] == old[0]
         assert new[1] >= old[1]
+
+
+def test_refinement_keeps_the_fresh_sets_pair_order():
+    checked = 0
+    for seed in range(10):
+        domain = random_instance(seed)
+        alloc = Allocation.root(domain.n_tasks, domain.n_robots)
+        cs = _build(domain, alloc, estimated_leg_seconds(domain))
+        if len(cs.mutex_pairs) < 2:
+            continue
+        schedule = solve_milp(cs).schedule
+        planned = _planned(domain)
+        refined, _ = refine_with_motion_plans(planned, alloc, schedule, cs)
+        fresh = build_constraints_fast(planned, alloc)
+        assert [p for p, _ in refined.mutex_pairs] == [p for p, _ in fresh.mutex_pairs]
+        for (pair, new), (_, planned_pair), (_, old) in zip(
+                refined.mutex_pairs, fresh.mutex_pairs, cs.mutex_pairs):
+            if schedule.orderings[pair] == 1:
+                assert new == (planned_pair[0], old[1])
+            else:
+                assert new == (old[0], planned_pair[1])
+        checked += 1
+    assert checked >= 3
 
 
 def test_refinement_marks_unreachable_legs_infinite():

@@ -16,7 +16,7 @@ from staq.model import (
     validate_solution,
 )
 from staq.motion import GridPlanner
-from staq.scheduler import ConstraintSet, ScheduleOutcome, worst_makespan
+from staq.scheduler import ScheduleOutcome, worst_makespan
 from staq.search import OpenSet, SearchNode, solve
 
 from helpers import LinearMap, drop_one_domain, open_world, two_task_domain
@@ -25,12 +25,9 @@ from helpers import LinearMap, drop_one_domain, open_world, two_task_domain
 # --------------------------------------------------------------- open set
 
 def _node(key, blended, depth):
-    cs = ConstraintSet(durations=(1.0,), initial_offsets=(0.0,),
-                       precedence_travel={}, mutex_pairs={})
     return SearchNode(allocation=Allocation(key, (2, 2)), quality=0.0,
                       quality_loss=0.0, overrun=0.0, blended=blended,
-                      makespan=0.0, depth=depth, cs=cs,
-                      outcome=ScheduleOutcome("optimal", None, 0))
+                      depth=depth, outcome=ScheduleOutcome("optimal", None, 0))
 
 
 def test_open_set_orders_by_blended_score():
@@ -239,65 +236,39 @@ def test_planner_calls_count_the_astar_runs_of_one_solve():
 
 
 def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
-    keys, nodes = [], []
-
-    def counting(cs):
-        outcome = real(cs)
-        keys.append(cs.key)
-        nodes.append(outcome.nodes_explored)
-        return outcome
-
-    real = search.solve_milp
-    monkeypatch.setattr(search, "solve_milp", counting)
-    for seed in range(10):
-        keys.clear()
-        nodes.clear()
-        _, stats = solve(random_instance(seed))
-        assert len(set(keys)) == len(keys), f"seed {seed}: a constraint set was scheduled twice"
-        assert (stats.bnb_runs, stats.bnb_nodes) == (len(keys), sum(nodes))
-        assert stats.bnb_runs <= stats.scheduler_calls + stats.refinement_rounds
-
-    domain = random_instance(1)
-    cache = {}
-    solve(domain, schedule_cache=cache)
-    _, again = solve(domain, schedule_cache=cache)
-    assert (again.bnb_runs, again.bnb_nodes) == (0, 0)
-
-
-def test_sets_are_built_only_for_memo_misses(monkeypatch):
-    events = []
+    built, scheduled, nodes = [], [], []
 
     def counting_build(tables, alloc):
         cs = real_build(tables, alloc)
-        events.append(("build", cs.key))
+        built.append(cs)
         return cs
 
     def counting_milp(cs):
-        events.append(("milp", cs.key))
-        return real_milp(cs)
+        outcome = real_milp(cs)
+        scheduled.append(cs)
+        nodes.append(outcome.nodes_explored)
+        return outcome
 
     real_build, real_milp = search.build_constraints_fast, search.solve_milp
     monkeypatch.setattr(search, "build_constraints_fast", counting_build)
     monkeypatch.setattr(search, "solve_milp", counting_milp)
     for seed in range(10):
-        events.clear()
+        for log in (built, scheduled, nodes):
+            log.clear()
         _, stats = solve(random_instance(seed))
-        built = [key for kind, key in events if kind == "build"]
-        assert 0 < len(built) < stats.scheduler_calls
-        # every set built under estimates is new and goes straight to branch
-        # and bound; the other runs are refinements, built by the scheduler
-        for before, after in zip(events, events[1:]):
-            if before[0] == "build":
-                assert after == ("milp", before[1]), f"seed {seed}: a built set was a memo hit"
-        assert stats.bnb_runs == len(events) - len(built)
-        assert stats.bnb_runs - len(built) <= stats.refinement_rounds
+        assert len(set(scheduled)) == len(scheduled), f"seed {seed}: a constraint set was scheduled twice"
+        assert (stats.bnb_runs, stats.bnb_nodes) == (len(scheduled), sum(nodes))
+        assert stats.bnb_runs <= stats.scheduler_calls + stats.refinement_rounds
+        # allocations outnumber their distinct sets under estimates
+        assert len(set(built)) < stats.scheduler_calls
 
     domain = random_instance(1)
     cache = {}
     solve(domain, schedule_cache=cache)
-    events.clear()
-    solve(domain, schedule_cache=cache)
-    assert events == []   # a repeat solve neither builds nor schedules
+    scheduled.clear()
+    _, again = solve(domain, schedule_cache=cache)
+    assert scheduled == []   # a repeat solve on a shared cache schedules nothing
+    assert (again.bnb_runs, again.bnb_nodes) == (0, 0)
 
 
 # Search results on generated instances. Refactors of the search, the
