@@ -219,7 +219,7 @@ def brute_force_optimal(
             )
         key = int(raw_key)
         alloc = Allocation(key, (m, n))
-        cs = build_constraints_fast(tables, alloc)
+        cs = build_constraints_fast(tables, alloc.coalition_masks())
         outcome = memo.get(cs)
         if outcome is None:
             outcome = memo[cs] = solve_milp(cs)
@@ -406,7 +406,7 @@ def random_instance(seed: int, *, alpha: float = 0.4) -> ProblemDomain:
     )
     tables = make_travel_tables(base, estimated_leg_seconds(base))
     null = Allocation.null(n_tasks, n_robots)
-    floor = solve_milp(build_constraints_fast(tables, null)).schedule.makespan
+    floor = solve_milp(build_constraints_fast(tables, null.coalition_masks())).schedule.makespan
     ceiling = worst_makespan(base)
     u = float(rng.uniform(0.25, 0.9))
     budget = floor + u * max(ceiling - floor, 0.0)

@@ -39,8 +39,8 @@ class HeuristicContext:
 def make_context(domain: ProblemDomain, makespan_worst: float) -> HeuristicContext:
     m, n = domain.n_tasks, domain.n_robots
     return HeuristicContext(
-        quality_root=total_allocation_quality(Allocation.root(m, n), domain),
-        quality_null=total_allocation_quality(Allocation.null(m, n), domain),
+        quality_root=total_allocation_quality(Allocation.root(m, n).coalition_masks(), domain),
+        quality_null=total_allocation_quality(Allocation.null(m, n).coalition_masks(), domain),
         makespan_worst=makespan_worst,
         time_budget=domain.time_budget,
         alpha=domain.alpha,

@@ -131,38 +131,6 @@ def gp_predict(model: GPModel, x_query: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mean, var
 
 
-def log_marginal_likelihood(model: GPModel) -> float:
-    residual = model.y_train - model.prior_mean
-    n = residual.size
-    log_det = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
-    return -0.5 * float(residual @ model.weights) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
-
-
-def tune_hyperparameters(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    length_scales: Sequence[float],
-    signal_vars: Sequence[float],
-    noise_var: float = 1e-4,
-    prior_mean: float = 0.5,
-) -> GPModel:
-    """Grid search maximizing marginal likelihood; ties keep the earliest
-    grid entry so results are reproducible."""
-    if not length_scales or not signal_vars:
-        raise InvalidInput("hyperparameter grids must be non-empty")
-    best = None
-    best_lml = -math.inf
-    for ls in length_scales:
-        for sv in signal_vars:
-            model = gp_fit(x, y, length_scale=ls, signal_var=sv,
-                           noise_var=noise_var, prior_mean=prior_mean)
-            lml = log_marginal_likelihood(model)
-            if lml > best_lml:
-                best, best_lml = model, lml
-    return best
-
-
 @dataclass(frozen=True)
 class GPQualityMap:
     """Quality map backed by a GP posterior mean."""

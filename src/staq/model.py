@@ -378,16 +378,18 @@ class Solution:
     blended: float
 
 
-def total_allocation_quality(alloc: Allocation, domain: ProblemDomain) -> float:
-    """Sum of per-task qualities in task order, each clamped to [0, 1]."""
-    if alloc.shape != (domain.n_tasks, domain.n_robots):
-        raise InvalidInput(
-            f"allocation is {alloc.shape} but the domain is ({domain.n_tasks}, {domain.n_robots})"
-        )
+def total_allocation_quality(masks: Sequence[int], domain: ProblemDomain) -> float:
+    """Sum of per-task qualities in task order, each clamped to [0, 1].
+
+    masks are an allocation's coalition masks (Allocation.coalition_masks);
+    task_quality rejects a mask outside the domain's robot range.
+    """
+    if len(masks) != domain.n_tasks:
+        raise InvalidInput(f"{len(masks)} coalition masks for {domain.n_tasks} tasks")
     # a left fold: builtin sum() compensates on Python >= 3.12, which can
     # change the last bit
     total = 0.0
-    for task, mask in enumerate(alloc.coalition_masks()):
+    for task, mask in enumerate(masks):
         total += domain.task_quality(task, mask)
     return total
 
@@ -448,7 +450,7 @@ def validate_solution(domain: ProblemDomain, sol: Solution, planner=None) -> Val
         )
 
     tables = make_travel_tables(domain, planned_leg_seconds(planner, domain))
-    cs = build_constraints_fast(tables, sol.allocation)
+    cs = build_constraints_fast(tables, sol.allocation.coalition_masks())
     for i, x in enumerate(cs.initial_offsets):
         if starts[i] < x - TOL:
             violations.append(f"task {i}: starts at {starts[i]} before initial travel {x}")

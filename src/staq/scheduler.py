@@ -5,14 +5,17 @@ offsets, precedence with travel, fixed durations) plus a disjunction per
 mutex pair: one task must finish, and the shared robots travel, before the
 other starts. A fixed orientation of every disjunction leaves a longest-path
 computation; the solver branches over orientations with the relaxed longest
-path as a lower bound, so the returned makespan is exactly minimal.
+path as a lower bound, so the returned makespan is exactly minimal. Each
+branch adds one arc and propagates it from its parent's start times, as in
+incremental consistency on a simple temporal network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from operator import add
+from typing import NamedTuple, Optional, Sequence
 
 from .model import Allocation, InvalidInput, ProblemDomain, Schedule
 from .motion import LegSeconds, estimated_leg_seconds
@@ -145,6 +148,8 @@ def slowest_arrival(tables: TravelTables, task: int, mask: int) -> float:
     Allocation.coalition_mask layout): its slowest robot's arrival."""
     x = tables._memo.get((task, mask))
     if x is None:
+        if not 0 <= mask < 1 << len(tables.arrive):
+            raise InvalidInput(f"coalition mask {mask} outside [0, 2^{len(tables.arrive)})")
         x = tables._memo[(task, mask)] = _slowest([row[task] for row in tables.arrive], mask)
     return x
 
@@ -153,19 +158,18 @@ def _handover(tables: TravelTables, i: int, j: int, shared: int) -> float:
     return _slowest([row[i][j] for row in tables.hand], shared)
 
 
-def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> ConstraintSet:
-    """Derive the constraint set for an allocation from a travel table, each
-    piece read from the table's memo or derived into it.
+def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> ConstraintSet:
+    """Derive the constraint set for an allocation, given as its coalition
+    masks (Allocation.coalition_masks), from a travel table, each piece read
+    from the table's memo or derived into it.
 
     Mutex pairs are the user-declared ones plus every pair of tasks sharing a
     robot, minus pairs already ordered by direct precedence. Travel terms take
     the max over the robots that actually make the move; no robot means 0.
     """
     m = len(tables.durations)
-    n = len(tables.arrive)
-    if alloc.shape != (m, n):
-        raise InvalidInput(f"allocation {alloc.shape} does not match tables ({m},{n})")
-    masks = alloc.coalition_masks()
+    if len(masks) != m:
+        raise InvalidInput(f"{len(masks)} coalition masks for {m} tasks")
     memo = tables._memo
     get = memo.get
     offsets = []
@@ -197,41 +201,34 @@ def build_constraints_fast(tables: TravelTables, alloc: Allocation) -> Constrain
     return ConstraintSet(tables.durations, tuple(offsets), tuple(precedence), tuple(mutex))
 
 
-def _relax(
-    offsets: tuple[float, ...],
-    durations: tuple[float, ...],
-    edges: list[tuple[int, int, float]],
-    m: int,
-) -> Optional[tuple[list[float], float]]:
-    """Longest-path start times under a fixed edge list.
+def _tighten(
+    starts: list[float], out: list[list[tuple[int, float]]], a: int, b: int, w: float
+) -> Optional[list[float]]:
+    """Longest-path start times once the arc a -> b of weight w joins out.
 
-    Returns None when the constraints admit no schedule: an ordering cycle
-    (every cycle has positive weight since durations are positive) or an
-    unreachable travel leg encoded as an infinite quantity.
+    starts is the fixpoint of out's arcs and comes back as it is when the new
+    arc already holds; otherwise a copy is raised from b along out until
+    nothing moves. Raising a means a positive cycle through the new arc, the
+    only kind the addition can close: None. An infinite weight leaves an
+    infinite start.
     """
-    starts = list(offsets)
-    for _ in range(m - 1):
-        changed = False
-        for i, j, w in edges:
-            candidate = starts[i] + w
-            if candidate > starts[j]:
-                starts[j] = candidate
-                changed = True
-        if not changed:
-            break
-    else:
-        for i, j, w in edges:
-            if starts[i] + w > starts[j]:
-                return None
-    makespan = -math.inf
-    for s, d in zip(starts, durations):
-        if math.isinf(s):
-            return None
-        if s + d > makespan:
-            makespan = s + d
-    if math.isinf(makespan):
-        return None
-    return starts, makespan
+    x = starts[a] + w
+    if x <= starts[b]:
+        return starts
+    starts = starts.copy()
+    starts[b] = x
+    work = [b]
+    while work:
+        i = work.pop()
+        si = starts[i]
+        for j, wj in out[i]:
+            c = si + wj
+            if c > starts[j]:
+                if j == a:
+                    return None
+                starts[j] = c
+                work.append(j)
+    return starts
 
 
 def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
@@ -239,14 +236,15 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
 
     The relaxation drops undecided disjunctions, so its makespan lower-bounds
     every completion; a subtree is cut once that bound reaches the incumbent.
-    Branching handles pairs with the largest travel stakes first, and tries
-    the direction the relaxed start times already suggest, so results are
-    deterministic and ties go to the first schedule found.
+    Start times are built one arc at a time, each propagated from the start
+    times before it: the precedence arcs at the root, then one mutex arc per
+    branch. Branching handles pairs with the largest travel stakes first, and
+    tries the direction the relaxed start times already suggest, so results
+    are deterministic and ties go to the first schedule found.
     """
     if cs.infeasible_on_construction:
         return ScheduleOutcome("infeasible", None, 0)
     durations = cs.durations
-    offsets = cs.initial_offsets
     m = len(durations)
     items = sorted(cs.mutex_pairs, key=lambda item: (-max(item[1]), item[0]))
     pairs = [pair for pair, _ in items]
@@ -256,23 +254,14 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
         ((i, j, durations[i] + x_ij), (j, i, durations[j] + x_ji))
         for (i, j), (x_ij, x_ji) in items
     ]
-    edges: list[tuple[int, int, float]] = [
-        (i, j, durations[i] + x) for (i, j), x in cs.precedence_travel
-    ]
     directions = [0] * n_pairs
     best: Optional[tuple[tuple[float, ...], dict[tuple[int, int], int]]] = None
     best_makespan = math.inf
-    nodes = 0
+    nodes = 1
+    out: list[list[tuple[int, float]]] = [[] for _ in range(m)]
 
-    def dfs(depth: int) -> None:
+    def dfs(depth: int, starts: list[float], makespan: float) -> None:
         nonlocal best, best_makespan, nodes
-        nodes += 1
-        relaxed = _relax(offsets, durations, edges, m)
-        if relaxed is None:
-            return
-        starts, makespan = relaxed
-        if makespan >= best_makespan:
-            return
         if depth == n_pairs:
             best = (tuple(starts), dict(zip(pairs, directions)))
             best_makespan = makespan
@@ -280,13 +269,30 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
         i, j = pairs[depth]
         fwd, rev = pair_arcs[depth]
         ordered = ((1, fwd), (-1, rev)) if starts[i] <= starts[j] else ((-1, rev), (1, fwd))
-        for direction, arc in ordered:
+        for direction, (a, b, w) in ordered:
+            nodes += 1
+            child = _tighten(starts, out, a, b, w)
+            if child is None:
+                continue
+            child_makespan = makespan if child is starts else max(map(add, child, durations))
+            # an infinite start (an unreachable direction) is cut here too
+            if child_makespan >= best_makespan:
+                continue
             directions[depth] = direction
-            edges.append(arc)
-            dfs(depth + 1)
-            edges.pop()
+            out[a].append((b, w))
+            dfs(depth + 1, child, child_makespan)
+            out[a].pop()
 
-    dfs(0)
+    root: Optional[list[float]] = list(cs.initial_offsets)
+    for (i, j), x in cs.precedence_travel:
+        w = durations[i] + x
+        root = _tighten(root, out, i, j, w)
+        if root is None:  # a precedence cycle
+            return ScheduleOutcome("infeasible", None, nodes)
+        out[i].append((j, w))
+    makespan = max(map(add, root, durations), default=math.inf)  # no tasks: infeasible
+    if makespan < best_makespan:
+        dfs(0, root, makespan)
     if best is None:
         return ScheduleOutcome("infeasible", None, nodes)
     starts, orderings = best
@@ -299,7 +305,7 @@ def worst_makespan(domain: ProblemDomain) -> float:
     budget overruns."""
     root = Allocation.root(domain.n_tasks, domain.n_robots)
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
-    outcome = solve_milp(build_constraints_fast(tables, root))
+    outcome = solve_milp(build_constraints_fast(tables, root.coalition_masks()))
     if outcome.status != "optimal":
         raise InvalidInput("root allocation admits no schedule")
     return outcome.schedule.makespan
@@ -323,7 +329,7 @@ def refine_with_motion_plans(
     never shorter than the straight-line estimate, so quantities only
     increase and repeated refinement reaches a fixpoint.
     """
-    fresh = build_constraints_fast(planned, alloc)
+    fresh = build_constraints_fast(planned, alloc.coalition_masks())
     orderings = schedule.orderings
     mutex_pairs = tuple(
         (pair, (x_ij, old_ji) if orderings[pair] == 1 else (old_ij, x_ji))

@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .heuristics import (
     HeuristicContext,
@@ -51,17 +52,18 @@ ScheduleCache = dict[ConstraintSet, ScheduleOutcome]
 
 @dataclass
 class SearchNode:
+    """A node popped for refinement or acceptance; the open set holds flat
+    entries."""
+
     allocation: Allocation
     quality: float
     quality_loss: float
     overrun: float
     blended: float
-    depth: int
     outcome: ScheduleOutcome
 
 
-@dataclass(frozen=True)
-class FrontierEntry:
+class FrontierEntry(NamedTuple):
     """What the suboptimality analysis needs to know about an open node."""
 
     key: int
@@ -87,32 +89,47 @@ class SearchStats:
     frontier: tuple[FrontierEntry, ...] = ()  # open set at termination
 
 
-class OpenSet:
-    """Min-heap on (score, depth, allocation key), each entry carrying its node.
+OpenEntry = tuple[float, int, int, float, float, float, float, ScheduleOutcome]
+"""(rounded blend, depth, key, quality, loss, overrun, blend, outcome)."""
 
-    Scores are rounded to 9 decimals before comparison so nodes within 1e-9
+
+class OpenSet:
+    """Min-heap of flat open entries, ordered by (rounded blend, depth, key).
+
+    Blends are rounded to 9 decimals before comparison so nodes within 1e-9
     of each other tie and fall through to the shallower-then-smaller-key rule.
-    A key is in the heap at most once, so the node itself is never compared.
+    A key is in the heap at most once, so comparison never reaches past it.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, SearchNode]] = []
+        self._heap: list[OpenEntry] = []
 
-    def push(self, node: SearchNode) -> None:
-        heapq.heappush(self._heap, (round(node.blended, 9), node.depth, node.allocation.key, node))
+    def push(
+        self,
+        depth: int,
+        key: int,
+        quality: float,
+        loss: float,
+        overrun: float,
+        blended: float,
+        outcome: ScheduleOutcome,
+    ) -> None:
+        heapq.heappush(
+            self._heap, (round(blended, 9), depth, key, quality, loss, overrun, blended, outcome)
+        )
 
-    def pop(self) -> SearchNode:
+    def pop(self) -> OpenEntry:
         if not self._heap:
             raise ContractViolation("pop from an empty open set")
-        return heapq.heappop(self._heap)[3]
+        return heapq.heappop(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def snapshot(self) -> tuple[FrontierEntry, ...]:
         return tuple(
-            FrontierEntry(key, node.quality, node.overrun, node.blended)
-            for _, _, key, node in sorted(self._heap, key=lambda entry: entry[2])
+            FrontierEntry(key, quality, overrun, blended)
+            for _, _, key, quality, _, overrun, blended, _ in sorted(self._heap, key=itemgetter(2))
         )
 
 
@@ -130,13 +147,15 @@ def solve(
     check_invariants the search asserts that removing an assignment never
     reduces normalized quality loss, which the suboptimality bound relies on.
 
-    Branch and bound runs once per distinct constraint set: allocations
-    whose slowest arrivals and handovers coincide share it. A node's set is
-    assembled from the travel table's memo, once per generated node, and is
-    its own key in the schedule memo. schedule_cache, when given, is that
-    memo, so solves that share it (e.g. one instance at several alpha
-    values) share the runs. An outcome depends only on its set's content,
-    so any solves may share one cache. scheduler_calls and
+    Each expansion derives the popped node's coalition masks once; a child's
+    masks are its parent's with one row changed, and both its quality and
+    its constraint set are read from them. The set is assembled from the
+    travel table's memo and is its own key in the schedule memo, so branch
+    and bound runs once per distinct set: allocations whose slowest
+    arrivals and handovers coincide share it. schedule_cache, when given,
+    is that memo, so solves that share it (e.g. one instance at several
+    alpha values) share the runs. An outcome depends only on its set's
+    content, so any solves may share one cache. scheduler_calls and
     refinement_rounds count every allocation and round this solve
     scheduled, served by the cache or not; bnb_runs counts only the runs it
     made.
@@ -144,6 +163,7 @@ def solve(
     if planner is None:
         planner = GridPlanner(domain.world)
     astar_before = planner.calls - planner.cache_hits
+    m, n = domain.n_tasks, domain.n_robots
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
     planned: Optional[TravelTables] = None  # built at the first refinement
     stats = SearchStats()
@@ -157,51 +177,51 @@ def solve(
             stats.bnb_nodes += outcome.nodes_explored
         return outcome
 
-    def fetch(alloc: Allocation) -> tuple[float, ScheduleOutcome]:
-        """Quality and schedule of a node under estimated travel."""
-        quality = total_allocation_quality(alloc, domain)
+    def fetch(masks: Sequence[int]) -> tuple[float, ScheduleOutcome]:
+        """Quality and schedule under estimated travel of the allocation
+        with these coalition masks."""
+        quality = total_allocation_quality(masks, domain)
         stats.scheduler_calls += 1
-        return quality, schedule(build_constraints_fast(tables, alloc))
+        return quality, schedule(build_constraints_fast(tables, masks))
 
     # The root's minimal makespan under estimates is the normalization
     # reference for overruns; reuse its solve for the root node.
-    root_alloc = Allocation.root(domain.n_tasks, domain.n_robots)
-    root_fetch = fetch(root_alloc)
-    if root_fetch[1].status != "optimal":
+    root = Allocation.root(m, n)
+    root_quality, root_outcome = fetch(root.coalition_masks())
+    if root_outcome.status != "optimal":
         raise InvalidInput("root allocation admits no schedule")
-    ctx = make_context(domain, root_fetch[1].schedule.makespan)
+    ctx = make_context(domain, root_outcome.schedule.makespan)
     stats.worst_makespan = ctx.makespan_worst
     stats.quality_root = ctx.quality_root
     stats.quality_null = ctx.quality_null
-
-    def make_node(
-        alloc: Allocation,
-        depth: int,
-        parent_loss: Optional[float],
-        prefetched: Optional[tuple[float, ScheduleOutcome]] = None,
-    ) -> SearchNode:
-        quality, outcome = prefetched if prefetched is not None else fetch(alloc)
-        quality_loss = normalized_quality_loss(quality, ctx)
-        if check_invariants and parent_loss is not None and quality_loss < parent_loss - LOSS_SLACK:
-            raise ContractViolation(
-                f"quality loss dropped from {parent_loss} to {quality_loss} on removing an assignment"
-            )
-        node = SearchNode(alloc, quality, quality_loss, math.inf, math.inf, depth, outcome)
-        _rescore(node, ctx)
-        return node
-
     open_set = OpenSet()
-    root = make_node(root_alloc, 0, None, prefetched=root_fetch)
-    stats.nodes_generated += 1
-    open_set.push(root)
-    visited = {root.allocation.key}
+
+    def push(
+        key: int,
+        depth: int,
+        quality: float,
+        outcome: ScheduleOutcome,
+        parent_loss: Optional[float],
+    ) -> None:
+        loss = normalized_quality_loss(quality, ctx)
+        if check_invariants and parent_loss is not None and loss < parent_loss - LOSS_SLACK:
+            raise ContractViolation(
+                f"quality loss dropped from {parent_loss} to {loss} on removing an assignment"
+            )
+        open_set.push(depth, key, quality, loss, *_score(outcome, loss, ctx), outcome)
+        stats.nodes_generated += 1
+
+    push(root.key, 0, root_quality, root_outcome, None)
+    visited = {root.key}
 
     while len(open_set):
-        node = open_set.pop()
-        if node.overrun == 0.0 and node.outcome.status == "optimal":
+        _, depth, key, quality, loss, overrun, blended, outcome = open_set.pop()
+        alloc = Allocation(key, root.shape)
+        if overrun == 0.0 and outcome.status == "optimal":
             if planned is None:
                 planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
-            estimate = build_constraints_fast(tables, node.allocation)
+            node = SearchNode(alloc, quality, loss, overrun, blended, outcome)
+            estimate = build_constraints_fast(tables, alloc.coalition_masks())
             _refine_node(node, estimate, planned, ctx, stats, schedule)
             if node.overrun == 0.0 and node.outcome.status == "optimal":
                 stats.frontier = open_set.snapshot()
@@ -209,17 +229,21 @@ def solve(
                 stats.planner_calls = planner.calls - planner.cache_hits - astar_before
                 return solution, stats
             stats.reinserted += 1
-            open_set.push(node)
+            open_set.push(depth, key, quality, loss, node.overrun, node.blended, node.outcome)
             continue
         stats.nodes_expanded += 1
-        for child in successors(node.allocation):
-            if child.key in visited:
+        masks = alloc.coalition_masks()
+        for child in successors(alloc):
+            child_key = child.key
+            if child_key in visited:
                 stats.duplicates_skipped += 1
                 continue
-            visited.add(child.key)
-            child_node = make_node(child, node.depth + 1, node.quality_loss)
-            stats.nodes_generated += 1
-            open_set.push(child_node)
+            visited.add(child_key)
+            # the child clears one robot's bit in one task's row
+            shift = (key ^ child_key).bit_length() - 1
+            child_masks = list(masks)
+            child_masks[m - 1 - shift // n] ^= 1 << shift % n
+            push(child_key, depth + 1, *fetch(child_masks), loss)
 
     stats.frontier = ()
     stats.planner_calls = planner.calls - planner.cache_hits - astar_before
@@ -248,16 +272,15 @@ def _refine_node(
             break
         stats.refinement_rounds += 1
         node.outcome = schedule(cs)
-        _rescore(node, ctx)
+        node.overrun, node.blended = _score(node.outcome, node.quality_loss, ctx)
 
 
-def _rescore(node: SearchNode, ctx: HeuristicContext) -> None:
-    if node.outcome.status == "optimal":
-        node.overrun = budget_overrun(node.outcome.schedule.makespan, ctx)
-        node.blended = blend(node.quality_loss, node.overrun, ctx.alpha)
-    else:
-        node.overrun = math.inf
-        node.blended = math.inf
+def _score(outcome: ScheduleOutcome, loss: float, ctx: HeuristicContext) -> tuple[float, float]:
+    """Overrun and blend of a node with this schedule outcome and quality loss."""
+    if outcome.status == "optimal":
+        overrun = budget_overrun(outcome.schedule.makespan, ctx)
+        return overrun, blend(loss, overrun, ctx.alpha)
+    return math.inf, math.inf
 
 
 def _build_solution(domain: ProblemDomain, node: SearchNode, planner: GridPlanner) -> Solution:

@@ -2,21 +2,25 @@
 
 Everything here is deliberately independent of the library internals:
 breadth-first search instead of A*, dense linear algebra instead of the
-cached Cholesky path, exhaustive enumeration instead of branch and bound,
-and per-leg travel callbacks instead of bitmasks over travel tables.
-Tests compare library output against these references.
+cached Cholesky path, exhaustive enumeration and full relaxation at every
+node instead of incremental branch and bound, and per-leg travel callbacks
+instead of bitmasks over travel tables. Tests compare library output
+against these references. The GP marginal-likelihood grid search lives
+here too, as only tests use it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from typing import Optional
 
 import numpy as np
 
-from staq.learning import LinearQualityMap
-from staq.model import InvalidInput, ProblemDomain, Robot, Task, TaskNetwork, WorldMap
-from staq.scheduler import ConstraintSet, _relax
+from staq.learning import GPModel, LinearQualityMap, gp_fit
+from staq.model import InvalidInput, ProblemDomain, Robot, Schedule, Task, TaskNetwork, WorldMap
+from staq.scheduler import ConstraintSet, ScheduleOutcome
 
 
 def bfs_grid_distance(world, start, goal):
@@ -59,6 +63,67 @@ def dense_gp_reference(x_train, y_train, x_query, *, length_scale,
     return mean, var
 
 
+def log_marginal_likelihood(model: GPModel) -> float:
+    residual = model.y_train - model.prior_mean
+    n = residual.size
+    log_det = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
+    return -0.5 * float(residual @ model.weights) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
+
+
+def tune_hyperparameters(x, y, *, length_scales, signal_vars, noise_var=1e-4, prior_mean=0.5):
+    """Grid search maximizing marginal likelihood; ties keep the earliest
+    grid entry so results are reproducible."""
+    if not length_scales or not signal_vars:
+        raise InvalidInput("hyperparameter grids must be non-empty")
+    best = None
+    best_lml = -math.inf
+    for ls in length_scales:
+        for sv in signal_vars:
+            model = gp_fit(x, y, length_scale=ls, signal_var=sv,
+                           noise_var=noise_var, prior_mean=prior_mean)
+            lml = log_marginal_likelihood(model)
+            if lml > best_lml:
+                best, best_lml = model, lml
+    return best
+
+
+def relax(
+    offsets: tuple[float, ...],
+    durations: tuple[float, ...],
+    edges: list[tuple[int, int, float]],
+    m: int,
+) -> Optional[tuple[list[float], float]]:
+    """Longest-path start times under a fixed edge list, by Bellman-Ford.
+
+    Returns None when the constraints admit no schedule: an ordering cycle
+    (every cycle has positive weight since durations are positive) or an
+    unreachable travel leg encoded as an infinite quantity.
+    """
+    starts = list(offsets)
+    for _ in range(m - 1):
+        changed = False
+        for i, j, w in edges:
+            candidate = starts[i] + w
+            if candidate > starts[j]:
+                starts[j] = candidate
+                changed = True
+        if not changed:
+            break
+    else:
+        for i, j, w in edges:
+            if starts[i] + w > starts[j]:
+                return None
+    makespan = -math.inf
+    for s, d in zip(starts, durations):
+        if math.isinf(s):
+            return None
+        if s + d > makespan:
+            makespan = s + d
+    if math.isinf(makespan):
+        return None
+    return starts, makespan
+
+
 def _edges(cs, oriented):
     edges = [
         (i, j, cs.durations[i] + x) for (i, j), x in cs.precedence_travel
@@ -88,7 +153,7 @@ def evaluate_fixed_order(cs: ConstraintSet, orderings):
         if pair in pairs and direction not in (1, -1):
             raise InvalidInput(f"ordering for {pair} must be 1 or -1, got {direction}")
     oriented = {p: orderings[p] for p in sorted(pairs)}
-    result = _relax(cs.initial_offsets, cs.durations, _edges(cs, oriented), len(cs.durations))
+    result = relax(cs.initial_offsets, cs.durations, _edges(cs, oriented), len(cs.durations))
     return None if result is None else result[1]
 
 
@@ -106,6 +171,61 @@ def enumerate_schedules(cs: ConstraintSet):
         if makespan is not None and (best is None or makespan < best):
             best = makespan
     return best
+
+
+def reference_solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
+    """Branch and bound that relaxes every node from scratch.
+
+    The same branching order, pruning and node count as
+    staq.scheduler.solve_milp, but each node runs a full Bellman-Ford pass
+    over the precedence arcs plus the orientations decided so far, where
+    the library adds one arc to its parent's start times.
+    """
+    if cs.infeasible_on_construction:
+        return ScheduleOutcome("infeasible", None, 0)
+    durations = cs.durations
+    offsets = cs.initial_offsets
+    m = len(durations)
+    items = sorted(cs.mutex_pairs, key=lambda item: (-max(item[1]), item[0]))
+    pairs = [pair for pair, _ in items]
+    n_pairs = len(pairs)
+    pair_arcs = [
+        ((i, j, durations[i] + x_ij), (j, i, durations[j] + x_ji))
+        for (i, j), (x_ij, x_ji) in items
+    ]
+    edges = [(i, j, durations[i] + x) for (i, j), x in cs.precedence_travel]
+    directions = [0] * n_pairs
+    best = None
+    best_makespan = math.inf
+    nodes = 0
+
+    def dfs(depth):
+        nonlocal best, best_makespan, nodes
+        nodes += 1
+        relaxed = relax(offsets, durations, edges, m)
+        if relaxed is None:
+            return
+        starts, makespan = relaxed
+        if makespan >= best_makespan:
+            return
+        if depth == n_pairs:
+            best = (tuple(starts), dict(zip(pairs, directions)))
+            best_makespan = makespan
+            return
+        i, j = pairs[depth]
+        fwd, rev = pair_arcs[depth]
+        ordered = ((1, fwd), (-1, rev)) if starts[i] <= starts[j] else ((-1, rev), (1, fwd))
+        for direction, arc in ordered:
+            directions[depth] = direction
+            edges.append(arc)
+            dfs(depth + 1)
+            edges.pop()
+
+    dfs(0)
+    if best is None:
+        return ScheduleOutcome("infeasible", None, nodes)
+    starts, orderings = best
+    return ScheduleOutcome("optimal", Schedule(starts, best_makespan, orderings), nodes)
 
 
 def build_constraints(domain, alloc, leg_seconds):

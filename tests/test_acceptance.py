@@ -191,10 +191,10 @@ def test_loss_is_monotone_under_assignment_removal():
             key = int(rng.integers(1, 2 ** (m * n)))
             parent = Allocation(key, (m, n))
             parent_loss = normalized_quality_loss(
-                total_allocation_quality(parent, domain), ctx)
+                total_allocation_quality(parent.coalition_masks(), domain), ctx)
             for child in successors(parent):
                 child_loss = normalized_quality_loss(
-                    total_allocation_quality(child, domain), ctx)
+                    total_allocation_quality(child.coalition_masks(), domain), ctx)
                 if child_loss < parent_loss - 1e-12:
                     violations += 1
                 checks += 1

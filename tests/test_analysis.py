@@ -152,7 +152,7 @@ def oracle_by_enumeration(domain, planner):
         makespan = enumerate_schedules(build_constraints(domain, alloc, leg))
         if makespan is None or makespan > domain.time_budget + 1e-9:
             continue
-        quality = total_allocation_quality(alloc, domain)
+        quality = total_allocation_quality(alloc.coalition_masks(), domain)
         if best is None or quality > best[0] + 1e-12:
             best = (quality, key, makespan)
     return best
@@ -164,7 +164,7 @@ def test_oracle_returns_the_root_under_a_generous_budget():
     assert result.feasible
     assert result.allocation == Allocation.root(2, 2)
     assert result.quality == pytest.approx(
-        total_allocation_quality(Allocation.root(2, 2), domain))
+        total_allocation_quality(Allocation.root(2, 2).coalition_masks(), domain))
     assert result.n_strictly_better == 0
 
 
@@ -370,7 +370,7 @@ def test_random_instances_stay_inside_the_documented_envelope():
         assert domain.n_tasks * domain.n_robots <= 20
         # full team scores one per task...
         root = Allocation.root(domain.n_tasks, domain.n_robots)
-        assert total_allocation_quality(root, domain) == pytest.approx(
+        assert total_allocation_quality(root.coalition_masks(), domain) == pytest.approx(
             domain.n_tasks)
         # ...and the worst-case makespan reaches the budget
         assert worst_makespan(domain) >= domain.time_budget - 1e-9

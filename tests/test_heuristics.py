@@ -120,7 +120,7 @@ def test_make_context_uses_domain_quality_extremes():
     domain = two_task_domain(alpha=0.3)
     ctx = make_context(domain, 42.0)
     m, n = domain.n_tasks, domain.n_robots
-    assert ctx.quality_root == total_allocation_quality(Allocation.root(m, n), domain)
+    assert ctx.quality_root == total_allocation_quality(Allocation.root(m, n).coalition_masks(), domain)
     assert ctx.quality_null == 0.0
     assert ctx.makespan_worst == 42.0
     assert ctx.time_budget == domain.time_budget

@@ -12,17 +12,15 @@ from staq.learning import (
     active_learn,
     gp_fit,
     gp_predict,
-    log_marginal_likelihood,
     rbf_kernel,
     rmse,
     select_query,
     split_eval,
     synthetic_position_dataset,
-    tune_hyperparameters,
     uniform_baseline,
 )
 
-from helpers import dense_gp_reference
+from helpers import dense_gp_reference, log_marginal_likelihood, tune_hyperparameters
 
 
 # -------------------------------------------------------- linear quality

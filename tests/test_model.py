@@ -234,7 +234,7 @@ class RecordingMap:
 def _aggregated(alloc, traits):
     """The trait vector each task's quality map receives under alloc."""
     maps = [RecordingMap() for _ in range(alloc.shape[0])]
-    total_allocation_quality(alloc, _domain_with_maps(maps, traits))
+    total_allocation_quality(alloc.coalition_masks(), _domain_with_maps(maps, traits))
     return np.array([qm.seen[-1] for qm in maps])
 
 
@@ -259,8 +259,9 @@ def test_task_quality_sums_the_coalition_traits():
 
 def test_quality_rejects_allocations_and_masks_outside_the_domain():
     domain = _domain_with_maps([LinearMap([1, 1]), LinearMap([1, 1])], np.ones((2, 2)))
-    with pytest.raises(InvalidInput):
-        total_allocation_quality(Allocation.root(2, 3), domain)
+    for masks in (Allocation.root(2, 3).coalition_masks(), (0, 0, 0)):
+        with pytest.raises(InvalidInput):
+            total_allocation_quality(masks, domain)
     for task, mask in ((2, 0), (-1, 0), (0, 4), (0, -1)):
         with pytest.raises(InvalidInput):
             domain.task_quality(task, mask)
@@ -307,15 +308,15 @@ def _domain_with_maps(maps, traits):
 def test_quality_of_null_allocation_under_nonnegative_maps():
     traits = np.array([[0.4, 0.2], [0.1, 0.9]])
     domain = _domain_with_maps([LinearMap([1, 1]), LinearMap([2, 1])], traits)
-    assert total_allocation_quality(Allocation.null(2, 2), domain) == 0.0
+    assert total_allocation_quality(Allocation.null(2, 2).coalition_masks(), domain) == 0.0
 
 
 def test_quality_sums_per_task_and_clamps():
     traits = np.array([[0.4, 0.2], [0.1, 0.9]])
     domain = _domain_with_maps([lambda y: 1.0, lambda y: 1.0], traits)
-    assert total_allocation_quality(Allocation.root(2, 2), domain) == 2.0
+    assert total_allocation_quality(Allocation.root(2, 2).coalition_masks(), domain) == 2.0
     domain = _domain_with_maps([lambda y: 1.5, lambda y: -0.5], traits)
-    assert total_allocation_quality(Allocation.root(2, 2), domain) == 1.0
+    assert total_allocation_quality(Allocation.root(2, 2).coalition_masks(), domain) == 1.0
 
 
 def test_quality_weighted_sum_example():
@@ -324,7 +325,7 @@ def test_quality_weighted_sum_example():
                                traits)
     alloc = Allocation.from_entries(np.array([[1, 0], [1, 1]]))
     # rows of A @ Q are (0.2, 0.4) and (1.0, 1.0)
-    assert total_allocation_quality(alloc, domain) == pytest.approx(1.3)
+    assert total_allocation_quality(alloc.coalition_masks(), domain) == pytest.approx(1.3)
 
 
 # --------------------------------------------------------------- successors

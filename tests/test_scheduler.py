@@ -17,6 +17,7 @@ from staq.motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from staq.analysis import random_instance
 from staq.scheduler import (
     ConstraintSet,
+    ScheduleOutcome,
     build_constraints_fast,
     make_travel_tables,
     refine_with_motion_plans,
@@ -31,6 +32,7 @@ from helpers import (
     evaluate_fixed_order,
     open_world,
     random_constraint_set,
+    reference_solve_milp,
     two_task_domain,
     walled_world,
 )
@@ -47,7 +49,7 @@ def _cs(durations, offsets=None, precedence=None, mutex=None):
 
 
 def _build(domain, alloc, leg):
-    return build_constraints_fast(make_travel_tables(domain, leg), alloc)
+    return build_constraints_fast(make_travel_tables(domain, leg), alloc.coalition_masks())
 
 
 def _planned(domain):
@@ -267,6 +269,40 @@ def test_solver_start_times_respect_all_constraints():
                     or s[i] >= s[j] + cs.durations[j] + x_ji - 1e-9)
 
 
+def test_solver_matches_full_relaxation_at_every_node():
+    # ScheduleOutcome equality covers status, start times, makespan,
+    # orderings and nodes_explored, all exactly
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        cs = random_constraint_set(rng)
+        assert solve_milp(cs) == reference_solve_milp(cs)
+
+
+def test_solver_matches_full_relaxation_on_hand_built_sets():
+    cycle = _cs([3.0, 2.0], precedence={(0, 1): 1.0}, mutex={(0, 1): (0.5, 0.5)})
+    unreachable = _cs([3.0, 2.0], mutex={(0, 1): (math.inf, 1.0)})
+    no_pairs = _cs([3.0, 2.0, 4.0], offsets=[1.0, 0.0, 2.0], precedence={(0, 2): 1.0})
+    no_tasks = _cs([])
+    for cs in (cycle, unreachable, no_pairs, no_tasks):
+        assert solve_milp(cs) == reference_solve_milp(cs)
+    assert solve_milp(no_tasks) == ScheduleOutcome("infeasible", None, 1)
+
+    # task 1 first would close a cycle with the precedence: infeasible branch
+    outcome = solve_milp(cycle)
+    assert outcome.schedule.orderings == {(0, 1): 1}
+    assert outcome.schedule.start_times == (0.0, 4.0)
+    assert outcome.nodes_explored == 3
+    # 0 before 1 is unreachable, so the only schedule runs 1 first
+    outcome = solve_milp(unreachable)
+    assert outcome.schedule.orderings == {(0, 1): -1}
+    assert outcome.schedule.makespan == 6.0
+    assert outcome.nodes_explored == 3
+    # nothing to branch on: the root relaxation is the schedule
+    outcome = solve_milp(no_pairs)
+    assert outcome.schedule.start_times == (1.0, 0.0, 5.0)
+    assert (outcome.schedule.orderings, outcome.nodes_explored) == ({}, 1)
+
+
 # ---------------------------------------------------- travel table variant
 
 # random_instance seeds 0-9 with at most 12 assignment bits; between them
@@ -287,7 +323,7 @@ def test_fast_constraints_match_reference_everywhere():
             for key in range(1 << (m * n)):
                 alloc = Allocation(key, (m, n))
                 want = build_constraints(domain, alloc, leg)
-                got = build_constraints_fast(tables, alloc)
+                got = build_constraints_fast(tables, alloc.coalition_masks())
                 # item order included
                 assert got == want
 
@@ -311,14 +347,14 @@ def test_each_memo_entry_is_derived_once_per_table():
     memo = CountingMemo()
     object.__setattr__(tables, "_memo", memo)
     allocs = [Allocation(key, (m, n)) for key in range(1 << (m * n))]
-    sets = [build_constraints_fast(tables, alloc) for alloc in allocs]
+    sets = [build_constraints_fast(tables, alloc.coalition_masks()) for alloc in allocs]
     assert len(set(memo.stored)) == len(memo.stored) == len(memo)
     # at most one arrival per (task, mask) and one item per (pair, shared mask)
     pairs = len(tables.precedence) + len(tables.unordered)
     assert len(memo) <= (m + pairs) << n
     derived = len(memo)
     for alloc, cs in zip(allocs, sets):
-        assert build_constraints_fast(tables, alloc) == cs
+        assert build_constraints_fast(tables, alloc.coalition_masks()) == cs
     assert len(memo.stored) == derived   # everything after the first pass hit
 
     fresh = make_travel_tables(domain, estimated_leg_seconds(domain))
@@ -331,7 +367,7 @@ def test_constraint_items_are_sorted_by_pair():
         m, n = domain.n_tasks, domain.n_robots
         tables = make_travel_tables(domain, estimated_leg_seconds(domain))
         for key in range(1 << (m * n)):
-            cs = build_constraints_fast(tables, Allocation(key, (m, n)))
+            cs = build_constraints_fast(tables, Allocation(key, (m, n)).coalition_masks())
             for items in (cs.precedence_travel, cs.mutex_pairs):
                 pairs = [pair for pair, _ in items]
                 assert pairs == sorted(set(pairs))
@@ -343,7 +379,7 @@ def test_different_allocations_with_equal_sets_are_one_key():
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
     by_set = {}
     for key in range(1 << (m * n)):
-        cs = build_constraints_fast(tables, Allocation(key, (m, n)))
+        cs = build_constraints_fast(tables, Allocation(key, (m, n)).coalition_masks())
         by_set.setdefault(cs, []).append(cs)
     shared = [sets for sets in by_set.values() if len(sets) > 1]
     assert shared, "no two allocations share a constraint set"
@@ -357,7 +393,10 @@ def test_fast_constraints_reject_shape_mismatch():
     domain = two_task_domain()
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
     with pytest.raises(InvalidInput):
-        build_constraints_fast(tables, Allocation.root(3, 2))
+        build_constraints_fast(tables, Allocation.root(3, 2).coalition_masks())
+    for masks in ((4, 0), (0, -1)):   # two robots: masks lie in [0, 4)
+        with pytest.raises(InvalidInput):
+            build_constraints_fast(tables, masks)
 
 
 # ----------------------------------------------------------- worst case
@@ -475,7 +514,7 @@ def test_refinement_keeps_the_fresh_sets_pair_order():
         schedule = solve_milp(cs).schedule
         planned = _planned(domain)
         refined, _ = refine_with_motion_plans(planned, alloc, schedule, cs)
-        fresh = build_constraints_fast(planned, alloc)
+        fresh = build_constraints_fast(planned, alloc.coalition_masks())
         assert [p for p, _ in refined.mutex_pairs] == [p for p, _ in fresh.mutex_pairs]
         for (pair, new), (_, planned_pair), (_, old) in zip(
                 refined.mutex_pairs, fresh.mutex_pairs, cs.mutex_pairs):

@@ -17,46 +17,50 @@ from staq.model import (
 )
 from staq.motion import GridPlanner
 from staq.scheduler import ScheduleOutcome, worst_makespan
-from staq.search import OpenSet, SearchNode, solve
+from staq.search import OpenSet, solve
 
 from helpers import LinearMap, drop_one_domain, open_world, two_task_domain
 
 
 # --------------------------------------------------------------- open set
 
-def _node(key, blended, depth):
-    return SearchNode(allocation=Allocation(key, (2, 2)), quality=0.0,
-                      quality_loss=0.0, overrun=0.0, blended=blended,
-                      depth=depth, outcome=ScheduleOutcome("optimal", None, 0))
+def _push(heap, key, blended, depth):
+    heap.push(depth, key, 0.0, 0.0, 0.0, blended, ScheduleOutcome("optimal", None, 0))
+
+
+def _pop(heap):
+    """(blend, depth, key) of the entry popped."""
+    _, depth, key, _, _, _, blended, _ = heap.pop()
+    return blended, depth, key
 
 
 def test_open_set_orders_by_blended_score():
     heap = OpenSet()
-    heap.push(_node(1, 0.4, 1))
-    heap.push(_node(2, 0.3, 2))
-    assert heap.pop().blended == 0.3
-    assert heap.pop().blended == 0.4
+    _push(heap, 1, 0.4, 1)
+    _push(heap, 2, 0.3, 2)
+    assert _pop(heap)[0] == 0.3
+    assert _pop(heap)[0] == 0.4
 
 
 def test_open_set_ties_prefer_shallower_nodes():
     heap = OpenSet()
-    heap.push(_node(1, 0.3, 2))
-    heap.push(_node(2, 0.3, 1))
-    assert heap.pop().depth == 1
+    _push(heap, 1, 0.3, 2)
+    _push(heap, 2, 0.3, 1)
+    assert _pop(heap)[1] == 1
 
 
 def test_open_set_ties_prefer_smaller_keys():
     heap = OpenSet()
-    heap.push(_node(9, 0.3, 1))
-    heap.push(_node(5, 0.3, 1))
-    assert heap.pop().allocation.key == 5
+    _push(heap, 9, 0.3, 1)
+    _push(heap, 5, 0.3, 1)
+    assert _pop(heap)[2] == 5
 
 
 def test_open_set_rounds_scores_before_comparing():
     heap = OpenSet()
-    heap.push(_node(9, 0.3 + 1e-12, 1))   # ties with 0.3 after rounding
-    heap.push(_node(5, 0.3, 2))
-    assert heap.pop().depth == 1
+    _push(heap, 9, 0.3 + 1e-12, 1)   # ties with 0.3 after rounding
+    _push(heap, 5, 0.3, 2)
+    assert _pop(heap)[1] == 1
 
 
 def test_open_set_pop_empty_is_a_contract_violation():
@@ -238,8 +242,8 @@ def test_planner_calls_count_the_astar_runs_of_one_solve():
 def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
     built, scheduled, nodes = [], [], []
 
-    def counting_build(tables, alloc):
-        cs = real_build(tables, alloc)
+    def counting_build(tables, masks):
+        cs = real_build(tables, masks)
         built.append(cs)
         return cs
 
@@ -295,6 +299,29 @@ def test_search_results_are_pinned(seed, key, makespan, expanded, rounds, reinse
     assert (sol.allocation.key, sol.schedule.makespan) == (key, makespan)
     assert (stats.nodes_expanded, stats.refinement_rounds, stats.reinserted) == (
         expanded, rounds, reinserted)
+
+
+# The work behind PINNED, for the same seeds: nodes generated, duplicate
+# children skipped, allocations scheduled, branch-and-bound runs and nodes.
+PINNED_WORK = (
+    (0, 328, 90, 328, 142, 1966),
+    (1, 82, 21, 82, 31, 329),
+    (2, 90, 17, 90, 74, 3026),
+    (3, 97, 12, 97, 53, 317),
+    (4, 1452, 1037, 1452, 163, 1827),
+    (5, 386, 61, 386, 131, 3883),
+    (6, 272, 97, 272, 76, 436),
+    (7, 71, 0, 71, 44, 698),
+    (8, 163, 96, 163, 131, 1069),
+    (9, 280, 88, 280, 73, 769),
+)
+
+
+@pytest.mark.parametrize("seed,generated,duplicates,scheduled,runs,bnb_nodes", PINNED_WORK)
+def test_search_work_is_pinned(seed, generated, duplicates, scheduled, runs, bnb_nodes):
+    _, stats = solve(random_instance(seed))
+    assert (stats.nodes_generated, stats.duplicates_skipped, stats.scheduler_calls,
+            stats.bnb_runs, stats.bnb_nodes) == (generated, duplicates, scheduled, runs, bnb_nodes)
 
 
 # ------------------------------------------------------------ solution body
