@@ -2,11 +2,15 @@
 
 Both components are normalized against the root allocation (every robot on
 every task) so they share a scale and can be mixed with a single weight.
+node_scorer applies the three formulas to a node in one step; the search
+scores every node with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .model import (
     Allocation,
@@ -93,3 +97,52 @@ def blend(loss: float, overrun: float, alpha: float) -> float:
     if overrun == float("inf"):
         return float("inf") if alpha > 0.0 else loss
     return (1.0 - alpha) * loss + alpha * overrun
+
+
+NodeScorer = Callable[[float, Optional[float]], tuple[float, float, float]]
+"""Maps a node's quality and makespan to (loss, overrun, blend)."""
+
+
+def node_scorer(ctx: HeuristicContext) -> NodeScorer:
+    """normalized_quality_loss, budget_overrun and blend of a node in one step.
+
+    The span, the margin and the alpha check are settled once here; the
+    returned function applies the same formulas and raises the same errors
+    as the three functions. A makespan of None means the node has no
+    schedule: its overrun and blend are inf, whatever alpha is.
+    """
+    alpha = ctx.alpha
+    if not (0.0 <= alpha <= 1.0):
+        raise InvalidInput(f"alpha must be in [0,1], got {alpha}")
+    beta = 1.0 - alpha
+    root, null, budget = ctx.quality_root, ctx.quality_null, ctx.time_budget
+    span = root - null
+    no_span = abs(span) <= TOL
+    margin = abs(ctx.makespan_worst - budget)
+    no_margin = margin <= TOL
+    inf = math.inf
+
+    def score(quality: float, makespan: Optional[float]) -> tuple[float, float, float]:
+        if no_span:
+            loss = 0.0
+        else:
+            loss = (root - quality) / span
+            if loss < -TOL or loss > 1.0 + TOL:
+                raise ContractViolation(f"quality {quality} outside [{null}, {root}]")
+            loss = min(1.0, max(0.0, loss))
+        if makespan is None:
+            return loss, inf, inf
+        if makespan < 0:
+            raise ContractViolation(f"negative makespan {makespan}")
+        excess = makespan - budget
+        if excess <= 0.0:
+            overrun = 0.0
+        elif no_margin:
+            overrun = inf
+        else:
+            overrun = excess / margin
+        if overrun == inf:
+            return loss, overrun, inf if alpha > 0.0 else loss
+        return loss, overrun, beta * loss + alpha * overrun
+
+    return score

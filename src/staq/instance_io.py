@@ -353,6 +353,25 @@ def _json_number(x: float):
     return x
 
 
+def _stats_document(stats: SearchStats) -> dict:
+    """The search counters and normalization references, the same block in
+    the solution and the infeasible document."""
+    return {
+        "nodes_expanded": stats.nodes_expanded,
+        "nodes_generated": stats.nodes_generated,
+        "duplicates_skipped": stats.duplicates_skipped,
+        "scheduler_calls": stats.scheduler_calls,
+        "refinement_rounds": stats.refinement_rounds,
+        "bnb_runs": stats.bnb_runs,
+        "bnb_nodes": stats.bnb_nodes,
+        "reinserted": stats.reinserted,
+        "planner_calls": stats.planner_calls,
+        "worst_makespan": stats.worst_makespan,
+        "quality_root": stats.quality_root,
+        "quality_null": stats.quality_null,
+    }
+
+
 def solution_document(
     domain: ProblemDomain,
     solution: Solution,
@@ -387,18 +406,7 @@ def solution_document(
             for (robot_id, task_id), plan in sorted(solution.motion_plans.items())
         ],
         "bounds": _bound_report_document(report),
-        "stats": {
-            "nodes_expanded": stats.nodes_expanded,
-            "nodes_generated": stats.nodes_generated,
-            "duplicates_skipped": stats.duplicates_skipped,
-            "scheduler_calls": stats.scheduler_calls,
-            "refinement_rounds": stats.refinement_rounds,
-            "reinserted": stats.reinserted,
-            "planner_calls": stats.planner_calls,
-            "worst_makespan": stats.worst_makespan,
-            "quality_root": stats.quality_root,
-            "quality_null": stats.quality_null,
-        },
+        "stats": _stats_document(stats),
     }
 
 
@@ -407,13 +415,7 @@ def infeasible_document(domain: ProblemDomain, stats: SearchStats) -> dict:
         "status": "infeasible",
         "alpha": domain.alpha,
         "time_budget": domain.time_budget,
-        "stats": {
-            "nodes_expanded": stats.nodes_expanded,
-            "nodes_generated": stats.nodes_generated,
-            "scheduler_calls": stats.scheduler_calls,
-            "planner_calls": stats.planner_calls,
-            "worst_makespan": stats.worst_makespan,
-        },
+        "stats": _stats_document(stats),
     }
 
 

@@ -112,6 +112,20 @@ def gp_fit(
     return GPModel(x, y, length_scale, signal_var, noise_var, prior_mean, chol, weights)
 
 
+def _mean_and_cross_kernel(model: GPModel, x_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean at each query row, and the train-by-query kernel it
+    was read from."""
+    x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
+    k_star = rbf_kernel(model.x_train, x_query, model.signal_var, model.length_scale)
+    return model.prior_mean + k_star.T @ model.weights, k_star
+
+
+def gp_mean(model: GPModel, x_query: np.ndarray) -> np.ndarray:
+    """Posterior mean at each query row, raw as in gp_predict; no variance
+    is computed, so the Cholesky solve is skipped."""
+    return _mean_and_cross_kernel(model, x_query)[0]
+
+
 def gp_predict(model: GPModel, x_query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at each query row.
 
@@ -119,9 +133,7 @@ def gp_predict(model: GPModel, x_query: np.ndarray) -> tuple[np.ndarray, np.ndar
     are consumed, so learning sees the unclipped values. Variance round-off
     below zero is tolerated to -1e-10 and clamped.
     """
-    x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
-    k_star = rbf_kernel(model.x_train, x_query, model.signal_var, model.length_scale)
-    mean = model.prior_mean + k_star.T @ model.weights
+    mean, k_star = _mean_and_cross_kernel(model, x_query)
     v = np.linalg.solve(model.chol, k_star)
     var = model.signal_var - np.sum(v * v, axis=0)
     low = float(var.min()) if var.size else 0.0
@@ -138,8 +150,7 @@ class GPQualityMap:
     model: GPModel
 
     def __call__(self, traits: np.ndarray) -> float:
-        mean, _ = gp_predict(self.model, np.asarray(traits, dtype=float)[None, :])
-        return float(mean[0])
+        return float(gp_mean(self.model, np.asarray(traits, dtype=float)[None, :])[0])
 
 
 class QueryPool:
@@ -190,7 +201,7 @@ def select_query(model: Optional[GPModel], pool: QueryPool) -> int:
 
 
 def rmse(model: GPModel, x_eval: np.ndarray, y_eval: np.ndarray) -> float:
-    mean, _ = gp_predict(model, x_eval)
+    mean = gp_mean(model, x_eval)
     return float(np.sqrt(np.mean((mean - np.asarray(y_eval, dtype=float).ravel()) ** 2)))
 
 

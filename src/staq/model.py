@@ -394,6 +394,19 @@ def total_allocation_quality(masks: Sequence[int], domain: ProblemDomain) -> flo
     return total
 
 
+def child_quality(qualities: Sequence[float], task: int, quality: float) -> float:
+    """Total quality of an allocation that differs from a parent in one task.
+
+    qualities are the parent's per-task qualities in task order and quality
+    is the task's new one. The sum is the same left fold in task order as
+    total_allocation_quality, so the result is equal to the last bit.
+    """
+    total = 0.0
+    for t, q in enumerate(qualities):
+        total += quality if t == task else q
+    return total
+
+
 def robot_routes(alloc: Allocation, starts: Sequence[float]) -> list[list[int]]:
     """Each robot's tasks in the order it visits them: by start time, ties
     by task index."""
@@ -405,14 +418,20 @@ def robot_routes(alloc: Allocation, starts: Sequence[float]) -> list[list[int]]:
     ]
 
 
-def successors(alloc: Allocation) -> list[Allocation]:
-    """Children in the allocation graph: one per set bit, that bit cleared.
+def successors(alloc: Allocation) -> list[int]:
+    """Keys of the children in the allocation graph: one per set bit of the
+    key, that bit cleared.
 
-    Emitted in row-major bit order, so the list is deterministic.
+    Emitted in row-major order (highest set bit first), so the list is
+    deterministic.
     """
-    key, shape = alloc.key, alloc.shape
-    bits = (1 << shift for shift in range(shape[0] * shape[1] - 1, -1, -1))
-    return [Allocation(key ^ bit, shape) for bit in bits if key & bit]
+    key = rest = alloc.key
+    children = []
+    while rest:
+        bit = 1 << (rest.bit_length() - 1)
+        children.append(key ^ bit)
+        rest ^= bit
+    return children
 
 
 def validate_solution(domain: ProblemDomain, sol: Solution, planner=None) -> ValidationReport:

@@ -10,24 +10,18 @@ and re-queued if the planned travel pushes it over.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
-from .heuristics import (
-    HeuristicContext,
-    blend,
-    budget_overrun,
-    make_context,
-    normalized_quality_loss,
-)
+from .heuristics import NodeScorer, make_context, node_scorer
 from .model import (
     Allocation,
     ContractViolation,
     InvalidInput,
     ProblemDomain,
     Solution,
+    child_quality,
     robot_routes,
     successors,
     total_allocation_quality,
@@ -147,18 +141,20 @@ def solve(
     check_invariants the search asserts that removing an assignment never
     reduces normalized quality loss, which the suboptimality bound relies on.
 
-    Each expansion derives the popped node's coalition masks once; a child's
-    masks are its parent's with one row changed, and both its quality and
-    its constraint set are read from them. The set is assembled from the
-    travel table's memo and is its own key in the schedule memo, so branch
-    and bound runs once per distinct set: allocations whose slowest
-    arrivals and handovers coincide share it. schedule_cache, when given,
-    is that memo, so solves that share it (e.g. one instance at several
-    alpha values) share the runs. An outcome depends only on its set's
-    content, so any solves may share one cache. scheduler_calls and
-    refinement_rounds count every allocation and round this solve
-    scheduled, served by the cache or not; bnb_runs counts only the runs it
-    made.
+    Each expansion derives the popped node's coalition masks and per-task
+    qualities once. successors gives the child keys; a child already
+    visited is skipped before any other work. A new child's masks are its
+    parent's with one row changed, its quality the parent's per-task
+    qualities with that task's entry replaced, and its constraint set is
+    read from the masks. The set is assembled from the travel table's memo
+    and is its own key in the schedule memo, so branch and bound runs once
+    per distinct set: allocations whose slowest arrivals and handovers
+    coincide share it. schedule_cache, when given, is that memo, so solves
+    that share it (e.g. one instance at several alpha values) share the
+    runs. An outcome depends only on its set's content, so any solves may
+    share one cache. scheduler_calls and refinement_rounds count every
+    allocation and round this solve scheduled, served by the cache or not;
+    bnb_runs counts only the runs it made.
     """
     if planner is None:
         planner = GridPlanner(domain.world)
@@ -177,42 +173,25 @@ def solve(
             stats.bnb_nodes += outcome.nodes_explored
         return outcome
 
-    def fetch(masks: Sequence[int]) -> tuple[float, ScheduleOutcome]:
-        """Quality and schedule under estimated travel of the allocation
-        with these coalition masks."""
-        quality = total_allocation_quality(masks, domain)
-        stats.scheduler_calls += 1
-        return quality, schedule(build_constraints_fast(tables, masks))
-
     # The root's minimal makespan under estimates is the normalization
     # reference for overruns; reuse its solve for the root node.
     root = Allocation.root(m, n)
-    root_quality, root_outcome = fetch(root.coalition_masks())
+    root_masks = root.coalition_masks()
+    root_quality = total_allocation_quality(root_masks, domain)
+    root_outcome = schedule(build_constraints_fast(tables, root_masks))
     if root_outcome.status != "optimal":
         raise InvalidInput("root allocation admits no schedule")
     ctx = make_context(domain, root_outcome.schedule.makespan)
     stats.worst_makespan = ctx.makespan_worst
     stats.quality_root = ctx.quality_root
     stats.quality_null = ctx.quality_null
+    score = node_scorer(ctx)
     open_set = OpenSet()
-
-    def push(
-        key: int,
-        depth: int,
-        quality: float,
-        outcome: ScheduleOutcome,
-        parent_loss: Optional[float],
-    ) -> None:
-        loss = normalized_quality_loss(quality, ctx)
-        if check_invariants and parent_loss is not None and loss < parent_loss - LOSS_SLACK:
-            raise ContractViolation(
-                f"quality loss dropped from {parent_loss} to {loss} on removing an assignment"
-            )
-        open_set.push(depth, key, quality, loss, *_score(outcome, loss, ctx), outcome)
-        stats.nodes_generated += 1
-
-    push(root.key, 0, root_quality, root_outcome, None)
+    open_set.push(0, root.key, root_quality,
+                  *score(root_quality, root_outcome.schedule.makespan), root_outcome)
+    stats.scheduler_calls = stats.nodes_generated = 1
     visited = {root.key}
+    task_quality = domain.task_quality
 
     while len(open_set):
         _, depth, key, quality, loss, overrun, blended, outcome = open_set.pop()
@@ -222,7 +201,7 @@ def solve(
                 planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
             node = SearchNode(alloc, quality, loss, overrun, blended, outcome)
             estimate = build_constraints_fast(tables, alloc.coalition_masks())
-            _refine_node(node, estimate, planned, ctx, stats, schedule)
+            _refine_node(node, estimate, planned, score, stats, schedule)
             if node.overrun == 0.0 and node.outcome.status == "optimal":
                 stats.frontier = open_set.snapshot()
                 solution = _build_solution(domain, node, planner)
@@ -233,17 +212,34 @@ def solve(
             continue
         stats.nodes_expanded += 1
         masks = alloc.coalition_masks()
-        for child in successors(alloc):
-            child_key = child.key
+        qualities = [task_quality(task, mask) for task, mask in enumerate(masks)]
+        children = successors(alloc)
+        fresh = 0
+        for child_key in children:
             if child_key in visited:
-                stats.duplicates_skipped += 1
                 continue
             visited.add(child_key)
+            fresh += 1
             # the child clears one robot's bit in one task's row
             shift = (key ^ child_key).bit_length() - 1
+            task = m - 1 - shift // n
             child_masks = list(masks)
-            child_masks[m - 1 - shift // n] ^= 1 << shift % n
-            push(child_key, depth + 1, *fetch(child_masks), loss)
+            mask = child_masks[task] = masks[task] ^ (1 << shift % n)
+            child_q = child_quality(qualities, task, task_quality(task, mask))
+            child_outcome = schedule(build_constraints_fast(tables, child_masks))
+            child_loss, child_overrun, child_blended = score(
+                child_q,
+                child_outcome.schedule.makespan if child_outcome.status == "optimal" else None,
+            )
+            if check_invariants and child_loss < loss - LOSS_SLACK:
+                raise ContractViolation(
+                    f"quality loss dropped from {loss} to {child_loss} on removing an assignment"
+                )
+            open_set.push(depth + 1, child_key, child_q, child_loss, child_overrun,
+                          child_blended, child_outcome)
+        stats.nodes_generated += fresh
+        stats.scheduler_calls += fresh
+        stats.duplicates_skipped += len(children) - fresh
 
     stats.frontier = ()
     stats.planner_calls = planner.calls - planner.cache_hits - astar_before
@@ -254,7 +250,7 @@ def _refine_node(
     node: SearchNode,
     cs: ConstraintSet,
     planned: TravelTables,
-    ctx: HeuristicContext,
+    score: NodeScorer,
     stats: SearchStats,
     schedule: Callable[[ConstraintSet], ScheduleOutcome],
 ) -> None:
@@ -271,16 +267,9 @@ def _refine_node(
         if not changed:
             break
         stats.refinement_rounds += 1
-        node.outcome = schedule(cs)
-        node.overrun, node.blended = _score(node.outcome, node.quality_loss, ctx)
-
-
-def _score(outcome: ScheduleOutcome, loss: float, ctx: HeuristicContext) -> tuple[float, float]:
-    """Overrun and blend of a node with this schedule outcome and quality loss."""
-    if outcome.status == "optimal":
-        overrun = budget_overrun(outcome.schedule.makespan, ctx)
-        return overrun, blend(loss, overrun, ctx.alpha)
-    return math.inf, math.inf
+        node.outcome = outcome = schedule(cs)
+        makespan = outcome.schedule.makespan if outcome.status == "optimal" else None
+        _, node.overrun, node.blended = score(node.quality, makespan)
 
 
 def _build_solution(domain: ProblemDomain, node: SearchNode, planner: GridPlanner) -> Solution:

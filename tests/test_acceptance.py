@@ -193,8 +193,8 @@ def test_loss_is_monotone_under_assignment_removal():
             parent_loss = normalized_quality_loss(
                 total_allocation_quality(parent.coalition_masks(), domain), ctx)
             for child in successors(parent):
-                child_loss = normalized_quality_loss(
-                    total_allocation_quality(child.coalition_masks(), domain), ctx)
+                masks = Allocation(child, (m, n)).coalition_masks()
+                child_loss = normalized_quality_loss(total_allocation_quality(masks, domain), ctx)
                 if child_loss < parent_loss - 1e-12:
                     violations += 1
                 checks += 1

@@ -7,6 +7,7 @@ from staq.heuristics import (
     blend,
     budget_overrun,
     make_context,
+    node_scorer,
     normalized_quality_loss,
 )
 from staq.model import Allocation, ContractViolation, InvalidInput, total_allocation_quality
@@ -125,3 +126,50 @@ def test_make_context_uses_domain_quality_extremes():
     assert ctx.makespan_worst == 42.0
     assert ctx.time_budget == domain.time_budget
     assert ctx.alpha == 0.3
+
+
+# ------------------------------------------------------ one-step score
+
+SCORED_CONTEXTS = (
+    _ctx(),
+    _ctx(alpha=0.0),
+    _ctx(alpha=1.0),
+    _ctx(root=1.0, null=1.0),                # degenerate span
+    _ctx(worst=100.0, budget=100.0),         # degenerate margin
+    _ctx(worst=100.0, budget=100.0, alpha=0.0),
+    _ctx(root=2.7, null=0.3, worst=61.3, budget=47.9, alpha=0.3),
+)
+
+
+@pytest.mark.parametrize("ctx", SCORED_CONTEXTS)
+def test_one_step_score_equals_the_three_functions(ctx):
+    score = node_scorer(ctx)
+    qualities = (ctx.quality_null, ctx.quality_root, ctx.quality_root + 5e-10,
+                 ctx.quality_null - 5e-10, (ctx.quality_root + ctx.quality_null) / 3)
+    makespans = (0.0, 12.5, ctx.time_budget, ctx.time_budget + 1e-7, 1.7 * ctx.time_budget,
+                 math.inf)
+    for quality in qualities:
+        loss = normalized_quality_loss(quality, ctx)
+        for makespan in makespans:
+            overrun = budget_overrun(makespan, ctx)
+            want = (loss, overrun, blend(loss, overrun, ctx.alpha))
+            assert score(quality, makespan) == want
+        # no schedule: overrun and blend are inf, also at alpha = 0
+        assert score(quality, None) == (loss, math.inf, math.inf)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
+def test_one_step_score_rejects_a_bad_alpha(alpha):
+    with pytest.raises(InvalidInput):
+        node_scorer(_ctx(alpha=alpha))
+
+
+def test_one_step_score_raises_what_the_three_functions_raise():
+    score = node_scorer(_ctx(root=2.0, null=0.0))
+    for quality in (-1.0, 3.0):
+        with pytest.raises(ContractViolation):
+            score(quality, 50.0)
+        with pytest.raises(ContractViolation):
+            score(quality, None)
+    with pytest.raises(ContractViolation):
+        score(1.0, -1.0)

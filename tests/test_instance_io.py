@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -26,7 +27,7 @@ from staq.instance_io import (
 from staq.learning import gp_fit, gp_predict
 from staq.model import InvalidInput
 from staq.scheduler import worst_makespan
-from staq.search import solve
+from staq.search import SearchStats, solve
 
 from helpers import drop_one_domain
 
@@ -252,6 +253,21 @@ def test_infeasible_document_layout():
     assert doc["time_budget"] == 0.5
     assert doc["stats"]["nodes_generated"] == 16
     json.dumps(doc)
+
+
+def test_result_documents_write_one_stats_block():
+    sol, stats = solve(drop_one_domain(time_budget=9.0))
+    nothing, none_stats = solve(drop_one_domain(time_budget=0.5))
+    assert sol is not None and nothing is None
+    written = solution_document(drop_one_domain(), sol, stats)["stats"]
+    failed = infeasible_document(drop_one_domain(), none_stats)["stats"]
+    # every scalar counter; the frontier is for the bound report only
+    fields = [f.name for f in dataclasses.fields(SearchStats) if f.name != "frontier"]
+    assert sorted(written) == sorted(failed) == sorted(fields)
+    assert {"bnb_runs", "bnb_nodes"} <= written.keys()
+    for name in fields:
+        assert written[name] == getattr(stats, name)
+        assert failed[name] == getattr(none_stats, name)
 
 
 def test_oracle_document_layout():

@@ -17,6 +17,7 @@ from staq.model import (
     TaskNetwork,
     ValidationReport,
     WorldMap,
+    child_quality,
     successors,
     total_allocation_quality,
     validate_solution,
@@ -333,9 +334,9 @@ def test_quality_weighted_sum_example():
 def test_successors_of_root_clear_one_bit_each():
     children = successors(Allocation.root(2, 2))
     assert len(children) == 4
-    assert all(c.key.bit_count() == 3 for c in children)
+    assert all(c.bit_count() == 3 for c in children)
     # row-major emission: first child clears entry (0, 0)
-    assert children[0].entries[0, 0] == 0 and children[0].key.bit_count() == 3
+    assert Allocation(children[0], (2, 2)).entries[0, 0] == 0
     assert len(set(children)) == 4
 
 
@@ -346,8 +347,8 @@ def test_successors_of_null_is_empty():
 def test_successors_exact_set():
     alloc = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
     got = set(successors(alloc))
-    want = {Allocation.from_entries(np.array([[0, 0], [0, 1]])),
-            Allocation.from_entries(np.array([[1, 0], [0, 0]]))}
+    want = {Allocation.from_entries(np.array([[0, 0], [0, 1]])).key,
+            Allocation.from_entries(np.array([[1, 0], [0, 0]])).key}
     assert got == want
 
 
@@ -356,11 +357,12 @@ def test_successors_and_coalition_masks_follow_the_key_layout():
     alloc = Allocation.from_entries(entries)
     set_cells = [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)]   # row-major
     children = successors(alloc)
-    assert [alloc.key ^ c.key for c in children] == [1 << (8 - 3 * i - j) for i, j in set_cells]
+    assert all(isinstance(c, int) for c in children)
+    assert [alloc.key ^ c for c in children] == [1 << (8 - 3 * i - j) for i, j in set_cells]
     for child, (i, j) in zip(children, set_cells):
         want = entries.copy()
         want[i, j] = 0
-        assert np.array_equal(child.entries, want)
+        assert np.array_equal(Allocation(child, alloc.shape).entries, want)
     assert [alloc.coalition_mask(t) for t in range(3)] == [0b101, 0b011, 0b100]
     assert alloc.coalition_masks() == (0b101, 0b011, 0b100)
     for task in range(3):
@@ -369,6 +371,28 @@ def test_successors_and_coalition_masks_follow_the_key_layout():
     for task in (-1, 3):
         with pytest.raises(InvalidInput):
             alloc.coalition_mask(task)
+
+
+def test_child_quality_equals_the_total_of_the_childs_masks():
+    # exact equality: the search ranks nodes on these values and must
+    # reproduce total_allocation_quality to the last bit
+    rng = np.random.default_rng(99)
+    checked = 0
+    for seed in range(20):
+        domain = random_instance(seed)
+        m, n = domain.n_tasks, domain.n_robots
+        for _ in range(10):
+            parent = Allocation(int(rng.integers(0, 1 << m * n)), (m, n))
+            masks = parent.coalition_masks()
+            qualities = [domain.task_quality(t, mask) for t, mask in enumerate(masks)]
+            assert child_quality(qualities, -1, 0.0) == total_allocation_quality(masks, domain)
+            for child in successors(parent):
+                child_masks = Allocation(child, (m, n)).coalition_masks()
+                task = next(t for t in range(m) if child_masks[t] != masks[t])
+                got = child_quality(qualities, task, domain.task_quality(task, child_masks[task]))
+                assert got == total_allocation_quality(child_masks, domain)
+                checked += 1
+    assert checked > 500
 
 
 # ---------------------------------------------------------- ProblemDomain
