@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -173,6 +173,40 @@ def _arrival_floor(domain: ProblemDomain, tables) -> np.ndarray:
     return floor
 
 
+FIRST_CHUNK = 1024
+
+
+def _quality_order(totals: np.ndarray, too_slow: np.ndarray) -> Iterator[int]:
+    """The keys that are not too slow, by descending total with ties to the
+    smaller key: the order of a stable argsort of -totals, produced chunk by
+    chunk so that a scan which stops early sorts only what it read.
+
+    Each chunk is every key whose total lies at or above the chunk's
+    threshold (found by partial selection, so ties stay whole) and below
+    the previous one. Chunks grow from FIRST_CHUNK keys, four times each.
+    """
+    below = totals.copy()  # below[:end] holds every total under `last`, and ties of it
+    end = n_below = totals.size  # n_below counts the totals strictly under `last`
+    last = math.inf
+    size = FIRST_CHUNK
+    while n_below:
+        if n_below > size:
+            # the ties of `last` sort above n_below, so this is the
+            # size-th largest total under `last`
+            kth = n_below - size
+            below[:end].partition(kth)
+            threshold = below[kth]
+            end = kth
+        else:
+            threshold = -math.inf
+        keys = np.flatnonzero((totals >= threshold) & (totals < last))
+        n_below -= keys.size
+        keys = keys[~too_slow[keys]]
+        yield from keys[np.argsort(-totals[keys], kind="stable")].tolist()
+        last = threshold
+        size *= 4
+
+
 def brute_force_optimal(
     domain: ProblemDomain,
     planner: Optional[GridPlanner] = None,
@@ -207,17 +241,13 @@ def brute_force_optimal(
 
     too_slow = _arrival_floor(domain, tables) > domain.time_budget + TOL
 
-    order = np.argsort(-totals, kind="stable")
     n_scheduled = 0
     memo: ScheduleCache = {}
-    for raw_key in order:
-        if too_slow[raw_key]:
-            continue
+    for key in _quality_order(totals, too_slow):
         if schedule_cap is not None and n_scheduled >= schedule_cap:
             raise OracleBudgetExceeded(
                 f"gave up after scheduling {n_scheduled} allocations"
             )
-        key = int(raw_key)
         alloc = Allocation(key, (m, n))
         cs = build_constraints_fast(tables, alloc.coalition_masks())
         outcome = memo.get(cs)

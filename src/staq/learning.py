@@ -21,6 +21,12 @@ VAR_ROUNDOFF = 1e-10
 NOISE_FLOOR = 1e-8
 LABEL_TOL = 1e-9
 
+# gp_fit's default hyperparameters, which the learning loops always use;
+# the length scale defaults to sqrt(n_features)
+SIGNAL_VAR = 0.25
+NOISE_VAR = 1e-4
+PRIOR_MEAN = 0.5
+
 
 @dataclass(frozen=True, eq=False)
 class LinearQualityMap:
@@ -76,14 +82,25 @@ class GPModel:
     weights: np.ndarray = field(repr=False, default=None)
 
 
+def _check_features(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput("features must be finite")
+
+
+def _check_labels(y: np.ndarray) -> None:
+    # written so that NaN fails too
+    if not np.all((y >= -LABEL_TOL) & (y <= 1.0 + LABEL_TOL)):
+        raise InvalidInput("labels must lie in [0, 1]")
+
+
 def gp_fit(
     x: np.ndarray,
     y: np.ndarray,
     *,
     length_scale: Optional[float] = None,
-    signal_var: float = 0.25,
-    noise_var: float = 1e-4,
-    prior_mean: float = 0.5,
+    signal_var: float = SIGNAL_VAR,
+    noise_var: float = NOISE_VAR,
+    prior_mean: float = PRIOR_MEAN,
 ) -> GPModel:
     """Fit the GP to labeled points. length_scale defaults to sqrt(n_features),
     the distance scale between random corners of the unit cube."""
@@ -93,14 +110,18 @@ def gp_fit(
         raise InvalidInput(f"{x.shape[0]} inputs but {y.shape[0]} labels")
     if x.shape[0] == 0:
         raise InvalidInput("need at least one training point")
-    if np.any(y < -LABEL_TOL) or np.any(y > 1.0 + LABEL_TOL):
-        raise InvalidInput("labels must lie in [0, 1]")
-    if signal_var <= 0:
-        raise InvalidInput("signal_var must be positive")
+    _check_features(x)
+    _check_labels(y)
+    if not (math.isfinite(signal_var) and signal_var > 0):
+        raise InvalidInput("signal_var must be positive and finite")
     if length_scale is None:
         length_scale = math.sqrt(x.shape[1])
-    if length_scale <= 0:
-        raise InvalidInput("length_scale must be positive")
+    if not (math.isfinite(length_scale) and length_scale > 0):
+        raise InvalidInput("length_scale must be positive and finite")
+    if not math.isfinite(noise_var):
+        raise InvalidInput("noise_var must be finite")
+    if not math.isfinite(prior_mean):
+        raise InvalidInput("prior_mean must be finite")
     noise_var = max(noise_var, NOISE_FLOOR)
     k = rbf_kernel(x, x, signal_var, length_scale)
     k[np.diag_indices_from(k)] += noise_var
@@ -200,9 +221,75 @@ def select_query(model: Optional[GPModel], pool: QueryPool) -> int:
     return int(unlabeled[int(np.argmax(var))])
 
 
-def rmse(model: GPModel, x_eval: np.ndarray, y_eval: np.ndarray) -> float:
-    mean = gp_mean(model, x_eval)
-    return float(np.sqrt(np.mean((mean - np.asarray(y_eval, dtype=float).ravel()) ** 2)))
+def _checked_eval_set(eval_set: EvalSet, pool: QueryPool) -> EvalSet:
+    """The eval set as float arrays, rejected unless its rows match its
+    labels and the pool's feature width and every value is finite."""
+    x_eval = np.array(eval_set[0], dtype=float, ndmin=2)
+    y_eval = np.array(eval_set[1], dtype=float).ravel()
+    if x_eval.ndim != 2 or x_eval.shape[0] == 0:
+        raise InvalidInput("the eval set needs a 2-D array of at least one row")
+    if x_eval.shape[1] != pool.features.shape[1]:
+        raise InvalidInput(
+            f"eval rows have {x_eval.shape[1]} features but pool rows {pool.features.shape[1]}"
+        )
+    if y_eval.size != x_eval.shape[0]:
+        raise InvalidInput(f"{x_eval.shape[0]} eval rows but {y_eval.size} eval labels")
+    _check_features(x_eval)
+    if not np.all(np.isfinite(y_eval)):
+        raise InvalidInput("eval labels must be finite")
+    return x_eval, y_eval
+
+
+class _RunningPosterior:
+    """The default-hyperparameter GP posterior mean on a fixed eval set,
+    extended by one label at a time instead of refit (the Cholesky steps of
+    Rasmussen & Williams 2006, Alg. 2.1, grown one row per label).
+
+    With L the Cholesky factor of the labelled points' regularized kernel
+    matrix, it keeps L^-1, the whitened residual z = L^-1 (y - prior) and
+    the whitened cross-kernel rows L^-1 k(X, X_eval), so the eval mean is
+    prior + rows.T @ z. A label costs O(n^2 + n * n_eval).
+    """
+
+    def __init__(self, x_eval: np.ndarray, capacity: int):
+        n_eval, width = x_eval.shape
+        self.n_eval = n_eval
+        length_scale = math.sqrt(width)
+        self.scale = -1.0 / (2.0 * length_scale * length_scale)
+        # eval rows, then labelled rows, with their squared norms: one
+        # product per label gives both kernel vectors
+        self.points = np.empty((n_eval + capacity, width))
+        self.points[:n_eval] = x_eval
+        self.sq_norms = np.empty(n_eval + capacity)
+        self.sq_norms[:n_eval] = np.sum(x_eval * x_eval, axis=1)
+        self.linv = np.zeros((capacity, capacity))
+        self.z = np.empty(capacity)
+        self.rows = np.empty((capacity, n_eval))
+        self.mean = np.full(n_eval, PRIOR_MEAN)
+        self.n = 0
+
+    def add(self, x_new: np.ndarray, y_new: float) -> np.ndarray:
+        """Condition on one more labelled point; returns the eval mean,
+        which is updated in place."""
+        n, end = self.n, self.n_eval + self.n
+        sq_new = float(x_new @ x_new)
+        dist = self.sq_norms[:end] + (sq_new - 2.0 * (self.points[:end] @ x_new))
+        kernel = SIGNAL_VAR * np.exp(np.maximum(dist, 0.0) * self.scale)
+        linv = self.linv[:n, :n]
+        l = linv @ kernel[self.n_eval :]
+        pivot = SIGNAL_VAR + NOISE_VAR - l @ l
+        if not pivot > 0.0:
+            raise np.linalg.LinAlgError("kernel matrix is not positive definite")
+        d = math.sqrt(pivot)
+        self.linv[n, :n] = (l @ linv) / -d
+        self.linv[n, n] = 1.0 / d
+        self.z[n] = (y_new - PRIOR_MEAN - l @ self.z[:n]) / d
+        self.rows[n] = (kernel[: self.n_eval] - l @ self.rows[:n]) / d
+        self.mean += self.rows[n] * self.z[n]
+        self.points[end] = x_new
+        self.sq_norms[end] = sq_new
+        self.n = n + 1
+        return self.mean
 
 
 def _learning_loop(
@@ -211,24 +298,36 @@ def _learning_loop(
     eval_set: EvalSet,
     picks: Sequence[Optional[int]],
 ) -> tuple[Optional[GPModel], list[float]]:
-    """Shared query loop; a None pick means choose by maximum variance."""
-    x_eval, y_eval = eval_set
-    model: Optional[GPModel] = None
+    """Shared query loop; a None pick means choose by maximum variance.
+
+    Variance picks, the returned model and the model a LabelingAborted
+    carries are gp_fit of the labels so far. The rmse trace reads a running
+    posterior instead, which equals a fresh fit's to round-off.
+    """
+    x_eval, y_eval = _checked_eval_set(eval_set, pool)
+    posterior = _RunningPosterior(x_eval, len(picks))
     labels: list[float] = []
     queried: list[int] = []
     trace: list[float] = []
+
+    def fit() -> Optional[GPModel]:
+        return gp_fit(pool.features[queried], np.asarray(labels)) if queried else None
+
     for pick in picks:
-        index = select_query(model, pool) if pick is None else int(pick)
+        index = select_query(fit(), pool) if pick is None else int(pick)
         try:
             label = float(labeler(index))
         except Exception as exc:
-            raise LabelingAborted(exc, model, trace) from exc
+            raise LabelingAborted(exc, fit(), trace) from exc
         pool.mark_labeled(index)
+        x_new = pool.features[index]
+        _check_features(x_new)
+        _check_labels(label)
         queried.append(index)
         labels.append(label)
-        model = gp_fit(pool.features[queried], np.asarray(labels))
-        trace.append(rmse(model, x_eval, y_eval))
-    return model, trace
+        mean = posterior.add(x_new, label)
+        trace.append(float(np.sqrt(np.mean((mean - y_eval) ** 2))))
+    return fit(), trace
 
 
 def active_learn(

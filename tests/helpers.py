@@ -6,7 +6,8 @@ cached Cholesky path, exhaustive enumeration and full relaxation at every
 node instead of incremental branch and bound, and per-leg travel callbacks
 instead of bitmasks over travel tables. Tests compare library output
 against these references. The GP marginal-likelihood grid search lives
-here too, as only tests use it.
+here too, as only tests use it, and so do the learning loop that refits
+the GP after every label and the rmse of a fit model.
 """
 
 from __future__ import annotations
@@ -18,8 +19,26 @@ from typing import Optional
 
 import numpy as np
 
-from staq.learning import GPModel, LinearQualityMap, gp_fit
-from staq.model import InvalidInput, ProblemDomain, Robot, Schedule, Task, TaskNetwork, WorldMap
+from staq.learning import (
+    GPModel,
+    LabelingAborted,
+    LinearQualityMap,
+    gp_fit,
+    gp_mean,
+    select_query,
+)
+from staq.model import (
+    Allocation,
+    InvalidInput,
+    ProblemDomain,
+    Robot,
+    Schedule,
+    Task,
+    TaskNetwork,
+    WorldMap,
+    total_allocation_quality,
+)
+from staq.motion import planned_leg_seconds
 from staq.scheduler import ConstraintSet, ScheduleOutcome
 
 
@@ -85,6 +104,35 @@ def tune_hyperparameters(x, y, *, length_scales, signal_vars, noise_var=1e-4, pr
             if lml > best_lml:
                 best, best_lml = model, lml
     return best
+
+
+def rmse(model, x_eval, y_eval):
+    """Root-mean-square error of the model's posterior mean."""
+    mean = gp_mean(model, x_eval)
+    return float(np.sqrt(np.mean((mean - np.asarray(y_eval, dtype=float).ravel()) ** 2)))
+
+
+def reference_learning_loop(labeler, pool, eval_set, picks):
+    """The learning loop that refits the GP from scratch after every label
+    and reads each rmse from that fit; a None pick means choose by maximum
+    variance. staq.learning._learning_loop extends one posterior instead."""
+    x_eval, y_eval = eval_set
+    model = None
+    labels = []
+    queried = []
+    trace = []
+    for pick in picks:
+        index = select_query(model, pool) if pick is None else int(pick)
+        try:
+            label = float(labeler(index))
+        except Exception as exc:
+            raise LabelingAborted(exc, model, trace) from exc
+        pool.mark_labeled(index)
+        queried.append(index)
+        labels.append(label)
+        model = gp_fit(pool.features[queried], np.asarray(labels))
+        trace.append(rmse(model, x_eval, y_eval))
+    return model, trace
 
 
 def relax(
@@ -369,3 +417,20 @@ def drop_one_domain(time_budget=9.0, alpha=0.4):
     maps = (LinearQualityMap([1.0, 1.0], 2.0), LinearQualityMap([1.0, 1.0], 2.0))
     return ProblemDomain(network=network, robots=robots, quality_maps=maps,
                          world=world, time_budget=time_budget, alpha=alpha)
+
+
+def oracle_by_enumeration(domain, planner):
+    """Independent optimum: try all allocations with the reference constraint
+    builder and the 2^k orientation enumeration, no pruning anywhere."""
+    m, n = domain.n_tasks, domain.n_robots
+    leg = planned_leg_seconds(planner, domain)
+    best = None
+    for key in range(2 ** (m * n)):
+        alloc = Allocation(key, (m, n))
+        makespan = enumerate_schedules(build_constraints(domain, alloc, leg))
+        if makespan is None or makespan > domain.time_budget + 1e-9:
+            continue
+        quality = total_allocation_quality(alloc.coalition_masks(), domain)
+        if best is None or quality > best[0] + 1e-12:
+            best = (quality, key, makespan)
+    return best

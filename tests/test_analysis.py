@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from staq.analysis import (
+    FIRST_CHUNK,
     OracleBudgetExceeded,
+    _quality_order,
     alpha_sweep,
     apriori_bound,
     best_frontier_entry,
@@ -26,16 +28,15 @@ from staq.model import (
     total_allocation_quality,
     validate_solution,
 )
-from staq.motion import GridPlanner, planned_leg_seconds
+from staq.motion import GridPlanner
 from staq.scheduler import worst_makespan
 from staq.search import FrontierEntry, solve
 
 from helpers import (
     LinearMap,
-    build_constraints,
     drop_one_domain,
-    enumerate_schedules,
     open_world,
+    oracle_by_enumeration,
     two_task_domain,
 )
 
@@ -140,23 +141,6 @@ def test_guarantee_applies_only_to_linear_quality_maps():
 
 
 # ------------------------------------------------------------------ oracle
-
-def oracle_by_enumeration(domain, planner):
-    """Independent optimum: try all allocations with the reference constraint
-    builder and the 2^k orientation enumeration, no pruning anywhere."""
-    m, n = domain.n_tasks, domain.n_robots
-    leg = planned_leg_seconds(planner, domain)
-    best = None
-    for key in range(2 ** (m * n)):
-        alloc = Allocation(key, (m, n))
-        makespan = enumerate_schedules(build_constraints(domain, alloc, leg))
-        if makespan is None or makespan > domain.time_budget + 1e-9:
-            continue
-        quality = total_allocation_quality(alloc.coalition_masks(), domain)
-        if best is None or quality > best[0] + 1e-12:
-            best = (quality, key, makespan)
-    return best
-
 
 def test_oracle_returns_the_root_under_a_generous_budget():
     domain = two_task_domain(time_budget=60.0)
@@ -282,6 +266,34 @@ def test_oracle_results_are_pinned(seed, scheduled, quality, key, makespan):
 def test_oracle_cap_counts_allocations_not_solver_runs(seed):
     with pytest.raises(OracleBudgetExceeded, match=f"after scheduling {ORACLE_CAP} allocations"):
         brute_force_optimal(random_instance(seed), schedule_cap=ORACLE_CAP)
+
+
+def _stable_order(totals, too_slow):
+    return [int(k) for k in np.argsort(-totals, kind="stable") if not too_slow[k]]
+
+
+@pytest.mark.parametrize(
+    "size", (0, 1, FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 1, 5000))
+@pytest.mark.parametrize("distinct", (3, 40, None))
+def test_quality_order_is_the_filtered_stable_argsort(size, distinct):
+    """Few distinct totals put ties across every chunk threshold; None draws
+    (almost surely) distinct ones."""
+    rng = np.random.default_rng(size)
+    if distinct is None:
+        totals = rng.random(size)
+    else:
+        totals = rng.integers(0, distinct, size) / 4.0
+    too_slow = rng.random(size) < 0.3
+    kept = totals.copy()
+    assert list(_quality_order(totals, too_slow)) == _stable_order(totals, too_slow)
+    assert np.array_equal(totals, kept)
+    assert list(_quality_order(totals, np.zeros(size, dtype=bool))) == _stable_order(
+        totals, np.zeros(size, dtype=bool))
+
+
+def test_quality_order_is_empty_when_every_key_is_too_slow():
+    totals = np.random.default_rng(0).integers(0, 5, 5000) / 4.0
+    assert list(_quality_order(totals, np.ones(5000, dtype=bool))) == []
 
 
 # ------------------------------------------------------------------- sweep

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from staq.model import InvalidInput
+from staq import learning
 from staq.learning import (
     GPQualityMap,
     LabelingAborted,
@@ -13,14 +14,19 @@ from staq.learning import (
     gp_fit,
     gp_predict,
     rbf_kernel,
-    rmse,
     select_query,
     split_eval,
     synthetic_position_dataset,
     uniform_baseline,
 )
 
-from helpers import dense_gp_reference, log_marginal_likelihood, tune_hyperparameters
+from helpers import (
+    dense_gp_reference,
+    log_marginal_likelihood,
+    reference_learning_loop,
+    rmse,
+    tune_hyperparameters,
+)
 
 
 # -------------------------------------------------------- linear quality
@@ -88,6 +94,19 @@ def test_gp_fit_rejects_bad_inputs():
         gp_fit(x, np.array([0.5, 0.5]), length_scale=-1.0)
     # a hair outside [0,1] is measurement slop, not an error
     gp_fit(x, np.array([0.0, 1.0 + 5e-10]))
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_gp_fit_rejects_non_finite_inputs(bad):
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    y = np.array([0.5, 0.5])
+    with pytest.raises(InvalidInput):
+        gp_fit(x, np.array([0.5, bad]))
+    with pytest.raises(InvalidInput):
+        gp_fit(np.array([[0.0, bad], [1.0, 0.0]]), y)
+    for name in ("noise_var", "length_scale", "signal_var", "prior_mean"):
+        with pytest.raises(InvalidInput):
+            gp_fit(x, y, **{name: bad})
 
 
 def test_gp_fit_defaults():
@@ -331,6 +350,168 @@ def test_labeler_failure_carries_partial_progress():
     assert len(err.trace) == 2
     assert err.model is not None
     assert isinstance(err.__cause__, ValueError)
+
+
+def test_labeler_failure_matches_the_refit_reference():
+    pool_x, eval_set, _ = _toy_problem()
+
+    def flaky(index):
+        if index == 7:
+            raise ValueError("sensor offline")
+        return 0.25 + 0.05 * index
+
+    for picks in ([None] * 12, [3, 5, 7, 1], [7, 2]):
+        errors = []
+        for loop in (learning._learning_loop, reference_learning_loop):
+            with pytest.raises(LabelingAborted) as excinfo:
+                loop(flaky, QueryPool(pool_x), eval_set, picks)
+            errors.append(excinfo.value)
+        got, want = errors
+        _assert_same_model(got.model, want.model)
+        _assert_close_traces(got.trace, want.trace)
+
+
+def _assert_same_model(got, want):
+    if want is None:
+        assert got is None
+        return
+    for name in ("x_train", "y_train", "chol", "weights"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _assert_close_traces(got, want):
+    assert len(got) == len(want)
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def _assert_loop_matches_reference(labeler, pool_x, eval_set, picks):
+    pools = QueryPool(pool_x), QueryPool(pool_x)
+    got_model, got_trace = learning._learning_loop(labeler, pools[0], eval_set, picks)
+    want_model, want_trace = reference_learning_loop(labeler, pools[1], eval_set, picks)
+    _assert_same_model(got_model, want_model)
+    assert np.array_equal(pools[0].labeled_mask, pools[1].labeled_mask)
+    _assert_close_traces(got_trace, want_trace)
+
+
+def _uniform_picks(n_pool, budget, seed):
+    # the picks uniform_baseline draws on a fresh pool
+    return [int(p) for p in np.random.default_rng(seed).permutation(n_pool)[:budget]]
+
+
+def test_running_posterior_matches_refitting_on_the_roster():
+    """Active picks, returned models (so the x_train order, i.e. the picks)
+    equal a refit per label exactly; the rmse traces to round-off."""
+    features, labels, _ = synthetic_position_dataset()
+    pool_idx, eval_idx = split_eval(features.shape[0], 0.3, seed=0)
+    budget = 50
+    for position in range(labels.shape[1]):
+        column = labels[:, position]
+        eval_set = (features[eval_idx], column[eval_idx])
+
+        def labeler(i):
+            return float(column[pool_idx[i]])
+
+        for picks in [[None] * budget] + [
+            _uniform_picks(pool_idx.size, budget, seed) for seed in range(3)
+        ]:
+            _assert_loop_matches_reference(labeler, features[pool_idx], eval_set, picks)
+
+
+def test_running_posterior_matches_refitting_on_random_data():
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        n_pool = int(rng.integers(1, 40))
+        width = int(rng.integers(1, 6))
+        pool_x = rng.uniform(size=(n_pool, width)) * rng.uniform(0.1, 3.0)
+        pool_y = rng.uniform(size=n_pool)
+        n_eval = int(rng.integers(1, 20))
+        eval_set = (rng.uniform(size=(n_eval, width)), rng.uniform(size=n_eval))
+        budget = int(rng.integers(0, n_pool + 1))
+
+        def labeler(i):
+            return float(pool_y[i])
+
+        _assert_loop_matches_reference(labeler, pool_x, eval_set, [None] * budget)
+        _assert_loop_matches_reference(
+            labeler, pool_x, eval_set, _uniform_picks(n_pool, budget, int(rng.integers(99))))
+
+
+def test_duplicate_labels_keep_the_running_factor_positive():
+    # the same point labelled twice: the noise term alone keeps the pivot positive
+    pool_x = np.array([[0.2, 0.4], [0.2, 0.4], [0.9, 0.1]])
+    eval_set = (np.array([[0.2, 0.4], [0.5, 0.5]]), np.array([0.3, 0.6]))
+    _assert_loop_matches_reference(lambda i: 0.3, pool_x, eval_set, [0, 1, 2])
+
+
+def test_a_non_positive_pivot_raises_like_cholesky(monkeypatch):
+    monkeypatch.setattr(learning, "NOISE_VAR", 0.0)
+    pool_x = np.array([[0.2, 0.4], [0.2, 0.4]])
+    eval_set = (np.array([[0.5, 0.5]]), np.array([0.6]))
+    with pytest.raises(np.linalg.LinAlgError):
+        learning._learning_loop(lambda i: 0.3, QueryPool(pool_x), eval_set, [0, 1])
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, 1.5, -0.5))
+def test_a_bad_label_is_rejected_when_it_arrives(bad):
+    pool_x, eval_set, labeler = _toy_problem()
+    calls = []
+
+    def spoiled(index):
+        calls.append(index)
+        return bad if index == 4 else labeler(index)
+
+    pool = QueryPool(pool_x)
+    with pytest.raises(InvalidInput):
+        uniform_baseline(spoiled, pool, eval_set, budget=len(pool_x), seed=0)
+    assert calls[-1] == 4         # no label is requested after the bad one
+    assert pool.labeled_mask[4]   # marked labelled before the label is checked
+    calls.clear()
+    with pytest.raises(InvalidInput):
+        active_learn(spoiled, QueryPool(pool_x), eval_set, budget=len(pool_x))
+    assert calls[-1] == 4
+
+
+def test_non_finite_pool_features_are_rejected_when_labelled():
+    pool_x, eval_set, labeler = _toy_problem()
+    pool_x = pool_x.copy()
+    pool_x[2, 1] = math.nan
+    calls = []
+
+    def logged(index):
+        calls.append(index)
+        return labeler(index)
+
+    with pytest.raises(InvalidInput):
+        uniform_baseline(logged, QueryPool(pool_x), eval_set, budget=len(pool_x), seed=1)
+    assert calls[-1] == 2
+    calls.clear()
+    with pytest.raises(InvalidInput):
+        active_learn(logged, QueryPool(pool_x), eval_set, budget=len(pool_x))
+    assert calls[-1] == 2
+
+
+@pytest.mark.parametrize("make_eval", (
+    lambda x, y: (x[:3], y[:1]),                  # one label for three rows
+    lambda x, y: (x[:3], y[:2]),                  # two labels for three rows
+    lambda x, y: (x[:3, :1], y[:3]),              # narrower than the pool
+    lambda x, y: (x[:0], y[:0]),                  # no rows
+    lambda x, y: (x[:3], np.array([0.5, math.nan, 0.5])),
+    lambda x, y: (np.where(x[:3] > 0.5, math.inf, x[:3]), y[:3]),
+))
+def test_a_bad_eval_set_is_rejected_before_any_label(make_eval):
+    pool_x, (x_eval, y_eval), _ = _toy_problem()
+    calls = []
+
+    def labeler(index):
+        calls.append(index)
+        return 0.5
+
+    eval_set = make_eval(x_eval, y_eval)
+    with pytest.raises(InvalidInput):
+        active_learn(labeler, QueryPool(pool_x), eval_set, budget=2)
+    with pytest.raises(InvalidInput):
+        uniform_baseline(labeler, QueryPool(pool_x), eval_set, budget=2, seed=0)
+    assert calls == []
 
 
 def test_rmse_against_a_known_constant_predictor():

@@ -13,16 +13,27 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from staq.analysis import random_instance  # noqa: E402
+from staq.analysis import brute_force_optimal, random_instance  # noqa: E402
 from staq.model import validate_solution  # noqa: E402
+from staq.motion import GridPlanner  # noqa: E402
 from staq.scheduler import TOL, ConstraintSet, solve_milp  # noqa: E402
 from staq.search import solve  # noqa: E402
 
-from helpers import enumerate_schedules  # noqa: E402
+from helpers import enumerate_schedules, oracle_by_enumeration  # noqa: E402
 
 MAX_TASKS = 6
 MAX_PAIRS = 8
 MAX_BITS = 12  # allocation bits of a drawn instance; larger graphs are slow at alpha 0
+ORACLE_BITS = 9  # the enumeration oracle schedules all 2^bits allocations
+
+
+def _bits(seed):
+    domain = random_instance(seed)
+    return domain.n_tasks * domain.n_robots
+
+
+# a quarter of the seeds are this small: drawing from them filters nothing
+ORACLE_SEEDS = tuple(seed for seed in range(200) if _bits(seed) <= ORACLE_BITS)
 
 
 @st.composite
@@ -74,3 +85,23 @@ def test_every_solution_validates(seed, alpha, budget_fraction):
     if solution is not None:
         report = validate_solution(domain, solution)
         assert report.ok, report.violations
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.sampled_from(ORACLE_SEEDS), budget_fraction=st.floats(0.7, 1.5))
+def test_oracle_matches_enumeration(seed, budget_fraction):
+    """The pruned, memoized oracle returns the optimum that trying every
+    allocation with the reference builder and enumeration finds: the same
+    quality and, as both break ties toward the smaller key, the same key."""
+    domain = random_instance(seed)
+    domain = replace(domain, time_budget=domain.time_budget * budget_fraction)
+    planner = GridPlanner(domain.world)
+    result = brute_force_optimal(domain, planner)
+    want = oracle_by_enumeration(domain, planner)
+    if want is None:
+        assert not result.feasible
+    else:
+        assert result.feasible
+        assert result.allocation.key == want[1]
+        assert result.quality == pytest.approx(want[0], abs=1e-9)
+        assert result.makespan == pytest.approx(want[2], abs=TOL)
