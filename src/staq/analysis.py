@@ -32,6 +32,8 @@ from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
     build_constraints_fast,
     make_travel_tables,
+    mutex_entry,
+    precedence_item,
     slowest_arrival,
     solve_milp,
     worst_makespan,
@@ -157,29 +159,35 @@ def bound_report(
     return report
 
 
-def _arrival_floor(domain: ProblemDomain, tables) -> np.ndarray:
-    """Lower bound on the makespan of every allocation, indexed like totals.
+def _arrival_floor(arrivals: list[list[float]], durations: Sequence[float]) -> np.ndarray:
+    """Lower bound on the makespan of every allocation, indexed like totals,
+    from each task's slowest arrival by coalition mask.
 
     Any schedule starts task i no earlier than its slowest assigned robot
     arrives, so max_i(arrival_i + duration_i) under-approximates the makespan
     regardless of orderings. Monotone in the assignment set.
     """
-    m, n = domain.n_tasks, domain.n_robots
     floor = None
-    for i in range(m):
-        per_mask = np.array([slowest_arrival(tables, i, mask) for mask in range(2**n)])
-        per_mask += tables.durations[i]
+    for per_mask, duration in zip(arrivals, durations):
+        per_mask = np.array(per_mask) + duration
         floor = per_mask if floor is None else np.maximum(floor[:, None], per_mask[None, :]).ravel()
     return floor
+
+
+def _piece_ids(pieces: list) -> np.ndarray:
+    """An id per piece, equal pieces sharing one."""
+    ids: dict = {}
+    return np.array([ids.setdefault(piece, len(ids)) for piece in pieces])
 
 
 FIRST_CHUNK = 1024
 
 
-def _quality_order(totals: np.ndarray, too_slow: np.ndarray) -> Iterator[int]:
+def _quality_order(totals: np.ndarray, too_slow: np.ndarray) -> Iterator[np.ndarray]:
     """The keys that are not too slow, by descending total with ties to the
-    smaller key: the order of a stable argsort of -totals, produced chunk by
-    chunk so that a scan which stops early sorts only what it read.
+    smaller key: the order of a stable argsort of -totals, produced as
+    non-empty chunks so that a scan which stops early sorts only what it
+    read.
 
     Each chunk is every key whose total lies at or above the chunk's
     threshold (found by partial selection, so ties stay whole) and below
@@ -202,7 +210,8 @@ def _quality_order(totals: np.ndarray, too_slow: np.ndarray) -> Iterator[int]:
         keys = np.flatnonzero((totals >= threshold) & (totals < last))
         n_below -= keys.size
         keys = keys[~too_slow[keys]]
-        yield from keys[np.argsort(-totals[keys], kind="stable")].tolist()
+        if keys.size:
+            yield keys[np.argsort(-totals[keys], kind="stable")]
         last = threshold
         size *= 4
 
@@ -218,11 +227,17 @@ def brute_force_optimal(
     the budget.
 
     Scheduling is skipped when the slowest arrival alone already overshoots
-    the budget. Each allocation's constraint set is derived once and is its
-    own memo key, so allocations with equal sets share one branch and bound
-    run. Guarded to at most 2^20 allocations; schedule_cap, when
-    given, aborts with OracleBudgetExceeded after that many allocations
-    scheduled.
+    the budget. The empty allocation is scheduled first: its makespan is a
+    lower bound on every allocation's, so when it overruns the instance is
+    infeasible after that one run (n_scheduled 1), outside schedule_cap.
+
+    An allocation's constraint set is a row of piece ids, one per task's
+    offset and per pair's precedence or mutex item, equal ids for equal
+    pieces. The scan reads its order chunk by chunk and builds and schedules
+    only each row's first occurrence, so allocations with equal sets share
+    one branch and bound run; n_scheduled counts every allocation scanned
+    up to the answer. Guarded to at most 2^20 allocations; schedule_cap,
+    when given, aborts with OracleBudgetExceeded after that many.
     """
     m, n = domain.n_tasks, domain.n_robots
     if m * n > ORACLE_MAX_BITS:
@@ -239,33 +254,63 @@ def brute_force_optimal(
         per_mask = np.array([domain.task_quality(task, mask) for mask in range(2**n)])
         totals = (totals[:, None] + per_mask[None, :]).ravel()
 
-    too_slow = _arrival_floor(domain, tables) > domain.time_budget + TOL
+    masks = range(2**n)
+    arrivals = [[slowest_arrival(tables, i, mask) for mask in masks] for i in range(m)]
+    too_slow = _arrival_floor(arrivals, tables.durations) > domain.time_budget + TOL
+
+    # (i, j, pieces by the mask tasks i and j share); a task's offset is
+    # the column (i, i), read at the task's own mask
+    columns = [(i, i, arrivals[i]) for i in range(m)]
+    for piece, pairs in ((precedence_item, tables.precedence), (mutex_entry, tables.unordered)):
+        columns += [(i, j, [piece(tables, i, j, s) for s in masks]) for i, j in pairs]
+    columns = [(i, j, _piece_ids(pieces)) for i, j, pieces in columns]
+    dtype = np.min_scalar_type(2**n - 1)
+
+    def piece_rows(keys: np.ndarray) -> np.ndarray:
+        task_masks = [(keys >> (n * (m - 1 - i))) & (2**n - 1) for i in range(m)]
+        rows = np.empty((keys.size, len(columns)), dtype)
+        for c, (i, j, ids) in enumerate(columns):
+            rows[:, c] = ids[task_masks[i] & task_masks[j]]
+        return rows
+
+    def fits(outcome) -> bool:
+        return outcome.status == "optimal" and outcome.schedule.makespan <= domain.time_budget + TOL
+
+    outcomes = {}  # by piece row; only the empty allocation's may fit
+    if not too_slow[0]:
+        empty = solve_milp(build_constraints_fast(tables, [0] * m))
+        if not fits(empty):
+            return OracleResult(False, None, None, None, int(totals.size), 1)
+        outcomes[piece_rows(np.zeros(1, dtype=np.int64))[0].tobytes()] = empty
 
     n_scheduled = 0
-    memo: ScheduleCache = {}
-    for key in _quality_order(totals, too_slow):
-        if schedule_cap is not None and n_scheduled >= schedule_cap:
+    for keys in _quality_order(totals, too_slow):
+        over = schedule_cap is not None and keys.size > schedule_cap - n_scheduled
+        if over:
+            keys = keys[: max(schedule_cap - n_scheduled, 0)]
+        rows = piece_rows(keys)
+        _, first = np.unique(rows, axis=0, return_index=True)
+        for position in np.sort(first).tolist():
+            row = rows[position].tobytes()
+            alloc = Allocation(int(keys[position]), (m, n))
+            outcome = outcomes.get(row)
+            if outcome is None:
+                cs = build_constraints_fast(tables, alloc.coalition_masks())
+                outcome = outcomes[row] = solve_milp(cs)
+            if fits(outcome):
+                quality = float(totals[alloc.key])
+                return OracleResult(
+                    feasible=True,
+                    quality=quality,
+                    allocation=alloc,
+                    makespan=outcome.schedule.makespan,
+                    n_strictly_better=int(np.sum(totals > quality + 1e-12)),
+                    n_scheduled=n_scheduled + position + 1,
+                )
+        n_scheduled += keys.size
+        if over:
             raise OracleBudgetExceeded(
                 f"gave up after scheduling {n_scheduled} allocations"
-            )
-        alloc = Allocation(key, (m, n))
-        cs = build_constraints_fast(tables, alloc.coalition_masks())
-        outcome = memo.get(cs)
-        if outcome is None:
-            outcome = memo[cs] = solve_milp(cs)
-        n_scheduled += 1
-        if (
-            outcome.status == "optimal"
-            and outcome.schedule.makespan <= domain.time_budget + TOL
-        ):
-            quality = float(totals[key])
-            return OracleResult(
-                feasible=True,
-                quality=quality,
-                allocation=alloc,
-                makespan=outcome.schedule.makespan,
-                n_strictly_better=int(np.sum(totals > quality + 1e-12)),
-                n_scheduled=n_scheduled,
             )
     return OracleResult(False, None, None, None, int(totals.size), n_scheduled)
 

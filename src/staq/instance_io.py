@@ -509,7 +509,7 @@ def write_learning_csv(
 
 def load_dataset_csv(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
     """Read a labeled dataset: header row, then one row per sample with
-    trait columns followed by a final label column."""
+    trait columns followed by a final label column, every value finite."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -526,9 +526,13 @@ def load_dataset_csv(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
         if len(row) != width:
             raise InvalidInput(f"{path}: line {lineno} has {len(row)} fields, expected {width}")
         try:
-            data.append([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError as exc:
             raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
+        # float() parses "nan" and "inf"; neither is a trait or a label
+        if not all(map(math.isfinite, values)):
+            raise InvalidInput(f"{path}: line {lineno}: values must be finite")
+        data.append(values)
     matrix = np.asarray(data)
     return matrix[:, :-1], matrix[:, -1]
 

@@ -83,13 +83,13 @@ class GPModel:
 
 
 def _check_features(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInput("features must be finite")
 
 
 def _check_labels(y: np.ndarray) -> None:
     # written so that NaN fails too
-    if not np.all((y >= -LABEL_TOL) & (y <= 1.0 + LABEL_TOL)):
+    if not np.logical_and(y >= -LABEL_TOL, y <= 1.0 + LABEL_TOL).all():
         raise InvalidInput("labels must lie in [0, 1]")
 
 
@@ -240,56 +240,22 @@ def _checked_eval_set(eval_set: EvalSet, pool: QueryPool) -> EvalSet:
     return x_eval, y_eval
 
 
-class _RunningPosterior:
-    """The default-hyperparameter GP posterior mean on a fixed eval set,
-    extended by one label at a time instead of refit (the Cholesky steps of
-    Rasmussen & Williams 2006, Alg. 2.1, grown one row per label).
+def _rmse_trace(model: Optional[GPModel], x_eval: np.ndarray, y_eval: np.ndarray) -> list[float]:
+    """Eval rmse after each of the model's training points, in order.
 
-    With L the Cholesky factor of the labelled points' regularized kernel
-    matrix, it keeps L^-1, the whitened residual z = L^-1 (y - prior) and
-    the whitened cross-kernel rows L^-1 k(X, X_eval), so the eval mean is
-    prior + rows.T @ z. A label costs O(n^2 + n * n_eval).
+    The leading k x k block of a Cholesky factor is the factor of the first
+    k points (Rasmussen & Williams 2006, Alg. 2.1), so with L the model's
+    factor, rows = L^-1 k(X, X_eval) and z = L^-1 (y - prior), the eval
+    mean after k labels is prior plus the sum of the first k rows weighted
+    by z. One factor gives the whole curve.
     """
-
-    def __init__(self, x_eval: np.ndarray, capacity: int):
-        n_eval, width = x_eval.shape
-        self.n_eval = n_eval
-        length_scale = math.sqrt(width)
-        self.scale = -1.0 / (2.0 * length_scale * length_scale)
-        # eval rows, then labelled rows, with their squared norms: one
-        # product per label gives both kernel vectors
-        self.points = np.empty((n_eval + capacity, width))
-        self.points[:n_eval] = x_eval
-        self.sq_norms = np.empty(n_eval + capacity)
-        self.sq_norms[:n_eval] = np.sum(x_eval * x_eval, axis=1)
-        self.linv = np.zeros((capacity, capacity))
-        self.z = np.empty(capacity)
-        self.rows = np.empty((capacity, n_eval))
-        self.mean = np.full(n_eval, PRIOR_MEAN)
-        self.n = 0
-
-    def add(self, x_new: np.ndarray, y_new: float) -> np.ndarray:
-        """Condition on one more labelled point; returns the eval mean,
-        which is updated in place."""
-        n, end = self.n, self.n_eval + self.n
-        sq_new = float(x_new @ x_new)
-        dist = self.sq_norms[:end] + (sq_new - 2.0 * (self.points[:end] @ x_new))
-        kernel = SIGNAL_VAR * np.exp(np.maximum(dist, 0.0) * self.scale)
-        linv = self.linv[:n, :n]
-        l = linv @ kernel[self.n_eval :]
-        pivot = SIGNAL_VAR + NOISE_VAR - l @ l
-        if not pivot > 0.0:
-            raise np.linalg.LinAlgError("kernel matrix is not positive definite")
-        d = math.sqrt(pivot)
-        self.linv[n, :n] = (l @ linv) / -d
-        self.linv[n, n] = 1.0 / d
-        self.z[n] = (y_new - PRIOR_MEAN - l @ self.z[:n]) / d
-        self.rows[n] = (kernel[: self.n_eval] - l @ self.rows[:n]) / d
-        self.mean += self.rows[n] * self.z[n]
-        self.points[end] = x_new
-        self.sq_norms[end] = sq_new
-        self.n = n + 1
-        return self.mean
+    if model is None:
+        return []
+    k_eval = rbf_kernel(model.x_train, x_eval, model.signal_var, model.length_scale)
+    rows = np.linalg.solve(model.chol, k_eval)
+    z = np.linalg.solve(model.chol, model.y_train - model.prior_mean)
+    means = model.prior_mean + np.cumsum(rows * z[:, None], axis=0)
+    return np.sqrt(np.mean((means - y_eval) ** 2, axis=1)).tolist()
 
 
 def _learning_loop(
@@ -301,14 +267,12 @@ def _learning_loop(
     """Shared query loop; a None pick means choose by maximum variance.
 
     Variance picks, the returned model and the model a LabelingAborted
-    carries are gp_fit of the labels so far. The rmse trace reads a running
-    posterior instead, which equals a fresh fit's to round-off.
+    carries are gp_fit of the labels so far. The rmse trace is read off
+    that model's Cholesky factor, which equals a fit per label to round-off.
     """
     x_eval, y_eval = _checked_eval_set(eval_set, pool)
-    posterior = _RunningPosterior(x_eval, len(picks))
     labels: list[float] = []
     queried: list[int] = []
-    trace: list[float] = []
 
     def fit() -> Optional[GPModel]:
         return gp_fit(pool.features[queried], np.asarray(labels)) if queried else None
@@ -318,16 +282,15 @@ def _learning_loop(
         try:
             label = float(labeler(index))
         except Exception as exc:
-            raise LabelingAborted(exc, fit(), trace) from exc
+            model = fit()
+            raise LabelingAborted(exc, model, _rmse_trace(model, x_eval, y_eval)) from exc
         pool.mark_labeled(index)
-        x_new = pool.features[index]
-        _check_features(x_new)
+        _check_features(pool.features[index])
         _check_labels(label)
         queried.append(index)
         labels.append(label)
-        mean = posterior.add(x_new, label)
-        trace.append(float(np.sqrt(np.mean((mean - y_eval) ** 2))))
-    return fit(), trace
+    model = fit()
+    return model, _rmse_trace(model, x_eval, y_eval)
 
 
 def active_learn(

@@ -78,8 +78,9 @@ class TravelTables:
     Each piece of a constraint set depends on few coalitions: an offset on
     one task's mask, a travel term on the robots two tasks share. The memo
     holds each piece under exactly that, derived once per table: the
-    slowest arrival under (task, mask), and the precedence or mutex item of
-    a pair under (i, j, shared mask). build_constraints_fast assembles a set
+    slowest arrival under (task, mask), and the precedence item or mutex
+    entry of a pair under (i, j, shared mask), by slowest_arrival,
+    precedence_item and mutex_entry. build_constraints_fast assembles a set
     from these pieces as they are, so allocations with equal pieces give
     equal sets, each its own schedule-memo key. The memo is a pure cache;
     replace() starts a fresh one.
@@ -158,6 +159,32 @@ def _handover(tables: TravelTables, i: int, j: int, shared: int) -> float:
     return _slowest([row[i][j] for row in tables.hand], shared)
 
 
+def precedence_item(tables: TravelTables, i: int, j: int, shared: int) -> tuple:
+    """The precedence item ((i, j), travel) of the direct precedence i -> j
+    when the robots in `shared` serve both tasks."""
+    k = (i, j, shared)
+    item = tables._memo.get(k)
+    if item is None:
+        item = tables._memo[k] = ((i, j), _handover(tables, i, j, shared))
+    return item
+
+
+def mutex_entry(tables: TravelTables, i: int, j: int, shared: int) -> tuple:
+    """The mutex items of an unordered pair (i, j), i < j, when the robots
+    in `shared` serve both tasks: ((i, j), (x_ij, x_ji)) if the pair is a
+    mutex pair, else none."""
+    k = (i, j, shared)
+    entry = tables._memo.get(k)
+    if entry is None:
+        # a pair is a mutex pair when declared or when a robot serves both
+        entry = tables._memo[k] = (
+            (((i, j), (_handover(tables, i, j, shared), _handover(tables, j, i, shared))),)
+            if shared or (i, j) in tables.user_mutex
+            else ()
+        )
+    return entry
+
+
 def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> ConstraintSet:
     """Derive the constraint set for an allocation, given as its coalition
     masks (Allocation.coalition_masks), from a travel table, each piece read
@@ -170,8 +197,7 @@ def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> Constr
     m = len(tables.durations)
     if len(masks) != m:
         raise InvalidInput(f"{len(masks)} coalition masks for {m} tasks")
-    memo = tables._memo
-    get = memo.get
+    get = tables._memo.get
     offsets = []
     for i, mask in enumerate(masks):
         x = get((i, mask))
@@ -183,7 +209,7 @@ def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> Constr
         k = (i, j, masks[i] & masks[j])
         item = get(k)
         if item is None:
-            item = memo[k] = ((i, j), _handover(tables, i, j, k[2]))
+            item = precedence_item(tables, i, j, k[2])
         precedence.append(item)
     mutex: list = []
     for i, j in tables.unordered:
@@ -191,12 +217,7 @@ def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> Constr
         k = (i, j, shared)
         entry = get(k)
         if entry is None:
-            # a pair is a mutex pair when declared or when a robot serves both
-            entry = memo[k] = (
-                (((i, j), (_handover(tables, i, j, shared), _handover(tables, j, i, shared))),)
-                if shared or (i, j) in tables.user_mutex
-                else ()
-            )
+            entry = mutex_entry(tables, i, j, shared)
         mutex += entry
     return ConstraintSet(tables.durations, tuple(offsets), tuple(precedence), tuple(mutex))
 

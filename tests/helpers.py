@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from staq.analysis import OracleBudgetExceeded, OracleResult
 from staq.learning import (
     GPModel,
     LabelingAborted,
@@ -39,7 +40,13 @@ from staq.model import (
     total_allocation_quality,
 )
 from staq.motion import planned_leg_seconds
-from staq.scheduler import ConstraintSet, ScheduleOutcome
+from staq.scheduler import (
+    ConstraintSet,
+    ScheduleOutcome,
+    build_constraints_fast,
+    make_travel_tables,
+    solve_milp,
+)
 
 
 def bfs_grid_distance(world, start, goal):
@@ -115,7 +122,8 @@ def rmse(model, x_eval, y_eval):
 def reference_learning_loop(labeler, pool, eval_set, picks):
     """The learning loop that refits the GP from scratch after every label
     and reads each rmse from that fit; a None pick means choose by maximum
-    variance. staq.learning._learning_loop extends one posterior instead."""
+    variance. staq.learning._learning_loop fits once per variance pick and
+    reads the whole trace off its final fit's Cholesky factor instead."""
     x_eval, y_eval = eval_set
     model = None
     labels = []
@@ -434,3 +442,40 @@ def oracle_by_enumeration(domain, planner):
         if best is None or quality > best[0] + 1e-12:
             best = (quality, key, makespan)
     return best
+
+
+def reference_brute_force_optimal(domain, planner, *, schedule_cap=None):
+    """The oracle's scan one allocation at a time: every key the arrival
+    floor keeps, in the order of a stable argsort of -totals, each building
+    its constraint set and looking its schedule up by that set, and the cap
+    checked before each. staq.analysis.brute_force_optimal builds and
+    schedules only each distinct piece row of a chunk, and schedules the
+    empty allocation first."""
+    m, n = domain.n_tasks, domain.n_robots
+    tables = make_travel_tables(domain, planned_leg_seconds(planner, domain))
+    totals, floor = np.zeros(1), np.zeros(1)
+    for i in range(m):
+        quality = np.array([domain.task_quality(i, mask) for mask in range(2**n)])
+        totals = (totals[:, None] + quality[None, :]).ravel()
+        finish = tables.durations[i] + np.array([
+            max((tables.arrive[r][i] for r in range(n) if mask >> (n - 1 - r) & 1), default=0.0)
+            for mask in range(2**n)
+        ])
+        floor = np.maximum(floor[:, None], finish[None, :]).ravel()
+    order = np.argsort(-totals, kind="stable")
+    n_scheduled = 0
+    memo = {}
+    for key in order[floor[order] <= domain.time_budget + 1e-9].tolist():
+        if schedule_cap is not None and n_scheduled >= schedule_cap:
+            raise OracleBudgetExceeded(f"gave up after scheduling {n_scheduled} allocations")
+        alloc = Allocation(key, (m, n))
+        cs = build_constraints_fast(tables, alloc.coalition_masks())
+        if cs not in memo:
+            memo[cs] = solve_milp(cs)
+        outcome = memo[cs]
+        n_scheduled += 1
+        if outcome.status == "optimal" and outcome.schedule.makespan <= domain.time_budget + 1e-9:
+            quality = float(totals[key])
+            return OracleResult(True, quality, alloc, outcome.schedule.makespan,
+                                int(np.sum(totals > quality + 1e-12)), n_scheduled)
+    return OracleResult(False, None, None, None, int(totals.size), n_scheduled)

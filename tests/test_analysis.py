@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,8 +29,13 @@ from staq.model import (
     total_allocation_quality,
     validate_solution,
 )
-from staq.motion import GridPlanner
-from staq.scheduler import worst_makespan
+from staq.motion import GridPlanner, estimated_leg_seconds
+from staq.scheduler import (
+    build_constraints_fast,
+    make_travel_tables,
+    solve_milp,
+    worst_makespan,
+)
 from staq.search import FrontierEntry, solve
 
 from helpers import (
@@ -37,6 +43,7 @@ from helpers import (
     drop_one_domain,
     open_world,
     oracle_by_enumeration,
+    reference_brute_force_optimal,
     two_task_domain,
 )
 
@@ -268,8 +275,50 @@ def test_oracle_cap_counts_allocations_not_solver_runs(seed):
         brute_force_optimal(random_instance(seed), schedule_cap=ORACLE_CAP)
 
 
+def _oracle_outcome(oracle, domain, cap):
+    try:
+        return oracle(domain, GridPlanner(domain.world), schedule_cap=cap)
+    except OracleBudgetExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "seed,cap",
+    [(seed, cap) for cap in (3000, 20000) for seed in range(17)]
+    + [(pinned[0], ORACLE_CAP) for pinned in ORACLE_PINNED],
+)
+def test_oracle_equals_the_per_allocation_scan(seed, cap):
+    """Every field, n_scheduled included, and each cap message."""
+    domain = random_instance(seed)
+    assert _oracle_outcome(brute_force_optimal, domain, cap) == _oracle_outcome(
+        reference_brute_force_optimal, domain, cap)
+
+
+def test_oracle_decides_infeasibility_from_the_empty_allocation():
+    """20 assignment bits and a budget just under the empty allocation's
+    makespan: the per-allocation scan schedules 524,288 allocations."""
+    domain = random_instance(4)
+    assert domain.n_tasks * domain.n_robots == 20
+    tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+    empty = solve_milp(build_constraints_fast(tables, [0] * domain.n_tasks)).schedule.makespan
+    domain = dataclasses.replace(domain, time_budget=0.999 * empty)
+    start = time.perf_counter()
+    result = brute_force_optimal(domain, schedule_cap=ORACLE_CAP)
+    assert time.perf_counter() - start < 1.0
+    assert not result.feasible
+    assert (result.n_strictly_better, result.n_scheduled) == (2**20, 1)
+
+
 def _stable_order(totals, too_slow):
     return [int(k) for k in np.argsort(-totals, kind="stable") if not too_slow[k]]
+
+
+def _concatenated(chunks):
+    keys = []
+    for chunk in chunks:
+        assert chunk.size > 0
+        keys += chunk.tolist()
+    return keys
 
 
 @pytest.mark.parametrize(
@@ -285,15 +334,15 @@ def test_quality_order_is_the_filtered_stable_argsort(size, distinct):
         totals = rng.integers(0, distinct, size) / 4.0
     too_slow = rng.random(size) < 0.3
     kept = totals.copy()
-    assert list(_quality_order(totals, too_slow)) == _stable_order(totals, too_slow)
+    assert _concatenated(_quality_order(totals, too_slow)) == _stable_order(totals, too_slow)
     assert np.array_equal(totals, kept)
-    assert list(_quality_order(totals, np.zeros(size, dtype=bool))) == _stable_order(
+    assert _concatenated(_quality_order(totals, np.zeros(size, dtype=bool))) == _stable_order(
         totals, np.zeros(size, dtype=bool))
 
 
 def test_quality_order_is_empty_when_every_key_is_too_slow():
     totals = np.random.default_rng(0).integers(0, 5, 5000) / 4.0
-    assert list(_quality_order(totals, np.ones(5000, dtype=bool))) == []
+    assert _concatenated(_quality_order(totals, np.ones(5000, dtype=bool))) == []
 
 
 # ------------------------------------------------------------------- sweep

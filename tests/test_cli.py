@@ -188,6 +188,17 @@ def test_learn_budget_exceeding_pool_is_an_error(dataset_file, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_learn_rejects_a_nan_label_before_labelling(dataset_file, tmp_path, capsys):
+    lines = dataset_file.read_text(encoding="utf-8").splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:-1] + ["nan"])
+    dataset_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    rc = main(["learn", str(dataset_file), "--budget", "5", "-o", str(out)])
+    assert rc == EXIT_ERROR
+    assert "line 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- errors
 
 def test_malformed_instance_reports_position(tmp_path, capsys):

@@ -391,3 +391,14 @@ def test_dataset_csv_rejects_bad_shapes_and_rows(tmp_path):
 
     with pytest.raises(InvalidInput, match="cannot read"):
         load_dataset_csv(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("rows", (
+    "0.1,0.2,0.5\n0.3,0.4,nan\n",   # a NaN label
+    "0.1,0.2,0.5\n0.3,-inf,0.5\n",  # an infinite feature
+))
+def test_dataset_csv_rejects_non_finite_cells(tmp_path, rows):
+    p = tmp_path / "spoiled.csv"
+    p.write_text("a,b,label\n" + rows, encoding="utf-8")
+    with pytest.raises(InvalidInput, match="line 3: values must be finite"):
+        load_dataset_csv(p)

@@ -398,7 +398,7 @@ def _uniform_picks(n_pool, budget, seed):
     return [int(p) for p in np.random.default_rng(seed).permutation(n_pool)[:budget]]
 
 
-def test_running_posterior_matches_refitting_on_the_roster():
+def test_factor_read_off_matches_refitting_on_the_roster():
     """Active picks, returned models (so the x_train order, i.e. the picks)
     equal a refit per label exactly; the rmse traces to round-off."""
     features, labels, _ = synthetic_position_dataset()
@@ -417,7 +417,7 @@ def test_running_posterior_matches_refitting_on_the_roster():
             _assert_loop_matches_reference(labeler, features[pool_idx], eval_set, picks)
 
 
-def test_running_posterior_matches_refitting_on_random_data():
+def test_factor_read_off_matches_refitting_on_random_data():
     rng = np.random.default_rng(12)
     for _ in range(8):
         n_pool = int(rng.integers(1, 40))
@@ -437,18 +437,29 @@ def test_running_posterior_matches_refitting_on_random_data():
 
 
 def test_duplicate_labels_keep_the_running_factor_positive():
-    # the same point labelled twice: the noise term alone keeps the pivot positive
+    # the same point labelled twice: the noise term alone keeps the factor positive definite
     pool_x = np.array([[0.2, 0.4], [0.2, 0.4], [0.9, 0.1]])
     eval_set = (np.array([[0.2, 0.4], [0.5, 0.5]]), np.array([0.3, 0.6]))
     _assert_loop_matches_reference(lambda i: 0.3, pool_x, eval_set, [0, 1, 2])
 
 
-def test_a_non_positive_pivot_raises_like_cholesky(monkeypatch):
-    monkeypatch.setattr(learning, "NOISE_VAR", 0.0)
-    pool_x = np.array([[0.2, 0.4], [0.2, 0.4]])
-    eval_set = (np.array([[0.5, 0.5]]), np.array([0.6]))
-    with pytest.raises(np.linalg.LinAlgError):
-        learning._learning_loop(lambda i: 0.3, QueryPool(pool_x), eval_set, [0, 1])
+def test_the_trace_ends_at_the_returned_models_rmse():
+    pool_x, eval_set, labeler = _toy_problem()
+    for picks in ([None] * 7, [4, 0, 9, 2]):
+        model, trace = learning._learning_loop(labeler, QueryPool(pool_x), eval_set, picks)
+        assert len(trace) == len(picks)
+        assert trace[-1] == pytest.approx(rmse(model, *eval_set), rel=1e-12, abs=0.0)
+
+    def flaky(index):
+        if index == 7:
+            raise ValueError("sensor offline")
+        return labeler(index)
+
+    with pytest.raises(LabelingAborted) as excinfo:
+        learning._learning_loop(flaky, QueryPool(pool_x), eval_set, [3, 5, 1, 7])
+    err = excinfo.value
+    assert len(err.trace) == 3
+    assert err.trace[-1] == pytest.approx(rmse(err.model, *eval_set), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, 1.5, -0.5))
