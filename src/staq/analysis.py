@@ -32,8 +32,7 @@ from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
     build_constraints_fast,
     make_travel_tables,
-    mutex_entry,
-    precedence_item,
+    piece_id,
     slowest_arrival,
     solve_milp,
     worst_makespan,
@@ -174,12 +173,6 @@ def _arrival_floor(arrivals: list[list[float]], durations: Sequence[float]) -> n
     return floor
 
 
-def _piece_ids(pieces: list) -> np.ndarray:
-    """An id per piece, equal pieces sharing one."""
-    ids: dict = {}
-    return np.array([ids.setdefault(piece, len(ids)) for piece in pieces])
-
-
 FIRST_CHUNK = 1024
 
 
@@ -231,12 +224,11 @@ def brute_force_optimal(
     lower bound on every allocation's, so when it overruns the instance is
     infeasible after that one run (n_scheduled 1), outside schedule_cap.
 
-    An allocation's constraint set is a row of piece ids, one per task's
-    offset and per pair's precedence or mutex item, equal ids for equal
-    pieces. The scan reads its order chunk by chunk and builds and schedules
-    only each row's first occurrence, so allocations with equal sets share
-    one branch and bound run; n_scheduled counts every allocation scanned
-    up to the answer. Guarded to at most 2^20 allocations; schedule_cap,
+    An allocation's constraint set is a row of piece ids, one per column of
+    the travel table (piece_id, tabulated over every mask). The scan reads
+    its order chunk by chunk and builds and schedules only each row's first
+    occurrence, so allocations with equal sets share one branch and bound
+    run; n_scheduled counts every allocation scanned up to the answer. Guarded to at most 2^20 allocations; schedule_cap,
     when given, aborts with OracleBudgetExceeded after that many.
     """
     m, n = domain.n_tasks, domain.n_robots
@@ -258,12 +250,11 @@ def brute_force_optimal(
     arrivals = [[slowest_arrival(tables, i, mask) for mask in masks] for i in range(m)]
     too_slow = _arrival_floor(arrivals, tables.durations) > domain.time_budget + TOL
 
-    # (i, j, pieces by the mask tasks i and j share); a task's offset is
-    # the column (i, i), read at the task's own mask
-    columns = [(i, i, arrivals[i]) for i in range(m)]
-    for piece, pairs in ((precedence_item, tables.precedence), (mutex_entry, tables.unordered)):
-        columns += [(i, j, [piece(tables, i, j, s) for s in masks]) for i, j in pairs]
-    columns = [(i, j, _piece_ids(pieces)) for i, j, pieces in columns]
+    # (i, j, piece ids by the mask tasks i and j share)
+    columns = [
+        (i, j, np.array([piece_id(tables, c, s) for s in masks]))
+        for c, (i, j) in enumerate(tables.columns)
+    ]
     dtype = np.min_scalar_type(2**n - 1)
 
     def piece_rows(keys: np.ndarray) -> np.ndarray:

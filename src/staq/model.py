@@ -394,19 +394,6 @@ def total_allocation_quality(masks: Sequence[int], domain: ProblemDomain) -> flo
     return total
 
 
-def child_quality(qualities: Sequence[float], task: int, quality: float) -> float:
-    """Total quality of an allocation that differs from a parent in one task.
-
-    qualities are the parent's per-task qualities in task order and quality
-    is the task's new one. The sum is the same left fold in task order as
-    total_allocation_quality, so the result is equal to the last bit.
-    """
-    total = 0.0
-    for t, q in enumerate(qualities):
-        total += quality if t == task else q
-    return total
-
-
 def robot_routes(alloc: Allocation, starts: Sequence[float]) -> list[list[int]]:
     """Each robot's tasks in the order it visits them: by start time, ties
     by task index."""

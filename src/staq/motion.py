@@ -50,6 +50,9 @@ def plan_path(world: WorldMap, start: Cell, goal: Cell) -> Optional[PathResult]:
     if start == goal:
         return PathResult((start,), 0.0, 0)
 
+    width, height, occupied = world.width, world.height, world.occupied
+    goal_col, goal_row = goal
+    hypot, push = math.hypot, heapq.heappush
     g_cost: dict[Cell, float] = {start: 0.0}
     parent: dict[Cell, Cell] = {}
     h0 = euclidean_estimate(start, goal)
@@ -71,16 +74,16 @@ def plan_path(world: WorldMap, start: Cell, goal: Cell) -> Optional[PathResult]:
             cells.reverse()
             return PathResult(tuple(cells), (len(cells) - 1) * world.cell_size, expanded)
         col, row = cell
-        g_here = g_cost[cell]
+        g_new = g_cost[cell] + 1.0
         for nxt in ((col, row - 1), (col + 1, row), (col, row + 1), (col - 1, row)):
-            if not world.is_free(nxt) or nxt in closed:
+            c, r = nxt
+            if not (0 <= c < width and 0 <= r < height) or nxt in occupied or nxt in closed:
                 continue
-            g_new = g_here + 1.0
             if g_new < g_cost.get(nxt, math.inf):
                 g_cost[nxt] = g_new
                 parent[nxt] = cell
-                f_new = g_new + euclidean_estimate(nxt, goal)
-                heapq.heappush(frontier, (f_new, nxt[1], nxt[0], nxt))
+                # euclidean_estimate at unit cell size
+                push(frontier, (g_new + hypot(c - goal_col, r - goal_row), r, c, nxt))
     return None
 
 

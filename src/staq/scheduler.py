@@ -82,8 +82,13 @@ class TravelTables:
     entry of a pair under (i, j, shared mask), by slowest_arrival,
     precedence_item and mutex_entry. build_constraints_fast assembles a set
     from these pieces as they are, so allocations with equal pieces give
-    equal sets, each its own schedule-memo key. The memo is a pure cache;
-    replace() starts a fresh one.
+    equal sets, each its own schedule-memo key.
+
+    columns lists a set's pieces in its order, each as the pair (i, j) whose
+    shared mask, masks[i] & masks[j], it depends on: (i, i) for task i's
+    offset, then the precedence pairs, then the unordered pairs. piece_id
+    numbers each column's distinct pieces and keeps the numbers by mask in
+    piece_ids. The memos are pure caches; replace() starts fresh ones.
     """
 
     durations: tuple[float, ...]
@@ -93,9 +98,17 @@ class TravelTables:
     unordered: tuple[tuple[int, int], ...]
     user_mutex: frozenset[tuple[int, int]]
     _memo: dict[tuple, object] = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    piece_ids: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    _numbers: tuple[dict, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        columns = tuple((i, i) for i in range(len(self.durations)))
+        columns += self.precedence + self.unordered
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "piece_ids", tuple({} for _ in columns))
+        object.__setattr__(self, "_numbers", tuple({} for _ in columns))
 
 
 def make_travel_tables(domain: ProblemDomain, leg_seconds: LegSeconds) -> TravelTables:
@@ -183,6 +196,29 @@ def mutex_entry(tables: TravelTables, i: int, j: int, shared: int) -> tuple:
             else ()
         )
     return entry
+
+
+def piece_id(tables: TravelTables, column: int, mask: int) -> int:
+    """Number of the piece in a column (tables.columns) of every constraint
+    set whose column tasks share the robots in mask.
+
+    A column's distinct pieces are numbered from 0 in the order first asked
+    for, so a number lies in [0, 2^n) for n robots, and two allocations
+    give equal sets exactly when they give equal numbers in every column.
+    Memoized by mask in tables.piece_ids[column].
+    """
+    x = tables.piece_ids[column].get(mask)
+    if x is None:
+        i, j = tables.columns[column]
+        if i == j:
+            piece = slowest_arrival(tables, i, mask)
+        elif column < len(tables.durations) + len(tables.precedence):
+            piece = precedence_item(tables, i, j, mask)
+        else:
+            piece = mutex_entry(tables, i, j, mask)
+        numbers = tables._numbers[column]
+        x = tables.piece_ids[column][mask] = numbers.setdefault(piece, len(numbers))
+    return x
 
 
 def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> ConstraintSet:

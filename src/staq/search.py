@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -21,7 +22,6 @@ from .model import (
     InvalidInput,
     ProblemDomain,
     Solution,
-    child_quality,
     robot_routes,
     successors,
     total_allocation_quality,
@@ -33,6 +33,7 @@ from .scheduler import (
     TravelTables,
     build_constraints_fast,
     make_travel_tables,
+    piece_id,
     refine_with_motion_plans,
     solve_milp,
 )
@@ -141,20 +142,21 @@ def solve(
     check_invariants the search asserts that removing an assignment never
     reduces normalized quality loss, which the suboptimality bound relies on.
 
-    Each expansion derives the popped node's coalition masks and per-task
-    qualities once. successors gives the child keys; a child already
-    visited is skipped before any other work. A new child's masks are its
-    parent's with one row changed, its quality the parent's per-task
-    qualities with that task's entry replaced, and its constraint set is
-    read from the masks. The set is assembled from the travel table's memo
-    and is its own key in the schedule memo, so branch and bound runs once
-    per distinct set: allocations whose slowest arrivals and handovers
-    coincide share it. schedule_cache, when given, is that memo, so solves
-    that share it (e.g. one instance at several alpha values) share the
-    runs. An outcome depends only on its set's content, so any solves may
-    share one cache. scheduler_calls and refinement_rounds count every
-    allocation and round this solve scheduled, served by the cache or not;
-    bnb_runs counts only the runs it made.
+    successors gives a popped node's child keys; a visited child is skipped
+    before any other work. At its first new child the node derives, once,
+    its masks, its per-task qualities with their left-fold prefixes, and
+    its signature: each column c's piece id (scheduler.piece_id) shifted
+    left by n * c, equal for two allocations exactly when their sets are.
+    A child re-reads only the columns of the task whose bit it clears; its
+    quality is that task's prefix plus the new entry plus the rest, the
+    additions of total_allocation_quality in their order. Only a signature
+    this solve has not seen builds its set, whose content keys the schedule
+    memo, so branch and bound runs once per distinct set. schedule_cache,
+    when given, is that memo, so solves that share it (e.g. one instance
+    at several alpha values) share the runs; an outcome depends only on its
+    set's content, so any solves may share one cache. scheduler_calls and
+    refinement_rounds count every allocation and round this solve
+    scheduled, served by a memo or not; bnb_runs counts only its own runs.
     """
     if planner is None:
         planner = GridPlanner(domain.world)
@@ -181,6 +183,20 @@ def solve(
     root_outcome = schedule(build_constraints_fast(tables, root_masks))
     if root_outcome.status != "optimal":
         raise InvalidInput("root allocation admits no schedule")
+    piece_ids, columns = tables.piece_ids, tables.columns
+    # per task, the columns its mask enters: (column, the other task, shift);
+    # an offset's other task is its own, as a child's mask lies within masks[task]
+    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for c, (i, j) in enumerate(columns):
+        touching[i].append((c, j, n * c))
+        if j != i:
+            touching[j].append((c, i, n * c))
+
+    def signature(masks: tuple[int, ...]) -> tuple[int, list[int]]:
+        ids = [piece_id(tables, c, masks[i] & masks[j]) for c, (i, j) in enumerate(columns)]
+        return sum(x << n * c for c, x in enumerate(ids)), ids
+
+    by_signature = {signature(root_masks)[0]: root_outcome}
     ctx = make_context(domain, root_outcome.schedule.makespan)
     stats.worst_makespan = ctx.makespan_worst
     stats.quality_root = ctx.quality_root
@@ -211,22 +227,38 @@ def solve(
             open_set.push(depth, key, quality, loss, node.overrun, node.blended, node.outcome)
             continue
         stats.nodes_expanded += 1
-        masks = alloc.coalition_masks()
-        qualities = [task_quality(task, mask) for task, mask in enumerate(masks)]
         children = successors(alloc)
         fresh = 0
         for child_key in children:
             if child_key in visited:
                 continue
             visited.add(child_key)
+            if not fresh:
+                masks = alloc.coalition_masks()
+                sig, ids = signature(masks)
+                qualities = [task_quality(task, mask) for task, mask in enumerate(masks)]
+                prefixes = list(accumulate(qualities, initial=0.0))
             fresh += 1
             # the child clears one robot's bit in one task's row
             shift = (key ^ child_key).bit_length() - 1
             task = m - 1 - shift // n
-            child_masks = list(masks)
-            mask = child_masks[task] = masks[task] ^ (1 << shift % n)
-            child_q = child_quality(qualities, task, task_quality(task, mask))
-            child_outcome = schedule(build_constraints_fast(tables, child_masks))
+            mask = masks[task] ^ (1 << shift % n)
+            child_sig = sig
+            for c, other, at in touching[task]:
+                x = piece_ids[c].get(mask & masks[other])
+                if x is None:
+                    x = piece_id(tables, c, mask & masks[other])
+                child_sig ^= (x ^ ids[c]) << at
+            child_outcome = by_signature.get(child_sig)
+            if child_outcome is None:
+                child_masks = list(masks)
+                child_masks[task] = mask
+                child_outcome = by_signature[child_sig] = schedule(
+                    build_constraints_fast(tables, child_masks)
+                )
+            child_q = prefixes[task] + task_quality(task, mask)
+            for q in qualities[task + 1:]:
+                child_q += q
             child_loss, child_overrun, child_blended = score(
                 child_q,
                 child_outcome.schedule.makespan if child_outcome.status == "optimal" else None,

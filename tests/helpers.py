@@ -7,11 +7,14 @@ node instead of incremental branch and bound, and per-leg travel callbacks
 instead of bitmasks over travel tables. Tests compare library output
 against these references. The GP marginal-likelihood grid search lives
 here too, as only tests use it, and so do the learning loop that refits
-the GP after every label and the rmse of a fit model.
+the GP after every label, the rmse of a fit model, the search's child
+quality as a left fold over replaced entries, and A* with its occupancy
+test and heuristic behind their own calls.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -39,7 +42,7 @@ from staq.model import (
     WorldMap,
     total_allocation_quality,
 )
-from staq.motion import planned_leg_seconds
+from staq.motion import PathResult, euclidean_estimate, planned_leg_seconds
 from staq.scheduler import (
     ConstraintSet,
     ScheduleOutcome,
@@ -47,6 +50,59 @@ from staq.scheduler import (
     make_travel_tables,
     solve_milp,
 )
+
+
+def child_quality(qualities, task, quality):
+    """Total quality of an allocation that differs from a parent in one task.
+
+    qualities are the parent's per-task qualities in task order and quality
+    is the task's new one: the left fold in task order of
+    total_allocation_quality, with that task's entry replaced.
+    """
+    total = 0.0
+    for t, q in enumerate(qualities):
+        total += quality if t == task else q
+    return total
+
+
+def reference_plan_path(world, start, goal):
+    """A* through WorldMap.is_free and euclidean_estimate, one call each per
+    neighbor: what plan_path computes, tie-breaking included."""
+    for cell, name in ((start, "start"), (goal, "goal")):
+        if not world.is_free(cell):
+            raise InvalidInput(f"{name} cell {cell} is blocked or out of bounds")
+    if start == goal:
+        return PathResult((start,), 0.0, 0)
+    g_cost = {start: 0.0}
+    parent = {}
+    frontier = [(euclidean_estimate(start, goal), start[1], start[0], start)]
+    closed = set()
+    expanded = 0
+    while frontier:
+        _, _, _, cell = heapq.heappop(frontier)
+        if cell in closed:
+            continue
+        closed.add(cell)
+        expanded += 1
+        if cell == goal:
+            cells = [cell]
+            while cell in parent:
+                cell = parent[cell]
+                cells.append(cell)
+            cells.reverse()
+            return PathResult(tuple(cells), (len(cells) - 1) * world.cell_size, expanded)
+        col, row = cell
+        g_here = g_cost[cell]
+        for nxt in ((col, row - 1), (col + 1, row), (col, row + 1), (col - 1, row)):
+            if not world.is_free(nxt) or nxt in closed:
+                continue
+            g_new = g_here + 1.0
+            if g_new < g_cost.get(nxt, math.inf):
+                g_cost[nxt] = g_new
+                parent[nxt] = cell
+                f_new = g_new + euclidean_estimate(nxt, goal)
+                heapq.heappush(frontier, (f_new, nxt[1], nxt[0], nxt))
+    return None
 
 
 def bfs_grid_distance(world, start, goal):

@@ -17,7 +17,6 @@ from staq.model import (
     TaskNetwork,
     ValidationReport,
     WorldMap,
-    child_quality,
     successors,
     total_allocation_quality,
     validate_solution,
@@ -25,7 +24,7 @@ from staq.model import (
 from staq.motion import GridPlanner, PathResult
 from staq.search import solve
 
-from helpers import LinearMap, open_world, two_task_domain
+from helpers import LinearMap, child_quality, open_world, two_task_domain
 
 
 # ---------------------------------------------------------------- WorldMap

@@ -13,7 +13,14 @@ from staq.motion import (
     travel_time,
 )
 
-from helpers import LinearMap, bfs_grid_distance, open_world, two_task_domain, walled_world
+from helpers import (
+    LinearMap,
+    bfs_grid_distance,
+    open_world,
+    reference_plan_path,
+    two_task_domain,
+    walled_world,
+)
 
 
 # ------------------------------------------------------------ estimates
@@ -118,6 +125,29 @@ def test_matches_breadth_first_search_on_random_maps():
                 assert got is not None
                 assert got.length == pytest.approx(want * world.cell_size)
                 assert euclidean_estimate(start, goal) <= got.length + 1e-9
+
+
+@pytest.mark.parametrize("cell_size", [1.0, 0.5])
+def test_plan_path_equals_the_reference_astar(cell_size):
+    # cells, length and expansion count, not just the length: the inlined
+    # occupancy test and heuristic must not move a tie
+    rng = np.random.default_rng(17)
+    unreachable = same = 0
+    for _ in range(30):
+        w = int(rng.integers(1, 14))
+        h = int(rng.integers(1, 14))
+        occupied = frozenset(
+            (int(c), int(r)) for c in range(w) for r in range(h) if rng.random() < 0.3)
+        world = WorldMap(width=w, height=h, occupied=occupied, cell_size=cell_size)
+        free = [(c, r) for c in range(w) for r in range(h) if world.is_free((c, r))]
+        for _ in range(min(len(free), 10)):
+            start = free[int(rng.integers(len(free)))]
+            goal = free[int(rng.integers(len(free)))]
+            got = plan_path(world, start, goal)
+            assert got == reference_plan_path(world, start, goal)
+            unreachable += got is None
+            same += start == goal
+    assert unreachable and same
 
 
 # ----------------------------------------------------------- GridPlanner

@@ -20,6 +20,7 @@ from staq.scheduler import (
     ScheduleOutcome,
     build_constraints_fast,
     make_travel_tables,
+    piece_id,
     refine_with_motion_plans,
     solve_milp,
     worst_makespan,
@@ -387,6 +388,35 @@ def test_different_allocations_with_equal_sets_are_one_key():
         for other in others:
             assert other is not first
             assert other == first and hash(other) == hash(first)
+
+
+def test_piece_ids_are_equal_exactly_when_sets_are():
+    # the search keys its children by these packed ids, so equal ids must
+    # mean equal sets, and unequal ids unequal sets, whatever order the
+    # ids were first asked for in
+    rng = np.random.default_rng(12)
+    equal = unequal = 0
+    for seed in range(20):
+        domain = random_instance(seed)
+        m, n = domain.n_tasks, domain.n_robots
+        tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+
+        def signature(key):
+            masks = Allocation(key, (m, n)).coalition_masks()
+            ids = [piece_id(tables, c, masks[i] & masks[j]) for c, (i, j) in enumerate(tables.columns)]
+            assert all(0 <= x < 1 << n for x in ids)
+            return sum(x << n * c for c, x in enumerate(ids))
+
+        for _ in range(150):
+            a = int(rng.integers(0, 1 << m * n))
+            # half the pairs differ in one assignment, where equal sets are common
+            b = a ^ 1 << int(rng.integers(m * n)) if rng.random() < 0.5 else int(rng.integers(0, 1 << m * n))
+            same = (build_constraints_fast(tables, Allocation(a, (m, n)).coalition_masks())
+                    == build_constraints_fast(tables, Allocation(b, (m, n)).coalition_masks()))
+            assert (signature(a) == signature(b)) == same, (seed, a, b)
+            equal += same
+            unequal += not same
+    assert equal > 100 and unequal > 100
 
 
 def test_fast_constraints_reject_shape_mismatch():

@@ -13,6 +13,7 @@ from staq.model import (
     Task,
     TaskNetwork,
     WorldMap,
+    total_allocation_quality,
     validate_solution,
 )
 from staq.motion import GridPlanner
@@ -273,6 +274,51 @@ def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
     _, again = solve(domain, schedule_cache=cache)
     assert scheduled == []   # a repeat solve on a shared cache schedules nothing
     assert (again.bnb_runs, again.bnb_nodes) == (0, 0)
+
+
+def test_children_build_one_set_per_new_signature(monkeypatch):
+    # builds through staq.search are the root's, one per child whose
+    # signature is new, and one per popped node sent to refinement; the
+    # root's and the children's sets are all distinct
+    built, refined = [], []
+
+    def counting_build(tables, masks):
+        cs = real_build(tables, masks)
+        built.append(cs)
+        return cs
+
+    def recording_refine(node, cs, *args):
+        refined.append(cs)
+        return real_refine(node, cs, *args)
+
+    real_build, real_refine = search.build_constraints_fast, search._refine_node
+    monkeypatch.setattr(search, "build_constraints_fast", counting_build)
+    monkeypatch.setattr(search, "_refine_node", recording_refine)
+    for seed in range(10):
+        built.clear()
+        refined.clear()
+        _, stats = solve(random_instance(seed))
+        scored = [cs for cs in built if not any(cs is r for r in refined)]
+        assert len(built) - len(scored) == len(refined)
+        assert len(set(scored)) == len(scored), f"seed {seed}: a set was built twice"
+        assert set(refined) <= set(scored)
+        assert len(scored) < stats.nodes_generated   # children share signatures
+
+
+def test_node_qualities_equal_the_total_of_their_masks():
+    # exact equality: the search folds a child's quality from its parent's
+    # prefixes, and must reproduce total_allocation_quality to the last bit
+    checked = 0
+    for seed in range(10):
+        domain = random_instance(seed)
+        shape = (domain.n_tasks, domain.n_robots)
+        sol, stats = solve(domain)
+        nodes = [(sol.allocation.key, sol.total_quality)]
+        nodes += [(entry.key, entry.quality) for entry in stats.frontier]
+        for key, quality in nodes:
+            assert quality == total_allocation_quality(Allocation(key, shape).coalition_masks(), domain)
+            checked += 1
+    assert checked > 500
 
 
 # Search results on generated instances. Refactors of the search, the
