@@ -29,14 +29,7 @@ from .model import (
     WorldMap,
 )
 from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
-from .scheduler import (
-    build_constraints_fast,
-    make_travel_tables,
-    piece_id,
-    slowest_arrival,
-    solve_milp,
-    worst_makespan,
-)
+from .scheduler import build_constraints_fast, make_travel_tables, piece_id, solve_milp
 from .search import FrontierEntry, ScheduleCache, SearchStats, solve
 
 TOL = 1e-9
@@ -158,7 +151,7 @@ def bound_report(
     return report
 
 
-def _arrival_floor(arrivals: list[list[float]], durations: Sequence[float]) -> np.ndarray:
+def _arrival_floor(arrivals: list[np.ndarray], durations: Sequence[float]) -> np.ndarray:
     """Lower bound on the makespan of every allocation, indexed like totals,
     from each task's slowest arrival by coalition mask.
 
@@ -168,7 +161,7 @@ def _arrival_floor(arrivals: list[list[float]], durations: Sequence[float]) -> n
     """
     floor = None
     for per_mask, duration in zip(arrivals, durations):
-        per_mask = np.array(per_mask) + duration
+        per_mask = per_mask + duration
         floor = per_mask if floor is None else np.maximum(floor[:, None], per_mask[None, :]).ravel()
     return floor
 
@@ -247,14 +240,14 @@ def brute_force_optimal(
         totals = (totals[:, None] + per_mask[None, :]).ravel()
 
     masks = range(2**n)
-    arrivals = [[slowest_arrival(tables, i, mask) for mask in masks] for i in range(m)]
-    too_slow = _arrival_floor(arrivals, tables.durations) > domain.time_budget + TOL
-
     # (i, j, piece ids by the mask tasks i and j share)
     columns = [
         (i, j, np.array([piece_id(tables, c, s) for s in masks]))
         for c, (i, j) in enumerate(tables.columns)
     ]
+    # the first m columns are the offsets: each task's slowest arrival by mask
+    arrivals = [np.array(tables.pieces[i])[ids] for i, (_, _, ids) in enumerate(columns[:m])]
+    too_slow = _arrival_floor(arrivals, tables.durations) > domain.time_budget + TOL
     dtype = np.min_scalar_type(2**n - 1)
 
     def piece_rows(keys: np.ndarray) -> np.ndarray:
@@ -471,9 +464,11 @@ def random_instance(seed: int, *, alpha: float = 0.4) -> ProblemDomain:
         alpha=alpha,
     )
     tables = make_travel_tables(base, estimated_leg_seconds(base))
-    null = Allocation.null(n_tasks, n_robots)
-    floor = solve_milp(build_constraints_fast(tables, null.coalition_masks())).schedule.makespan
-    ceiling = worst_makespan(base)
+    # the empty team's makespan and the full team's, worst_makespan(base)
+    floor, ceiling = (
+        solve_milp(build_constraints_fast(tables, alloc.coalition_masks())).schedule.makespan
+        for alloc in (Allocation.null(n_tasks, n_robots), Allocation.root(n_tasks, n_robots))
+    )
     u = float(rng.uniform(0.25, 0.9))
     budget = floor + u * max(ceiling - floor, 0.0)
     return replace(base, time_budget=max(budget, floor))

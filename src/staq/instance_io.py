@@ -54,9 +54,13 @@ def _as_cell(value, where: str) -> tuple[int, int]:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(where, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        _fail(where, "expected a finite number, got an integer too large for a float")
+    if not math.isfinite(number):
         _fail(where, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_pairs(value, where: str) -> list[tuple[int, int]]:
@@ -219,7 +223,19 @@ def instance_from_document(
                 end_site=_as_cell(td["end_site"], f"{where}.end_site"),
             )
         )
-        quality_maps.append(_parse_quality_map(td["quality_map"], f"{where}.quality_map", base_dir))
+        quality_map = _parse_quality_map(td["quality_map"], f"{where}.quality_map", base_dir)
+        # a map reads the summed traits of a coalition, one entry per robot trait
+        width = (
+            quality_map.weights.size
+            if isinstance(quality_map, LinearQualityMap)
+            else quality_map.model.x_train.shape[1]
+        )
+        if width != robots[0].traits.size:
+            _fail(
+                f"{where}.quality_map",
+                f"reads {width} traits, but the robots have {robots[0].traits.size}",
+            )
+        quality_maps.append(quality_map)
 
     network = TaskNetwork(
         tasks=tuple(tasks),

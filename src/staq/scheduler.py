@@ -75,20 +75,17 @@ class TravelTables:
     canonical pairs (i, j), i < j, that no direct precedence orders: the
     candidates for mutex pairs.
 
-    Each piece of a constraint set depends on few coalitions: an offset on
-    one task's mask, a travel term on the robots two tasks share. The memo
-    holds each piece under exactly that, derived once per table: the
-    slowest arrival under (task, mask), and the precedence item or mutex
-    entry of a pair under (i, j, shared mask), by slowest_arrival,
-    precedence_item and mutex_entry. build_constraints_fast assembles a set
-    from these pieces as they are, so allocations with equal pieces give
-    equal sets, each its own schedule-memo key.
-
     columns lists a set's pieces in its order, each as the pair (i, j) whose
-    shared mask, masks[i] & masks[j], it depends on: (i, i) for task i's
-    offset, then the precedence pairs, then the unordered pairs. piece_id
-    numbers each column's distinct pieces and keeps the numbers by mask in
-    piece_ids. The memos are pure caches; replace() starts fresh ones.
+    shared mask, masks[i] & masks[j], is all it depends on: (i, i) for task
+    i's release offset, then the precedence pairs, each with its precedence
+    item, then the unordered pairs, each with its mutex item or None. Per
+    column, piece_ids maps a mask to its piece's number, pieces maps a
+    number to the piece and _numbers a piece back to its number; piece_id
+    fills all three, deriving each mask's piece once per table, and
+    build_constraints_fast assembles a set from these pieces as they are,
+    so allocations with equal pieces give equal sets, each its own
+    schedule-memo key. The tables are pure caches; replace() starts fresh
+    ones.
     """
 
     durations: tuple[float, ...]
@@ -97,17 +94,17 @@ class TravelTables:
     precedence: tuple[tuple[int, int], ...]
     unordered: tuple[tuple[int, int], ...]
     user_mutex: frozenset[tuple[int, int]]
-    _memo: dict[tuple, object] = field(init=False, repr=False, compare=False)
     columns: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     piece_ids: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    pieces: tuple[list, ...] = field(init=False, repr=False, compare=False)
     _numbers: tuple[dict, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         columns = tuple((i, i) for i in range(len(self.durations)))
         columns += self.precedence + self.unordered
-        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "piece_ids", tuple({} for _ in columns))
+        object.__setattr__(self, "pieces", tuple([] for _ in columns))
         object.__setattr__(self, "_numbers", tuple({} for _ in columns))
 
 
@@ -157,74 +154,57 @@ def _slowest(travel: list[float], mask: int) -> float:
     return x
 
 
-def slowest_arrival(tables: TravelTables, task: int, mask: int) -> float:
-    """Release offset of a task under a coalition mask (the
-    Allocation.coalition_mask layout): its slowest robot's arrival."""
-    x = tables._memo.get((task, mask))
-    if x is None:
-        if not 0 <= mask < 1 << len(tables.arrive):
-            raise InvalidInput(f"coalition mask {mask} outside [0, 2^{len(tables.arrive)})")
-        x = tables._memo[(task, mask)] = _slowest([row[task] for row in tables.arrive], mask)
-    return x
+def _piece(tables: TravelTables, column: int, mask: int):
+    """The piece in a column (tables.columns) of every constraint set whose
+    column tasks share the robots in mask (the Allocation.coalition_mask
+    layout): a task's release offset, its slowest robot's arrival; a
+    precedence item ((i, j), travel after i before j); or an unordered
+    pair's mutex item ((i, j), (x_ij, x_ji)), None when it is no mutex pair.
+    """
+    i, j = tables.columns[column]
+    if i == j:
+        return _slowest([row[i] for row in tables.arrive], mask)
 
+    def handover(a: int, b: int) -> float:
+        return _slowest([row[a][b] for row in tables.hand], mask)
 
-def _handover(tables: TravelTables, i: int, j: int, shared: int) -> float:
-    return _slowest([row[i][j] for row in tables.hand], shared)
-
-
-def precedence_item(tables: TravelTables, i: int, j: int, shared: int) -> tuple:
-    """The precedence item ((i, j), travel) of the direct precedence i -> j
-    when the robots in `shared` serve both tasks."""
-    k = (i, j, shared)
-    item = tables._memo.get(k)
-    if item is None:
-        item = tables._memo[k] = ((i, j), _handover(tables, i, j, shared))
-    return item
-
-
-def mutex_entry(tables: TravelTables, i: int, j: int, shared: int) -> tuple:
-    """The mutex items of an unordered pair (i, j), i < j, when the robots
-    in `shared` serve both tasks: ((i, j), (x_ij, x_ji)) if the pair is a
-    mutex pair, else none."""
-    k = (i, j, shared)
-    entry = tables._memo.get(k)
-    if entry is None:
-        # a pair is a mutex pair when declared or when a robot serves both
-        entry = tables._memo[k] = (
-            (((i, j), (_handover(tables, i, j, shared), _handover(tables, j, i, shared))),)
-            if shared or (i, j) in tables.user_mutex
-            else ()
-        )
-    return entry
+    if column < len(tables.durations) + len(tables.precedence):
+        return ((i, j), handover(i, j))
+    # a pair is a mutex pair when declared or when a robot serves both
+    if mask or (i, j) in tables.user_mutex:
+        return ((i, j), (handover(i, j), handover(j, i)))
+    return None
 
 
 def piece_id(tables: TravelTables, column: int, mask: int) -> int:
     """Number of the piece in a column (tables.columns) of every constraint
-    set whose column tasks share the robots in mask.
+    set whose column tasks share the robots in mask; tables.pieces[column]
+    holds the piece under it.
 
     A column's distinct pieces are numbered from 0 in the order first asked
     for, so a number lies in [0, 2^n) for n robots, and two allocations
     give equal sets exactly when they give equal numbers in every column.
-    Memoized by mask in tables.piece_ids[column].
+    The only place that derives a piece: memoized by mask in
+    tables.piece_ids[column]. A mask outside [0, 2^n) is InvalidInput.
     """
     x = tables.piece_ids[column].get(mask)
     if x is None:
-        i, j = tables.columns[column]
-        if i == j:
-            piece = slowest_arrival(tables, i, mask)
-        elif column < len(tables.durations) + len(tables.precedence):
-            piece = precedence_item(tables, i, j, mask)
-        else:
-            piece = mutex_entry(tables, i, j, mask)
+        if not 0 <= mask < 1 << len(tables.arrive):
+            raise InvalidInput(f"coalition mask {mask} outside [0, 2^{len(tables.arrive)})")
+        piece = _piece(tables, column, mask)
         numbers = tables._numbers[column]
-        x = tables.piece_ids[column][mask] = numbers.setdefault(piece, len(numbers))
+        x = numbers.get(piece)
+        if x is None:
+            x = numbers[piece] = len(numbers)
+            tables.pieces[column].append(piece)
+        tables.piece_ids[column][mask] = x
     return x
 
 
 def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> ConstraintSet:
     """Derive the constraint set for an allocation, given as its coalition
-    masks (Allocation.coalition_masks), from a travel table, each piece read
-    from the table's memo or derived into it.
+    masks (Allocation.coalition_masks), from a travel table: per column,
+    the piece numbered by the column tasks' shared mask (piece_id).
 
     Mutex pairs are the user-declared ones plus every pair of tasks sharing a
     robot, minus pairs already ordered by direct precedence. Travel terms take
@@ -233,29 +213,20 @@ def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> Constr
     m = len(tables.durations)
     if len(masks) != m:
         raise InvalidInput(f"{len(masks)} coalition masks for {m} tasks")
-    get = tables._memo.get
-    offsets = []
-    for i, mask in enumerate(masks):
-        x = get((i, mask))
-        if x is None:
-            x = slowest_arrival(tables, i, mask)
-        offsets.append(x)
-    precedence = []
-    for i, j in tables.precedence:
-        k = (i, j, masks[i] & masks[j])
-        item = get(k)
-        if item is None:
-            item = precedence_item(tables, i, j, k[2])
-        precedence.append(item)
-    mutex: list = []
-    for i, j in tables.unordered:
+    piece_ids, pieces = tables.piece_ids, tables.pieces
+    row = []
+    # the offset columns come first, so every task mask is checked before
+    # a shared mask is read
+    for c, (i, j) in enumerate(tables.columns):
         shared = masks[i] & masks[j]
-        k = (i, j, shared)
-        entry = get(k)
-        if entry is None:
-            entry = mutex_entry(tables, i, j, shared)
-        mutex += entry
-    return ConstraintSet(tables.durations, tuple(offsets), tuple(precedence), tuple(mutex))
+        x = piece_ids[c].get(shared)
+        if x is None:
+            x = piece_id(tables, c, shared)
+        row.append(pieces[c][x])
+    k = m + len(tables.precedence)
+    return ConstraintSet(
+        tables.durations, tuple(row[:m]), tuple(row[m:k]), tuple(filter(None, row[k:]))
+    )
 
 
 def _tighten(
@@ -369,30 +340,29 @@ def worst_makespan(domain: ProblemDomain) -> float:
 
 
 def refine_with_motion_plans(
-    planned: TravelTables,
-    alloc: Allocation,
+    planned: ConstraintSet,
     schedule: Schedule,
     cs: ConstraintSet,
 ) -> tuple[ConstraintSet, bool]:
     """Replace the travel quantities this schedule relies on with planned ones.
 
-    planned holds travel times along grid paths (infinite where a leg is
-    unreachable, which the solver reports as infeasible). Every release
-    offset and precedence travel term is active in any schedule, so those
-    come from planned; of each mutex disjunction only the direction the
-    schedule realized is, and the other keeps its value from cs, a set of
-    the same allocation, which lists the same pairs in the same order.
+    planned is the allocation's set under travel times along grid paths
+    (infinite where a leg is unreachable, which the solver reports as
+    infeasible), built once per node: a round never changes it. Every
+    release offset and precedence travel term is active in any schedule, so
+    those come from planned; of each mutex disjunction only the direction
+    the schedule realized is, and the other keeps its value from cs, a set
+    of the same allocation, which lists the same pairs in the same order.
     Returns the updated set and whether anything grew; planned paths are
     never shorter than the straight-line estimate, so quantities only
     increase and repeated refinement reaches a fixpoint.
     """
-    fresh = build_constraints_fast(planned, alloc.coalition_masks())
     orderings = schedule.orderings
     mutex_pairs = tuple(
         (pair, (x_ij, old_ji) if orderings[pair] == 1 else (old_ij, x_ji))
-        for (pair, (x_ij, x_ji)), (_, (old_ij, old_ji)) in zip(fresh.mutex_pairs, cs.mutex_pairs)
+        for (pair, (x_ij, x_ji)), (_, (old_ij, old_ji)) in zip(planned.mutex_pairs, cs.mutex_pairs)
     )
-    refined = fresh._replace(mutex_pairs=mutex_pairs)
+    refined = planned._replace(mutex_pairs=mutex_pairs)
     changed = (
         any(x > old + TOL for x, old in zip(refined.initial_offsets, cs.initial_offsets))
         or any(

@@ -15,12 +15,13 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .heuristics import NodeScorer, make_context, node_scorer
+from .heuristics import make_context, node_scorer
 from .model import (
     Allocation,
     ContractViolation,
     InvalidInput,
     ProblemDomain,
+    Schedule,
     Solution,
     robot_routes,
     successors,
@@ -43,19 +44,6 @@ LOSS_SLACK = 1e-12
 
 ScheduleCache = dict[ConstraintSet, ScheduleOutcome]
 """Branch-and-bound outcomes by constraint set."""
-
-
-@dataclass
-class SearchNode:
-    """A node popped for refinement or acceptance; the open set holds flat
-    entries."""
-
-    allocation: Allocation
-    quality: float
-    quality_loss: float
-    overrun: float
-    blended: float
-    outcome: ScheduleOutcome
 
 
 class FrontierEntry(NamedTuple):
@@ -151,12 +139,17 @@ def solve(
     quality is that task's prefix plus the new entry plus the rest, the
     additions of total_allocation_quality in their order. Only a signature
     this solve has not seen builds its set, whose content keys the schedule
-    memo, so branch and bound runs once per distinct set. schedule_cache,
-    when given, is that memo, so solves that share it (e.g. one instance
-    at several alpha values) share the runs; an outcome depends only on its
-    set's content, so any solves may share one cache. scheduler_calls and
-    refinement_rounds count every allocation and round this solve
-    scheduled, served by a memo or not; bnb_runs counts only its own runs.
+    memo, so branch and bound runs once per distinct set. A popped node
+    that fits the budget builds its set under estimated travel and its set
+    under planned travel (the planned table is made at the first such
+    node), once each, refines until its schedule stops moving, and is
+    scored once after; it is accepted if it still fits, else re-queued.
+    schedule_cache, when given, is that memo, so solves that share it (e.g.
+    one instance at several alpha values) share the runs; an outcome
+    depends only on its set's content, so any solves may share one cache.
+    scheduler_calls and refinement_rounds count every allocation and round
+    this solve scheduled, served by a memo or not; bnb_runs counts only its
+    own runs.
     """
     if planner is None:
         planner = GridPlanner(domain.world)
@@ -215,16 +208,22 @@ def solve(
         if overrun == 0.0 and outcome.status == "optimal":
             if planned is None:
                 planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
-            node = SearchNode(alloc, quality, loss, overrun, blended, outcome)
-            estimate = build_constraints_fast(tables, alloc.coalition_masks())
-            _refine_node(node, estimate, planned, score, stats, schedule)
-            if node.overrun == 0.0 and node.outcome.status == "optimal":
+            masks = alloc.coalition_masks()
+            outcome = _refine(
+                build_constraints_fast(tables, masks),
+                build_constraints_fast(planned, masks),
+                outcome, stats, schedule,
+            )
+            makespan = outcome.schedule.makespan if outcome.status == "optimal" else None
+            loss, overrun, blended = score(quality, makespan)
+            if overrun == 0.0 and outcome.status == "optimal":
                 stats.frontier = open_set.snapshot()
-                solution = _build_solution(domain, node, planner)
+                plans = _motion_plans(domain, alloc, outcome.schedule, planner)
                 stats.planner_calls = planner.calls - planner.cache_hits - astar_before
+                solution = Solution(alloc, outcome.schedule, plans, quality, loss, overrun, blended)
                 return solution, stats
             stats.reinserted += 1
-            open_set.push(depth, key, quality, loss, node.overrun, node.blended, node.outcome)
+            open_set.push(depth, key, quality, loss, overrun, blended, outcome)
             continue
         stats.nodes_expanded += 1
         children = successors(alloc)
@@ -278,50 +277,42 @@ def solve(
     return None, stats
 
 
-def _refine_node(
-    node: SearchNode,
+def _refine(
     cs: ConstraintSet,
-    planned: TravelTables,
-    score: NodeScorer,
+    planned: ConstraintSet,
+    outcome: ScheduleOutcome,
     stats: SearchStats,
     schedule: Callable[[ConstraintSet], ScheduleOutcome],
-) -> None:
+) -> ScheduleOutcome:
     """Swap estimated travel for planned travel until the schedule stops moving.
 
-    cs is the node's set under estimated travel. Each round replaces at least
-    one estimate with its planned value and planned values are final, so the
-    loop is bounded by the quantity count.
+    cs and planned are the node's sets under estimated and planned travel,
+    and outcome is cs's. Each round replaces at least one estimate with its
+    planned value and planned values are final, so the loop is bounded by
+    the quantity count. Returns the last round's outcome.
     """
     for _ in range(cs.n_quantities + 1):
-        if node.outcome.status != "optimal":
+        if outcome.status != "optimal":
             break
-        cs, changed = refine_with_motion_plans(planned, node.allocation, node.outcome.schedule, cs)
+        cs, changed = refine_with_motion_plans(planned, outcome.schedule, cs)
         if not changed:
             break
         stats.refinement_rounds += 1
-        node.outcome = outcome = schedule(cs)
-        makespan = outcome.schedule.makespan if outcome.status == "optimal" else None
-        _, node.overrun, node.blended = score(node.quality, makespan)
+        outcome = schedule(cs)
+    return outcome
 
 
-def _build_solution(domain: ProblemDomain, node: SearchNode, planner: GridPlanner) -> Solution:
-    schedule = node.outcome.schedule
-    assert schedule is not None
+def _motion_plans(
+    domain: ProblemDomain, alloc: Allocation, schedule: Schedule, planner: GridPlanner
+) -> dict:
+    """Each robot's arrival leg to each task on its route, by (robot id, task)."""
     motion_plans = {}
     tasks = domain.network.tasks
-    for robot, route in zip(domain.robots, robot_routes(node.allocation, schedule.start_times)):
+    for robot, route in zip(domain.robots, robot_routes(alloc, schedule.start_times)):
         origin = robot.start_cell
         for i in route:
             plan = planner.plan(origin, tasks[i].start_site)
             assert plan is not None, "accepted node has an unreachable leg"
             motion_plans[(robot.id, i)] = plan
             origin = tasks[i].end_site
-    return Solution(
-        allocation=node.allocation,
-        schedule=schedule,
-        motion_plans=motion_plans,
-        total_quality=node.quality,
-        quality_loss=node.quality_loss,
-        overrun=node.overrun,
-        blended=node.blended,
-    )
+    return motion_plans

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from staq.analysis import random_instance
 from staq.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from staq.instance_io import instance_to_document, save_dataset_csv, save_instance
 from staq.learning import LinearQualityMap
@@ -237,6 +238,35 @@ def test_malformed_gp_model_is_an_input_error(model, field, tmp_path, capsys):
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+def test_integer_beyond_the_float_range_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(instance_to_document(drop_one_domain(time_budget=9.0))))
+    doc["time_budget"] = 10**400
+    (tmp_path / "instance.json").write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["solve", str(tmp_path / "instance.json"), "-o", str(tmp_path / "out.json")])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "time_budget" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "sweep"])
+@pytest.mark.parametrize("kind", ["linear", "learned"])
+def test_quality_map_of_the_wrong_width_is_an_input_error(command, kind, tmp_path, capsys):
+    domain = random_instance(1)
+    doc = json.loads(json.dumps(instance_to_document(domain)))
+    if kind == "linear":
+        doc["tasks"][0]["quality_map"]["weights"].append(0.5)
+    else:
+        model = {"x_train": [[0.5] * (domain.n_traits + 1), [1.0] * (domain.n_traits + 1)],
+                 "y_train": [0.5, 0.4]}
+        (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+        doc["tasks"][0]["quality_map"] = {"type": "learned", "model_path": "model.json"}
+    (tmp_path / "instance.json").write_text(json.dumps(doc), encoding="utf-8")
+    rc = main([command, str(tmp_path / "instance.json"), "-o", str(tmp_path / "out")])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tasks[0].quality_map" in err
 
 
 def test_missing_instance_file(tmp_path, capsys):

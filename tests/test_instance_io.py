@@ -55,6 +55,14 @@ def test_instance_document_roundtrip():
     assert a.schedule.makespan == pytest.approx(b.schedule.makespan)
 
 
+def test_instance_documents_round_trip_exactly():
+    for seed in range(50):
+        doc = instance_to_document(random_instance(seed), seed=seed)
+        loaded = instance_from_document(doc)
+        again = instance_to_document(loaded.domain, seed=loaded.seed)
+        assert again == json.loads(json.dumps(doc)), f"seed {seed}"
+
+
 def test_save_and_load_instance_file(tmp_path):
     domain = random_instance(1)
     path = tmp_path / "instance.json"

@@ -14,6 +14,7 @@ from staq.model import (
     WorldMap,
 )
 from staq.motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
+from staq import scheduler
 from staq.analysis import random_instance
 from staq.scheduler import (
     ConstraintSet,
@@ -53,8 +54,8 @@ def _build(domain, alloc, leg):
     return build_constraints_fast(make_travel_tables(domain, leg), alloc.coalition_masks())
 
 
-def _planned(domain):
-    return make_travel_tables(domain, planned_leg_seconds(GridPlanner(domain.world), domain))
+def _planned(domain, alloc):
+    return _build(domain, alloc, planned_leg_seconds(GridPlanner(domain.world), domain))
 
 
 def linprog_makespan(cs, orderings):
@@ -329,37 +330,32 @@ def test_fast_constraints_match_reference_everywhere():
                 assert got == want
 
 
-class CountingMemo(dict):
-    """A memo that records every key stored into it."""
-
-    def __init__(self):
-        super().__init__()
-        self.stored = []
-
-    def __setitem__(self, key, value):
-        self.stored.append(key)
-        super().__setitem__(key, value)
-
-
-def test_each_memo_entry_is_derived_once_per_table():
+def test_each_memo_entry_is_derived_once_per_table(monkeypatch):
     domain = random_instance(8)   # precedence and a user mutex pair
     m, n = domain.n_tasks, domain.n_robots
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
-    memo = CountingMemo()
-    object.__setattr__(tables, "_memo", memo)
+    derived = []
+    real_piece = scheduler._piece
+
+    def counting_piece(tables, column, mask):
+        derived.append((column, mask))
+        return real_piece(tables, column, mask)
+
+    # patched after random_instance, which builds tables of its own
+    monkeypatch.setattr(scheduler, "_piece", counting_piece)
     allocs = [Allocation(key, (m, n)) for key in range(1 << (m * n))]
     sets = [build_constraints_fast(tables, alloc.coalition_masks()) for alloc in allocs]
-    assert len(set(memo.stored)) == len(memo.stored) == len(memo)
-    # at most one arrival per (task, mask) and one item per (pair, shared mask)
-    pairs = len(tables.precedence) + len(tables.unordered)
-    assert len(memo) <= (m + pairs) << n
-    derived = len(memo)
+    # once per (column, mask): every shared mask occurs over all allocations
+    assert sorted(derived) == [(c, mask) for c in range(len(tables.columns)) for mask in range(1 << n)]
+    for ids, pieces in zip(tables.piece_ids, tables.pieces):
+        assert sorted(set(ids.values())) == list(range(len(pieces)))
+    derived.clear()
     for alloc, cs in zip(allocs, sets):
         assert build_constraints_fast(tables, alloc.coalition_masks()) == cs
-    assert len(memo.stored) == derived   # everything after the first pass hit
+    assert derived == []   # everything after the first pass hit
 
     fresh = make_travel_tables(domain, estimated_leg_seconds(domain))
-    assert fresh._memo == {}   # the memo belongs to one table
+    assert fresh.piece_ids == tuple({} for _ in fresh.columns)   # the memo belongs to one table
 
 
 def test_constraint_items_are_sorted_by_pair():
@@ -475,7 +471,7 @@ def test_refinement_fixpoint_on_open_map():
     alloc = Allocation.root(1, 1)
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
-    refined, changed = refine_with_motion_plans(_planned(domain), alloc,
+    refined, changed = refine_with_motion_plans(_planned(domain, alloc),
                                                 outcome.schedule, cs)
     assert not changed
     assert refined.initial_offsets == cs.initial_offsets
@@ -492,16 +488,16 @@ def test_refinement_grows_travel_around_walls():
     alloc = Allocation.root(1, 1)
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     before = solve_milp(cs).schedule.makespan
-    planned = _planned(domain)
+    planned = _planned(domain, alloc)
     refined, changed = refine_with_motion_plans(
-        planned, alloc, solve_milp(cs).schedule, cs)
+        planned, solve_milp(cs).schedule, cs)
     assert changed
     after_outcome = solve_milp(refined)
     assert after_outcome.schedule.makespan >= before
     assert after_outcome.schedule.makespan == pytest.approx(20.0 + 2.0)
     # second pass is a fixpoint
     again, changed2 = refine_with_motion_plans(
-        planned, alloc, after_outcome.schedule, refined)
+        planned, after_outcome.schedule, refined)
     assert not changed2
     assert again == refined
 
@@ -520,7 +516,7 @@ def test_refinement_updates_only_the_realized_mutex_direction():
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
     direction = outcome.schedule.orderings[(0, 1)]
-    refined, changed = refine_with_motion_plans(_planned(domain), alloc,
+    refined, changed = refine_with_motion_plans(_planned(domain, alloc),
                                                 outcome.schedule, cs)
     assert changed
     [(_, old)] = cs.mutex_pairs
@@ -542,9 +538,8 @@ def test_refinement_keeps_the_fresh_sets_pair_order():
         if len(cs.mutex_pairs) < 2:
             continue
         schedule = solve_milp(cs).schedule
-        planned = _planned(domain)
-        refined, _ = refine_with_motion_plans(planned, alloc, schedule, cs)
-        fresh = build_constraints_fast(planned, alloc.coalition_masks())
+        fresh = _planned(domain, alloc)
+        refined, _ = refine_with_motion_plans(fresh, schedule, cs)
         assert [p for p, _ in refined.mutex_pairs] == [p for p, _ in fresh.mutex_pairs]
         for (pair, new), (_, planned_pair), (_, old) in zip(
                 refined.mutex_pairs, fresh.mutex_pairs, cs.mutex_pairs):
@@ -568,7 +563,7 @@ def test_refinement_marks_unreachable_legs_infinite():
     alloc = Allocation.root(1, 1)
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
-    refined, changed = refine_with_motion_plans(_planned(domain), alloc,
+    refined, changed = refine_with_motion_plans(_planned(domain, alloc),
                                                 outcome.schedule, cs)
     assert changed
     assert math.isinf(refined.initial_offsets[0])

@@ -278,28 +278,36 @@ def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
 
 def test_children_build_one_set_per_new_signature(monkeypatch):
     # builds through staq.search are the root's, one per child whose
-    # signature is new, and one per popped node sent to refinement; the
-    # root's and the children's sets are all distinct
-    built, refined = [], []
+    # signature is new, and two per popped node sent to refinement: its
+    # estimated set and its planned set, the only builds on the planned
+    # table; the root's and the children's sets are all distinct
+    built, refined, planned = [], [], []
 
     def counting_build(tables, masks):
         cs = real_build(tables, masks)
-        built.append(cs)
+        built.append((tables, cs))
         return cs
 
-    def recording_refine(node, cs, *args):
+    def recording_refine(cs, planned_cs, *args):
         refined.append(cs)
-        return real_refine(node, cs, *args)
+        planned.append(planned_cs)
+        return real_refine(cs, planned_cs, *args)
 
-    real_build, real_refine = search.build_constraints_fast, search._refine_node
+    real_build, real_refine = search.build_constraints_fast, search._refine
     monkeypatch.setattr(search, "build_constraints_fast", counting_build)
-    monkeypatch.setattr(search, "_refine_node", recording_refine)
+    monkeypatch.setattr(search, "_refine", recording_refine)
     for seed in range(10):
         built.clear()
         refined.clear()
+        planned.clear()
         _, stats = solve(random_instance(seed))
-        scored = [cs for cs in built if not any(cs is r for r in refined)]
-        assert len(built) - len(scored) == len(refined)
+        estimated = built[0][0]   # the root's set is built first
+        on_planned = [cs for tables, cs in built if tables is not estimated]
+        assert len(on_planned) == stats.reinserted + 1, f"seed {seed}"
+        assert all(a is b for a, b in zip(on_planned, planned)) and len(planned) == len(on_planned)
+        scored = [cs for tables, cs in built
+                  if tables is estimated and not any(cs is r for r in refined)]
+        assert len(built) - len(scored) == len(refined) + len(planned)
         assert len(set(scored)) == len(scored), f"seed {seed}: a set was built twice"
         assert set(refined) <= set(scored)
         assert len(scored) < stats.nodes_generated   # children share signatures
