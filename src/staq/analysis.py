@@ -30,7 +30,7 @@ from .model import (
 )
 from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import build_constraints_fast, make_travel_tables, piece_id, solve_milp
-from .search import FrontierEntry, ScheduleCache, SearchStats, solve
+from .search import ScheduleCache, SearchStats, solve
 
 TOL = 1e-9
 ORACLE_MAX_BITS = 20
@@ -95,21 +95,12 @@ def posthoc_bound(
     alpha: float, q_root: float, q_null: float, overrun_best_open: float
 ) -> float:
     """The a-priori bound tightened by the realized overrun of the best open
-    node; 0 when the frontier was empty (the search exhausted the graph)."""
+    node; 0 when no node was open (the search exhausted the graph)."""
     if overrun_best_open < 0:
         raise InvalidInput(f"overrun must be non-negative, got {overrun_best_open}")
     if overrun_best_open == 0.0:
         return 0.0
     return apriori_bound(alpha, q_root, q_null) * overrun_best_open
-
-
-def best_frontier_entry(frontier: Sequence[FrontierEntry]) -> Optional[FrontierEntry]:
-    """Highest-quality open node; ties go to the smallest allocation key."""
-    best = None
-    for entry in sorted(frontier, key=lambda e: e.key):
-        if best is None or entry.quality > best.quality:
-            best = entry
-    return best
 
 
 def bound_report(
@@ -121,8 +112,7 @@ def bound_report(
 ) -> BoundReport:
     span = stats.quality_root - stats.quality_null
     apriori = apriori_bound(domain.alpha, stats.quality_root, stats.quality_null)
-    best_open = best_frontier_entry(stats.frontier)
-    overrun_best = 0.0 if best_open is None else best_open.overrun
+    overrun_best = 0.0 if stats.best_open is None else stats.best_open.overrun
     posthoc = posthoc_bound(domain.alpha, stats.quality_root, stats.quality_null, overrun_best)
 
     report = BoundReport(

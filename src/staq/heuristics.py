@@ -51,65 +51,23 @@ def make_context(domain: ProblemDomain, makespan_worst: float) -> HeuristicConte
     )
 
 
-def normalized_quality_loss(quality: float, ctx: HeuristicContext) -> float:
-    """Fraction of the root-to-null quality range given up by this allocation.
-
-    0 at root quality, 1 at null quality. Degenerate range (root == null)
-    yields 0: no quality is at stake, so nothing is lost.
-    """
-    span = ctx.quality_root - ctx.quality_null
-    if abs(span) <= TOL:
-        return 0.0
-    loss = (ctx.quality_root - quality) / span
-    if loss < -TOL or loss > 1.0 + TOL:
-        raise ContractViolation(
-            f"quality {quality} outside [{ctx.quality_null}, {ctx.quality_root}]"
-        )
-    return min(1.0, max(0.0, loss))
-
-
-def budget_overrun(makespan: float, ctx: HeuristicContext) -> float:
-    """Excess of the makespan over the budget, scaled by the worst-case margin.
-
-    0 when the schedule fits the budget. Degenerate margin (worst-case equals
-    the budget) yields 0 when within budget and +inf otherwise, so overruns
-    still dominate any quality term.
-    """
-    if makespan < 0:
-        raise ContractViolation(f"negative makespan {makespan}")
-    margin = abs(ctx.makespan_worst - ctx.time_budget)
-    excess = makespan - ctx.time_budget
-    if excess <= 0.0:
-        return 0.0
-    if margin <= TOL:
-        return float("inf")
-    return excess / margin
-
-
-def blend(loss: float, overrun: float, alpha: float) -> float:
-    """Convex blend: (1 - alpha) * quality loss + alpha * budget overrun.
-
-    At alpha = 0 an infinite overrun is ignored rather than producing nan;
-    the budget side simply has no weight.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidInput(f"alpha must be in [0,1], got {alpha}")
-    if overrun == float("inf"):
-        return float("inf") if alpha > 0.0 else loss
-    return (1.0 - alpha) * loss + alpha * overrun
-
-
 NodeScorer = Callable[[float, Optional[float]], tuple[float, float, float]]
 """Maps a node's quality and makespan to (loss, overrun, blend)."""
 
 
 def node_scorer(ctx: HeuristicContext) -> NodeScorer:
-    """normalized_quality_loss, budget_overrun and blend of a node in one step.
+    """Normalized quality loss, budget overrun and their blend, in one step.
 
-    The span, the margin and the alpha check are settled once here; the
-    returned function applies the same formulas and raises the same errors
-    as the three functions. A makespan of None means the node has no
-    schedule: its overrun and blend are inf, whatever alpha is.
+    loss is the fraction of the root-to-null quality range given up: 0 at
+    root quality, 1 at null quality, and 0 when the range is degenerate
+    (nothing is at stake); a quality outside the range beyond TOL is a
+    ContractViolation. overrun is the makespan's excess over the budget
+    scaled by the worst-case margin: 0 within budget, and inf over it when
+    the margin is degenerate, so overruns still dominate any quality term.
+    blend is (1 - alpha) * loss + alpha * overrun; at alpha = 0 an infinite
+    overrun is ignored rather than producing nan. A makespan of None means
+    the node has no schedule: its overrun and blend are inf, whatever alpha
+    is. The span, the margin and the alpha check are settled once here.
     """
     alpha = ctx.alpha
     if not (0.0 <= alpha <= 1.0):

@@ -225,15 +225,10 @@ def instance_from_document(
         )
         quality_map = _parse_quality_map(td["quality_map"], f"{where}.quality_map", base_dir)
         # a map reads the summed traits of a coalition, one entry per robot trait
-        width = (
-            quality_map.weights.size
-            if isinstance(quality_map, LinearQualityMap)
-            else quality_map.model.x_train.shape[1]
-        )
-        if width != robots[0].traits.size:
+        if quality_map.width != robots[0].traits.size:
             _fail(
                 f"{where}.quality_map",
-                f"reads {width} traits, but the robots have {robots[0].traits.size}",
+                f"reads {quality_map.width} traits, but the robots have {robots[0].traits.size}",
             )
         quality_maps.append(quality_map)
 

@@ -51,6 +51,11 @@ class LinearQualityMap:
         if self.normalizer <= 0:
             raise InvalidInput("normalizer must be positive")
 
+    @property
+    def width(self) -> int:
+        """Length of the trait vector the map reads."""
+        return self.weights.size
+
     def __call__(self, traits: np.ndarray) -> float:
         return float(np.dot(self.weights, traits)) / self.normalizer
 
@@ -169,6 +174,11 @@ class GPQualityMap:
     """Quality map backed by a GP posterior mean."""
 
     model: GPModel
+
+    @property
+    def width(self) -> int:
+        """Length of the trait vector the map reads."""
+        return self.model.x_train.shape[1]
 
     def __call__(self, traits: np.ndarray) -> float:
         return float(gp_mean(self.model, np.asarray(traits, dtype=float)[None, :])[0])

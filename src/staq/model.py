@@ -19,7 +19,10 @@ Cell = tuple[int, int]
 """Grid coordinate as (col, row)."""
 
 QualityMap = Callable[[np.ndarray], float]
-"""Maps a task's aggregated trait vector to a quality score in [0, 1]."""
+"""Maps a task's aggregated trait vector to a quality score in [0, 1].
+
+ProblemDomain checks a map's `width` property, the trait vector length it
+reads, against the robots' trait count; a map without one is unchecked."""
 
 TOL = 1e-9
 
@@ -304,6 +307,10 @@ class ProblemDomain:
                     raise InvalidInput(f"task {t.id}: site {site} blocked or out of bounds")
         if len(self.quality_maps) != len(self.network):
             raise InvalidInput("need exactly one quality map per task")
+        for k, q in enumerate(self.quality_maps):
+            width = getattr(q, "width", u)
+            if width != u:
+                raise InvalidInput(f"task {k}: quality map reads {width} traits, robots have {u}")
         if not _positive_finite(self.time_budget):
             raise InvalidInput(f"time budget must be positive and finite, got {self.time_budget}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -346,7 +353,7 @@ class ProblemDomain:
         return self.traits.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     """Start times, makespan, and the mutex orderings that realized them."""
 

@@ -57,7 +57,7 @@ class ConstraintSet(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleOutcome:
     status: str  # "optimal" or "infeasible"
     schedule: Optional[Schedule]

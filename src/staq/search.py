@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .heuristics import make_context, node_scorer
@@ -69,11 +68,13 @@ class SearchStats:
     worst_makespan: float = 0.0
     quality_root: float = 0.0
     quality_null: float = 0.0
-    frontier: tuple[FrontierEntry, ...] = ()  # open set at termination
+    best_open: Optional[FrontierEntry] = None  # OpenSet.best at acceptance, scored
 
 
-OpenEntry = tuple[float, int, int, float, float, float, float, ScheduleOutcome]
-"""(rounded blend, depth, key, quality, loss, overrun, blend, outcome)."""
+OpenEntry = tuple[float, int, int, float, Optional[float]]
+"""(rounded blend, depth, key, quality, makespan); makespan is None when the
+node's set has no schedule. Numbers only, so the collector stops tracking
+the entries; the solve's node_scorer gives loss, overrun and blend again."""
 
 
 class OpenSet:
@@ -88,18 +89,9 @@ class OpenSet:
         self._heap: list[OpenEntry] = []
 
     def push(
-        self,
-        depth: int,
-        key: int,
-        quality: float,
-        loss: float,
-        overrun: float,
-        blended: float,
-        outcome: ScheduleOutcome,
+        self, depth: int, key: int, quality: float, makespan: Optional[float], blended: float
     ) -> None:
-        heapq.heappush(
-            self._heap, (round(blended, 9), depth, key, quality, loss, overrun, blended, outcome)
-        )
+        heapq.heappush(self._heap, (round(blended, 9), depth, key, quality, makespan))
 
     def pop(self) -> OpenEntry:
         if not self._heap:
@@ -109,11 +101,9 @@ class OpenSet:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def snapshot(self) -> tuple[FrontierEntry, ...]:
-        return tuple(
-            FrontierEntry(key, quality, overrun, blended)
-            for _, _, key, quality, _, overrun, blended, _ in sorted(self._heap, key=itemgetter(2))
-        )
+    def best(self) -> Optional[OpenEntry]:
+        """Highest-quality open node; ties go to the smallest key. None when empty."""
+        return max(self._heap, key=lambda e: (e[3], -e[2]), default=None)
 
 
 def solve(
@@ -139,11 +129,16 @@ def solve(
     quality is that task's prefix plus the new entry plus the rest, the
     additions of total_allocation_quality in their order. Only a signature
     this solve has not seen builds its set, whose content keys the schedule
-    memo, so branch and bound runs once per distinct set. A popped node
-    that fits the budget builds its set under estimated travel and its set
-    under planned travel (the planned table is made at the first such
-    node), once each, refines until its schedule stops moving, and is
-    scored once after; it is accepted if it still fits, else re-queued.
+    memo, so branch and bound runs once per distinct set. An open node is
+    held as its quality and makespan (OpenEntry) and scored again when
+    popped, with the same scorer on the same inputs. A popped node that
+    fits the budget builds its set under estimated travel, whose outcome
+    the memo already holds, and its set under planned travel (the planned
+    table is made at the first such node), once each, refines until its
+    schedule stops moving, and is scored once after; it is accepted if it
+    still fits, else re-queued with its refined makespan. At acceptance
+    only OpenSet.best, the open node the post-hoc bound reads, is scored
+    into stats.best_open; it stays None when the graph is exhausted.
     schedule_cache, when given, is that memo, so solves that share it (e.g.
     one instance at several alpha values) share the runs; an outcome
     depends only on its set's content, so any solves may share one cache.
@@ -196,34 +191,39 @@ def solve(
     stats.quality_null = ctx.quality_null
     score = node_scorer(ctx)
     open_set = OpenSet()
-    open_set.push(0, root.key, root_quality,
-                  *score(root_quality, root_outcome.schedule.makespan), root_outcome)
+    root_makespan = root_outcome.schedule.makespan
+    open_set.push(0, root.key, root_quality, root_makespan, score(root_quality, root_makespan)[2])
     stats.scheduler_calls = stats.nodes_generated = 1
     visited = {root.key}
     task_quality = domain.task_quality
 
     while len(open_set):
-        _, depth, key, quality, loss, overrun, blended, outcome = open_set.pop()
+        _, depth, key, quality, makespan = open_set.pop()
+        loss, overrun, blended = score(quality, makespan)
         alloc = Allocation(key, root.shape)
-        if overrun == 0.0 and outcome.status == "optimal":
+        if overrun == 0.0:  # so makespan is not None: the node has a schedule
             if planned is None:
                 planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
             masks = alloc.coalition_masks()
             outcome = _refine(
                 build_constraints_fast(tables, masks),
                 build_constraints_fast(planned, masks),
-                outcome, stats, schedule,
+                stats, schedule,
             )
             makespan = outcome.schedule.makespan if outcome.status == "optimal" else None
             loss, overrun, blended = score(quality, makespan)
-            if overrun == 0.0 and outcome.status == "optimal":
-                stats.frontier = open_set.snapshot()
+            if overrun == 0.0:
+                best = open_set.best()
+                if best is not None:
+                    _, _, best_key, best_quality, best_makespan = best
+                    _, best_overrun, best_blend = score(best_quality, best_makespan)
+                    stats.best_open = FrontierEntry(best_key, best_quality, best_overrun, best_blend)
                 plans = _motion_plans(domain, alloc, outcome.schedule, planner)
                 stats.planner_calls = planner.calls - planner.cache_hits - astar_before
                 solution = Solution(alloc, outcome.schedule, plans, quality, loss, overrun, blended)
                 return solution, stats
             stats.reinserted += 1
-            open_set.push(depth, key, quality, loss, overrun, blended, outcome)
+            open_set.push(depth, key, quality, makespan, blended)
             continue
         stats.nodes_expanded += 1
         children = successors(alloc)
@@ -258,21 +258,19 @@ def solve(
             child_q = prefixes[task] + task_quality(task, mask)
             for q in qualities[task + 1:]:
                 child_q += q
-            child_loss, child_overrun, child_blended = score(
-                child_q,
-                child_outcome.schedule.makespan if child_outcome.status == "optimal" else None,
+            child_makespan = (
+                child_outcome.schedule.makespan if child_outcome.status == "optimal" else None
             )
+            child_loss, _, child_blended = score(child_q, child_makespan)
             if check_invariants and child_loss < loss - LOSS_SLACK:
                 raise ContractViolation(
                     f"quality loss dropped from {loss} to {child_loss} on removing an assignment"
                 )
-            open_set.push(depth + 1, child_key, child_q, child_loss, child_overrun,
-                          child_blended, child_outcome)
+            open_set.push(depth + 1, child_key, child_q, child_makespan, child_blended)
         stats.nodes_generated += fresh
         stats.scheduler_calls += fresh
         stats.duplicates_skipped += len(children) - fresh
 
-    stats.frontier = ()
     stats.planner_calls = planner.calls - planner.cache_hits - astar_before
     return None, stats
 
@@ -280,17 +278,18 @@ def solve(
 def _refine(
     cs: ConstraintSet,
     planned: ConstraintSet,
-    outcome: ScheduleOutcome,
     stats: SearchStats,
     schedule: Callable[[ConstraintSet], ScheduleOutcome],
 ) -> ScheduleOutcome:
     """Swap estimated travel for planned travel until the schedule stops moving.
 
-    cs and planned are the node's sets under estimated and planned travel,
-    and outcome is cs's. Each round replaces at least one estimate with its
-    planned value and planned values are final, so the loop is bounded by
-    the quantity count. Returns the last round's outcome.
+    cs and planned are the node's sets under estimated and planned travel;
+    cs's outcome is a memo hit, as the node was scheduled when generated.
+    Each round replaces at least one estimate with its planned value and
+    planned values are final, so the loop is bounded by the quantity count.
+    Returns the last round's outcome.
     """
+    outcome = schedule(cs)
     for _ in range(cs.n_quantities + 1):
         if outcome.status != "optimal":
             break

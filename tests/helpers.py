@@ -8,8 +8,9 @@ instead of bitmasks over travel tables. Tests compare library output
 against these references. The GP marginal-likelihood grid search lives
 here too, as only tests use it, and so do the learning loop that refits
 the GP after every label, the rmse of a fit model, the search's child
-quality as a left fold over replaced entries, and A* with its occupancy
-test and heuristic behind their own calls.
+quality as a left fold over replaced entries, A* with its occupancy test
+and heuristic behind their own calls, and the node score's loss, overrun
+and blend as three functions.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from staq.learning import (
 )
 from staq.model import (
     Allocation,
+    ContractViolation,
     InvalidInput,
     ProblemDomain,
     Robot,
@@ -50,6 +52,59 @@ from staq.scheduler import (
     make_travel_tables,
     solve_milp,
 )
+
+
+# The search's node score as three separate formulas, the reference for
+# heuristics.node_scorer. Quality and overrun tolerances are 1e-9, as there.
+SCORE_TOL = 1e-9
+
+
+def normalized_quality_loss(quality, ctx):
+    """Fraction of the root-to-null quality range given up by this allocation.
+
+    0 at root quality, 1 at null quality. Degenerate range (root == null)
+    yields 0: no quality is at stake, so nothing is lost.
+    """
+    span = ctx.quality_root - ctx.quality_null
+    if abs(span) <= SCORE_TOL:
+        return 0.0
+    loss = (ctx.quality_root - quality) / span
+    if loss < -SCORE_TOL or loss > 1.0 + SCORE_TOL:
+        raise ContractViolation(
+            f"quality {quality} outside [{ctx.quality_null}, {ctx.quality_root}]"
+        )
+    return min(1.0, max(0.0, loss))
+
+
+def budget_overrun(makespan, ctx):
+    """Excess of the makespan over the budget, scaled by the worst-case margin.
+
+    0 when the schedule fits the budget. Degenerate margin (worst-case equals
+    the budget) yields 0 when within budget and +inf otherwise, so overruns
+    still dominate any quality term.
+    """
+    if makespan < 0:
+        raise ContractViolation(f"negative makespan {makespan}")
+    margin = abs(ctx.makespan_worst - ctx.time_budget)
+    excess = makespan - ctx.time_budget
+    if excess <= 0.0:
+        return 0.0
+    if margin <= SCORE_TOL:
+        return float("inf")
+    return excess / margin
+
+
+def blend(loss, overrun, alpha):
+    """Convex blend: (1 - alpha) * quality loss + alpha * budget overrun.
+
+    At alpha = 0 an infinite overrun is ignored rather than producing nan;
+    the budget side simply has no weight.
+    """
+    if not (0.0 <= alpha <= 1.0):
+        raise InvalidInput(f"alpha must be in [0,1], got {alpha}")
+    if overrun == float("inf"):
+        return float("inf") if alpha > 0.0 else loss
+    return (1.0 - alpha) * loss + alpha * overrun
 
 
 def child_quality(qualities, task, quality):

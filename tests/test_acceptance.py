@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from staq.analysis import OracleBudgetExceeded, brute_force_optimal, bound_report, random_instance
-from staq.heuristics import make_context, normalized_quality_loss
+from staq.heuristics import make_context
 from staq.learning import (
     LinearQualityMap,
     QueryPool,
@@ -45,6 +45,7 @@ from helpers import (
     dense_gp_reference,
     drop_one_domain,
     enumerate_schedules,
+    normalized_quality_loss,
     random_constraint_set,
 )
 

@@ -11,7 +11,6 @@ from staq.analysis import (
     _quality_order,
     alpha_sweep,
     apriori_bound,
-    best_frontier_entry,
     bound_report,
     brute_force_optimal,
     posthoc_bound,
@@ -36,7 +35,7 @@ from staq.scheduler import (
     solve_milp,
     worst_makespan,
 )
-from staq.search import FrontierEntry, solve
+from staq.search import solve
 
 from helpers import (
     LinearMap,
@@ -76,16 +75,6 @@ def test_posthoc_bound_values():
     assert posthoc_bound(1.0, 3.0, 0.0, 0.0) == 0.0
     with pytest.raises(InvalidInput):
         posthoc_bound(0.25, 3.0, 0.0, -0.1)
-
-
-def test_best_frontier_entry_picks_quality_then_key():
-    assert best_frontier_entry(()) is None
-    entries = (FrontierEntry(key=9, quality=1.5, overrun=0.3, blended=0.1),
-               FrontierEntry(key=4, quality=1.5, overrun=0.7, blended=0.2),
-               FrontierEntry(key=2, quality=0.9, overrun=0.0, blended=0.0))
-    best = best_frontier_entry(entries)
-    assert best.key == 4      # quality tie resolved toward the smaller key
-    assert best.overrun == 0.7
 
 
 # ------------------------------------------------------------- bound report

@@ -2,17 +2,10 @@ import math
 
 import pytest
 
-from staq.heuristics import (
-    HeuristicContext,
-    blend,
-    budget_overrun,
-    make_context,
-    node_scorer,
-    normalized_quality_loss,
-)
+from staq.heuristics import HeuristicContext, make_context, node_scorer
 from staq.model import Allocation, ContractViolation, InvalidInput, total_allocation_quality
 
-from helpers import two_task_domain
+from helpers import blend, budget_overrun, normalized_quality_loss, two_task_domain
 
 
 def _ctx(root=2.0, null=0.0, worst=200.0, budget=100.0, alpha=0.4):

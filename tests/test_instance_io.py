@@ -269,8 +269,8 @@ def test_result_documents_write_one_stats_block():
     assert sol is not None and nothing is None
     written = solution_document(drop_one_domain(), sol, stats)["stats"]
     failed = infeasible_document(drop_one_domain(), none_stats)["stats"]
-    # every scalar counter; the frontier is for the bound report only
-    fields = [f.name for f in dataclasses.fields(SearchStats) if f.name != "frontier"]
+    # every scalar counter; the best open node is for the bound report only
+    fields = [f.name for f in dataclasses.fields(SearchStats) if f.name != "best_open"]
     assert sorted(written) == sorted(failed) == sorted(fields)
     assert {"bnb_runs", "bnb_nodes"} <= written.keys()
     for name in fields:

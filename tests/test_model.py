@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from staq.analysis import brute_force_optimal, random_instance
-from staq.learning import gp_fit
+from staq.learning import GPQualityMap, LinearQualityMap, gp_fit
 from staq.model import (
     Allocation,
     InvalidInput,
@@ -421,6 +421,27 @@ def test_domain_validation_errors():
     blocked = WorldMap(width=4, height=4, occupied=frozenset({(0, 0)}))
     with pytest.raises(InvalidInput):
         ProblemDomain(**{**kw, "world": blocked})
+
+
+def test_domain_rejects_a_quality_map_of_another_width():
+    # built in code, not loaded from a document: the width is checked at
+    # construction, where solve would otherwise fail on a shape mismatch
+    base = random_instance(1)
+    u = base.n_traits
+    linear = base.quality_maps[0]
+    wider = LinearQualityMap(np.append(linear.weights, 0.5), linear.normalizer)
+    x = np.random.default_rng(0).random((3, u + 1))
+    gp = GPQualityMap(gp_fit(x, np.full(3, 0.5)))
+    for bad in (wider, gp):
+        assert bad.width == u + 1
+        with pytest.raises(InvalidInput, match=f"task 0: quality map reads {u + 1} traits"):
+            dataclasses.replace(base, quality_maps=(bad,) + base.quality_maps[1:])
+    fitting = GPQualityMap(gp_fit(x[:, :u], np.full(3, 0.5)))
+    assert linear.width == fitting.width == u
+    domain = dataclasses.replace(base, quality_maps=(fitting,) + base.quality_maps[1:])
+    assert solve(domain)[0] is not None
+    # a map without a width property is not checked
+    dataclasses.replace(base, quality_maps=(LinearMap(np.ones(u + 1)),) + base.quality_maps[1:])
 
 
 @pytest.mark.parametrize("value", NON_FINITE)

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from staq import search
 from staq.analysis import random_instance
+from staq.heuristics import make_context, node_scorer
 from staq.model import (
     Allocation,
     ContractViolation,
@@ -17,8 +19,8 @@ from staq.model import (
     validate_solution,
 )
 from staq.motion import GridPlanner
-from staq.scheduler import ScheduleOutcome, worst_makespan
-from staq.search import OpenSet, solve
+from staq.scheduler import worst_makespan
+from staq.search import FrontierEntry, OpenSet, solve
 
 from helpers import LinearMap, drop_one_domain, open_world, two_task_domain
 
@@ -26,13 +28,13 @@ from helpers import LinearMap, drop_one_domain, open_world, two_task_domain
 # --------------------------------------------------------------- open set
 
 def _push(heap, key, blended, depth):
-    heap.push(depth, key, 0.0, 0.0, 0.0, blended, ScheduleOutcome("optimal", None, 0))
+    heap.push(depth, key, 0.0, None, blended)
 
 
 def _pop(heap):
-    """(blend, depth, key) of the entry popped."""
-    _, depth, key, _, _, _, blended, _ = heap.pop()
-    return blended, depth, key
+    """(rounded blend, depth, key) of the entry popped."""
+    rounded, depth, key, _, _ = heap.pop()
+    return rounded, depth, key
 
 
 def test_open_set_orders_by_blended_score():
@@ -67,6 +69,90 @@ def test_open_set_rounds_scores_before_comparing():
 def test_open_set_pop_empty_is_a_contract_violation():
     with pytest.raises(ContractViolation):
         OpenSet().pop()
+
+
+def test_open_set_best_picks_quality_then_key():
+    assert OpenSet().best() is None
+    heap = OpenSet()
+    heap.push(1, 9, 1.5, 3.0, 0.1)
+    heap.push(1, 4, 1.5, 7.0, 0.2)
+    heap.push(1, 2, 0.9, None, 0.0)
+    # quality tie resolved toward the smaller key
+    assert heap.best() == (0.2, 1, 4, 1.5, 7.0)
+
+
+class RecordingOpenSet(OpenSet):
+    """An open set that keeps every entry it stored: those popped, and
+    those still open when best() is read at acceptance."""
+
+    def __init__(self):
+        super().__init__()
+        self.popped = []
+        self.open_at_acceptance = None
+
+    def pop(self):
+        entry = super().pop()
+        self.popped.append(entry)
+        return entry
+
+    def best(self):
+        self.open_at_acceptance = list(self._heap)
+        return super().best()
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The open sets each solve makes while the fixture is active."""
+    made = []
+
+    def make():
+        made.append(RecordingOpenSet())
+        return made[-1]
+
+    monkeypatch.setattr(search, "OpenSet", make)
+    return made
+
+
+def _stored(open_set):
+    return open_set.popped + (open_set.open_at_acceptance or [])
+
+
+def test_open_entries_hold_numbers_only(recorded):
+    domains = [random_instance(seed) for seed in range(4)]
+    for domain in domains + [drop_one_domain(), drop_one_domain(time_budget=0.5)]:
+        solve(domain)
+        entries = _stored(recorded[-1])
+        assert len(entries) > 1
+        for entry in entries:
+            assert type(entry) is tuple and len(entry) == 5
+            assert all(type(x) in (int, float, type(None)) for x in entry), entry
+
+
+def test_best_open_is_the_best_recorded_open_entry(recorded):
+    for domain in [random_instance(seed) for seed in range(10)] + [drop_one_domain()]:
+        sol, stats = solve(domain)
+        assert sol is not None
+        score = node_scorer(make_context(domain, stats.worst_makespan))
+        want = None
+        open_entries = sorted(recorded[-1].open_at_acceptance, key=lambda e: e[2])
+        for _, _, key, quality, makespan in open_entries:
+            if want is None or quality > want.quality:
+                want = FrontierEntry(key, quality, *score(quality, makespan)[1:])
+        assert stats.best_open == want
+
+
+def test_open_set_stays_small_per_generated_node():
+    # an open entry holds numbers only; with its outcome and three scores
+    # as well it took about 500 B per node (Python 3.11), now about 350 B
+    domain = random_instance(7, alpha=0.1)
+    tracemalloc.start()
+    try:
+        _, stats = solve(domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.nodes_generated > 7000
+    assert peak / stats.nodes_generated <= 380
 
 
 # ------------------------------------------------------------ termination
@@ -106,7 +192,7 @@ def test_tight_budget_drops_exactly_one_assignment():
     assert validate_solution(domain, sol).ok
 
 
-def test_stats_account_for_the_whole_expansion():
+def test_stats_account_for_the_whole_expansion(recorded):
     domain = drop_one_domain(time_budget=9.0)
     sol, stats = solve(domain)
     assert stats.nodes_generated == 5        # root + its four children
@@ -116,16 +202,18 @@ def test_stats_account_for_the_whole_expansion():
     assert stats.quality_root == pytest.approx(2.0)
     assert stats.quality_null == 0.0
     assert stats.worst_makespan == pytest.approx(10.0)
-    open_keys = tuple(e.key for e in stats.frontier)
-    assert open_keys == (0b0111, 0b1101, 0b1110)
-    assert all(e.quality == pytest.approx(1.5) for e in stats.frontier)
+    open_keys = sorted(e[2] for e in recorded[-1].open_at_acceptance)
+    assert open_keys == [0b0111, 0b1101, 0b1110]
+    assert all(e[3] == pytest.approx(1.5) for e in recorded[-1].open_at_acceptance)
+    assert stats.best_open.key == 0b0111
+    assert stats.best_open.quality == pytest.approx(1.5)
 
 
 def test_impossible_budget_exhausts_the_graph():
     domain = drop_one_domain(time_budget=0.5)
     sol, stats = solve(domain)
     assert sol is None
-    assert stats.frontier == ()
+    assert stats.best_open is None
     assert stats.nodes_generated == 16
     assert stats.nodes_expanded == 16
     assert stats.duplicates_skipped == 17    # 32 child emissions, 15 unique
@@ -313,7 +401,7 @@ def test_children_build_one_set_per_new_signature(monkeypatch):
         assert len(scored) < stats.nodes_generated   # children share signatures
 
 
-def test_node_qualities_equal_the_total_of_their_masks():
+def test_node_qualities_equal_the_total_of_their_masks(recorded):
     # exact equality: the search folds a child's quality from its parent's
     # prefixes, and must reproduce total_allocation_quality to the last bit
     checked = 0
@@ -322,7 +410,7 @@ def test_node_qualities_equal_the_total_of_their_masks():
         shape = (domain.n_tasks, domain.n_robots)
         sol, stats = solve(domain)
         nodes = [(sol.allocation.key, sol.total_quality)]
-        nodes += [(entry.key, entry.quality) for entry in stats.frontier]
+        nodes += [(entry[2], entry[3]) for entry in _stored(recorded[-1])]
         for key, quality in nodes:
             assert quality == total_allocation_quality(Allocation(key, shape).coalition_masks(), domain)
             checked += 1
