@@ -27,14 +27,14 @@ def build_domain(time_budget=26.0):
         "........",
     ])
     robots = (
-        Robot(id=0, traits=np.array([2.0, 0.0]), start_cell=(0, 0), speed=1.0),
-        Robot(id=1, traits=np.array([1.0, 1.0]), start_cell=(7, 0), speed=1.5),
-        Robot(id=2, traits=np.array([0.0, 2.0]), start_cell=(0, 7), speed=0.8),
+        Robot(traits=np.array([2.0, 0.0]), start_cell=(0, 0), speed=1.0),
+        Robot(traits=np.array([1.0, 1.0]), start_cell=(7, 0), speed=1.5),
+        Robot(traits=np.array([0.0, 2.0]), start_cell=(0, 7), speed=0.8),
     )
     tasks = (
-        Task(id=0, duration=6.0, start_site=(6, 3), end_site=(6, 4)),
-        Task(id=1, duration=5.0, start_site=(1, 6), end_site=(2, 6)),
-        Task(id=2, duration=4.0, start_site=(4, 7), end_site=(4, 7)),
+        Task(duration=6.0, start_site=(6, 3), end_site=(6, 4)),
+        Task(duration=5.0, start_site=(1, 6), end_site=(2, 6)),
+        Task(duration=4.0, start_site=(4, 7), end_site=(4, 7)),
     )
     network = TaskNetwork(
         tasks=tasks,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .learning import LinearQualityMap
 from .model import (
+    TOL,
     Allocation,
     InvalidInput,
     ProblemDomain,
@@ -32,7 +33,6 @@ from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import build_constraints_fast, make_travel_tables, piece_id, solve_milp
 from .search import ScheduleCache, SearchStats, solve
 
-TOL = 1e-9
 ORACLE_MAX_BITS = 20
 
 
@@ -95,12 +95,14 @@ def posthoc_bound(
     alpha: float, q_root: float, q_null: float, overrun_best_open: float
 ) -> float:
     """The a-priori bound tightened by the realized overrun of the best open
-    node; 0 when no node was open (the search exhausted the graph)."""
+    node; 0 when no node was open (the search exhausted the graph) or when
+    the a-priori bound is 0, whatever the overrun: 0 x inf would be NaN."""
     if overrun_best_open < 0:
         raise InvalidInput(f"overrun must be non-negative, got {overrun_best_open}")
     if overrun_best_open == 0.0:
         return 0.0
-    return apriori_bound(alpha, q_root, q_null) * overrun_best_open
+    apriori = apriori_bound(alpha, q_root, q_null)
+    return apriori if apriori == 0.0 else apriori * overrun_best_open
 
 
 def bound_report(
@@ -345,9 +347,7 @@ def alpha_sweep(
                 makespan=solution.schedule.makespan,
                 norm_gap=report.gap / norm,
                 norm_apriori_bound=report.apriori_bound / norm,
-                norm_posthoc_bound=(
-                    0.0 if report.posthoc_bound == 0.0 else report.posthoc_bound / norm
-                ),
+                norm_posthoc_bound=report.posthoc_bound / norm,
                 holds_apriori=bool(report.holds_apriori),
                 holds_posthoc=bool(report.holds_posthoc),
             )
@@ -409,7 +409,6 @@ def random_instance(seed: int, *, alpha: float = 0.4) -> ProblemDomain:
     speeds = (2.0 - 1.2 * rank) * rng.uniform(0.9, 1.0, size=n_robots)
     robots = tuple(
         Robot(
-            id=i,
             traits=traits[i],
             start_cell=free[int(picks[i])],
             speed=float(speeds[i]),
@@ -419,7 +418,6 @@ def random_instance(seed: int, *, alpha: float = 0.4) -> ProblemDomain:
 
     tasks = tuple(
         Task(
-            id=i,
             duration=float(rng.uniform(4.0, 12.0)),
             start_site=free[int(rng.integers(len(free)))],
             end_site=free[int(rng.integers(len(free)))],

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .model import (
+    TOL,
     Allocation,
     ContractViolation,
     InvalidInput,
     ProblemDomain,
     total_allocation_quality,
 )
-
-TOL = 1e-9
 
 
 @dataclass(frozen=True)

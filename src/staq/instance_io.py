@@ -41,6 +41,15 @@ def _fail(path: str, message: str) -> None:
     raise InvalidInput(f"{path}: {message}")
 
 
+def _at(where: str, make, *args):
+    """make(*args), its InvalidInput prefixed with where: a robot or task
+    does not know its own position."""
+    try:
+        return make(*args)
+    except InvalidInput as exc:
+        _fail(where, str(exc))
+
+
 def _as_cell(value, where: str) -> tuple[int, int]:
     if (
         not isinstance(value, (list, tuple))
@@ -159,7 +168,7 @@ def _read_json(path: Union[str, Path]) -> dict:
 
 def _write_json(doc, path: Union[str, Path]) -> None:
     Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
 
 
@@ -194,14 +203,13 @@ def instance_from_document(
         traits = rd["traits"]
         if not isinstance(traits, list) or not traits:
             _fail(f"{where}.traits", "expected a non-empty list of numbers")
-        robots.append(
-            Robot(
-                id=i,
-                traits=np.asarray([_as_number(t, f"{where}.traits") for t in traits]),
-                start_cell=_as_cell(rd["start"], f"{where}.start"),
-                speed=_as_number(rd["speed"], f"{where}.speed"),
-            )
-        )
+        robots.append(_at(
+            where,
+            Robot,
+            np.asarray([_as_number(t, f"{where}.traits") for t in traits]),
+            _as_cell(rd["start"], f"{where}.start"),
+            _as_number(rd["speed"], f"{where}.speed"),
+        ))
 
     tasks_doc = doc["tasks"]
     if not isinstance(tasks_doc, list) or not tasks_doc:
@@ -215,14 +223,13 @@ def instance_from_document(
         for key in ("duration", "start_site", "end_site", "quality_map"):
             if key not in td:
                 _fail(where, f"missing key {key!r}")
-        tasks.append(
-            Task(
-                id=i,
-                duration=_as_number(td["duration"], f"{where}.duration"),
-                start_site=_as_cell(td["start_site"], f"{where}.start_site"),
-                end_site=_as_cell(td["end_site"], f"{where}.end_site"),
-            )
-        )
+        tasks.append(_at(
+            where,
+            Task,
+            _as_number(td["duration"], f"{where}.duration"),
+            _as_cell(td["start_site"], f"{where}.start_site"),
+            _as_cell(td["end_site"], f"{where}.end_site"),
+        ))
         quality_map = _parse_quality_map(td["quality_map"], f"{where}.quality_map", base_dir)
         # a map reads the summed traits of a coalition, one entry per robot trait
         if quality_map.width != robots[0].traits.size:
@@ -311,11 +318,9 @@ def instance_to_document(
                 "duration": t.duration,
                 "start_site": list(t.start_site),
                 "end_site": list(t.end_site),
-                "quality_map": _quality_map_document(
-                    domain.quality_maps[t.id], t.id, model_paths
-                ),
+                "quality_map": _quality_map_document(domain.quality_maps[k], k, model_paths),
             }
-            for t in domain.network.tasks
+            for k, t in enumerate(domain.network.tasks)
         ],
         "precedence": [list(p) for p in sorted(domain.network.precedence)],
         "mutex": [list(p) for p in sorted(domain.network.mutex)],
@@ -409,12 +414,12 @@ def solution_document(
         },
         "motion_plans": [
             {
-                "robot": robot_id,
-                "task": task_id,
+                "robot": robot,
+                "task": task,
                 "length": plan.length,
                 "cells": [list(c) for c in plan.cells],
             }
-            for (robot_id, task_id), plan in sorted(solution.motion_plans.items())
+            for (robot, task), plan in sorted(solution.motion_plans.items())
         ],
         "bounds": _bound_report_document(report),
         "stats": _stats_document(stats),
@@ -546,24 +551,3 @@ def load_dataset_csv(path: Union[str, Path]) -> tuple[np.ndarray, np.ndarray]:
         data.append(values)
     matrix = np.asarray(data)
     return matrix[:, :-1], matrix[:, -1]
-
-
-def save_dataset_csv(
-    features: np.ndarray,
-    labels: np.ndarray,
-    path: Union[str, Path],
-    *,
-    trait_names: Optional[Sequence[str]] = None,
-    label_name: str = "label",
-) -> None:
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels, dtype=float).ravel()
-    if features.shape[0] != labels.shape[0]:
-        raise InvalidInput(f"{features.shape[0]} rows but {labels.shape[0]} labels")
-    if trait_names is None:
-        trait_names = [f"trait_{i}" for i in range(features.shape[1])]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(trait_names) + [label_name])
-        for row, label in zip(features, labels):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])

@@ -93,10 +93,10 @@ class WorldMap:
 class Robot:
     """A robot: a trait vector plus its start cell and speed (cells/second).
 
-    Equality is identity: a trait array has no single truth value.
+    A robot is known by its position in ProblemDomain.robots. Equality is
+    identity: a trait array has no single truth value.
     """
 
-    id: int
     traits: np.ndarray
     start_cell: Cell
     speed: float
@@ -106,29 +106,27 @@ class Robot:
         traits.setflags(write=False)
         object.__setattr__(self, "traits", traits)
         if traits.ndim != 1 or traits.size < 1:
-            raise InvalidInput(f"robot {self.id}: traits must be a non-empty vector")
+            raise InvalidInput("robot traits must be a non-empty vector")
         if not np.all(np.isfinite(traits)):
-            raise InvalidInput(f"robot {self.id}: traits must be finite")
+            raise InvalidInput("robot traits must be finite")
         if np.any(traits < 0):
-            raise InvalidInput(f"robot {self.id}: traits must be non-negative")
+            raise InvalidInput("robot traits must be non-negative")
         if not _positive_finite(self.speed):
-            raise InvalidInput(f"robot {self.id}: speed must be positive and finite, got {self.speed}")
+            raise InvalidInput(f"robot speed must be positive and finite, got {self.speed}")
 
 
 @dataclass(frozen=True)
 class Task:
-    """A task with a fixed duration and start/end sites on the grid."""
+    """A task with a fixed duration and start/end sites on the grid, known
+    by its position in TaskNetwork.tasks."""
 
-    id: int
     duration: float
     start_site: Cell
     end_site: Cell
 
     def __post_init__(self) -> None:
         if not _positive_finite(self.duration):
-            raise InvalidInput(
-                f"task {self.id}: duration must be positive and finite, got {self.duration}"
-            )
+            raise InvalidInput(f"task duration must be positive and finite, got {self.duration}")
 
 
 def _canonical_pairs(pairs, m: int, *, ordered: bool, kind: str) -> frozenset[tuple[int, int]]:
@@ -209,23 +207,6 @@ class Allocation:
             raise InvalidInput(f"allocation key {self.key} outside [0, 2^{m * n})")
 
     @classmethod
-    def from_entries(cls, entries) -> Allocation:
-        """The allocation of a task-by-robot 0/1 matrix."""
-        raw = np.asarray(entries)
-        if raw.ndim != 2:
-            raise InvalidInput("allocation must be a 2-D matrix")
-        if raw.size:
-            if raw.dtype.kind in "iub":
-                if int(raw.min()) < 0 or int(raw.max()) > 1:
-                    raise InvalidInput("allocation entries must be 0 or 1")
-            elif not np.all((raw == 0) | (raw == 1)):
-                raise InvalidInput("allocation entries must be 0 or 1")
-        key = 0
-        for bit in raw.ravel().tolist():
-            key = (key << 1) | int(bit)
-        return cls(key, raw.shape)
-
-    @classmethod
     def root(cls, m: int, n: int) -> Allocation:
         return cls((1 << (m * n)) - 1, (m, n))
 
@@ -290,21 +271,16 @@ class ProblemDomain:
         object.__setattr__(self, "quality_maps", tuple(self.quality_maps))
         if not robots:
             raise InvalidInput("need at least one robot")
-        # The scheduler, the search and validation all index by position.
-        for kind, items in (("robot", robots), ("task", self.network.tasks)):
-            for k, item in enumerate(items):
-                if item.id != k:
-                    raise InvalidInput(f"{kind} at position {k} has id {item.id}; ids must be positions")
         u = robots[0].traits.size
-        for r in robots:
+        for k, r in enumerate(robots):
             if r.traits.size != u:
-                raise InvalidInput(f"robot {r.id}: trait vector length {r.traits.size} != {u}")
+                raise InvalidInput(f"robot {k}: trait vector length {r.traits.size} != {u}")
             if not self.world.is_free(r.start_cell):
-                raise InvalidInput(f"robot {r.id}: start cell {r.start_cell} blocked or out of bounds")
-        for t in self.network.tasks:
+                raise InvalidInput(f"robot {k}: start cell {r.start_cell} blocked or out of bounds")
+        for k, t in enumerate(self.network.tasks):
             for site in (t.start_site, t.end_site):
                 if not self.world.is_free(site):
-                    raise InvalidInput(f"task {t.id}: site {site} blocked or out of bounds")
+                    raise InvalidInput(f"task {k}: site {site} blocked or out of bounds")
         if len(self.quality_maps) != len(self.network):
             raise InvalidInput("need exactly one quality map per task")
         for k, q in enumerate(self.quality_maps):
@@ -378,7 +354,7 @@ class Solution:
 
     allocation: Allocation
     schedule: Schedule
-    motion_plans: dict  # (robot_id, task_id) -> PathResult for the arrival leg
+    motion_plans: dict  # (robot, task) positions -> PathResult for the arrival leg
     total_quality: float
     quality_loss: float
     overrun: float
@@ -488,21 +464,22 @@ def _check_motion_plans(domain: ProblemDomain, sol: Solution) -> list[str]:
     violations: list[str] = []
     starts = sol.schedule.start_times
     tasks = domain.network.tasks
-    for robot, route in zip(domain.robots, robot_routes(sol.allocation, starts)):
+    routes = robot_routes(sol.allocation, starts)
+    for r, robot in enumerate(domain.robots):
         origin = robot.start_cell
         depart = 0.0
-        for i in route:
-            plan = sol.motion_plans.get((robot.id, i))
+        for i in routes[r]:
+            plan = sol.motion_plans.get((r, i))
             if plan is None:
-                violations.append(f"robot {robot.id}: no motion plan for task {i}")
+                violations.append(f"robot {r}: no motion plan for task {i}")
             else:
                 violations.extend(_check_path(domain.world, plan, origin, tasks[i].start_site,
-                                              f"robot {robot.id} -> task {i}"))
+                                              f"robot {r} -> task {i}"))
                 duration = plan.length / (robot.speed * domain.world.cell_size)
                 gap = starts[i] - depart
                 if duration > gap + TOL:
                     violations.append(
-                        f"robot {robot.id} -> task {i}: travel takes {duration}s "
+                        f"robot {r} -> task {i}: travel takes {duration}s "
                         f"but only {gap}s scheduled"
                     )
             origin = tasks[i].end_site

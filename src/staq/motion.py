@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .model import Cell, InvalidInput, ProblemDomain, WorldMap
 
 LegSeconds = Callable[[int, Cell, Cell], float]
-"""Travel time in seconds for a robot (by id) to move between two cells."""
+"""Travel time in seconds for a robot (by position) to move between two cells."""
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,9 @@ def estimated_leg_seconds(domain: ProblemDomain) -> LegSeconds:
     cell_size = domain.world.cell_size
     robots = domain.robots
 
-    def leg(robot_id: int, a: Cell, b: Cell) -> float:
+    def leg(robot: int, a: Cell, b: Cell) -> float:
         length = euclidean_estimate(a, b, cell_size)
-        return travel_time(length, robots[robot_id].speed * cell_size)
+        return travel_time(length, robots[robot].speed * cell_size)
 
     return leg
 
@@ -124,10 +124,10 @@ def planned_leg_seconds(planner: GridPlanner, domain: ProblemDomain) -> LegSecon
     cell_size = domain.world.cell_size
     robots = domain.robots
 
-    def leg(robot_id: int, a: Cell, b: Cell) -> float:
+    def leg(robot: int, a: Cell, b: Cell) -> float:
         result = planner.plan(a, b)
         if result is None:
             return math.inf
-        return travel_time(result.length, robots[robot_id].speed * cell_size)
+        return travel_time(result.length, robots[robot].speed * cell_size)
 
     return leg

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .model import Allocation, InvalidInput, ProblemDomain, Schedule
+from .model import TOL, Allocation, InvalidInput, ProblemDomain, Schedule
 from .motion import LegSeconds, estimated_leg_seconds
-
-TOL = 1e-9
 
 
 class ConstraintSet(NamedTuple):

@@ -59,7 +59,6 @@ class SearchStats:
     nodes_expanded: int = 0
     nodes_generated: int = 0
     duplicates_skipped: int = 0
-    scheduler_calls: int = 0  # estimate-phase scheduling, once per allocation
     refinement_rounds: int = 0  # re-solves triggered by planned travel times
     bnb_runs: int = 0  # branch-and-bound runs, both phases; memo hits excluded
     bnb_nodes: int = 0  # sum of nodes_explored over those runs
@@ -69,6 +68,11 @@ class SearchStats:
     quality_root: float = 0.0
     quality_null: float = 0.0
     best_open: Optional[FrontierEntry] = None  # OpenSet.best at acceptance, scored
+
+    @property
+    def scheduler_calls(self) -> int:
+        """Estimate-phase schedules, one per generated allocation."""
+        return self.nodes_generated
 
 
 OpenEntry = tuple[float, int, int, float, Optional[float]]
@@ -193,7 +197,7 @@ def solve(
     open_set = OpenSet()
     root_makespan = root_outcome.schedule.makespan
     open_set.push(0, root.key, root_quality, root_makespan, score(root_quality, root_makespan)[2])
-    stats.scheduler_calls = stats.nodes_generated = 1
+    stats.nodes_generated = 1
     visited = {root.key}
     task_quality = domain.task_quality
 
@@ -268,7 +272,6 @@ def solve(
                 )
             open_set.push(depth + 1, child_key, child_q, child_makespan, child_blended)
         stats.nodes_generated += fresh
-        stats.scheduler_calls += fresh
         stats.duplicates_skipped += len(children) - fresh
 
     stats.planner_calls = planner.calls - planner.cache_hits - astar_before
@@ -304,14 +307,15 @@ def _refine(
 def _motion_plans(
     domain: ProblemDomain, alloc: Allocation, schedule: Schedule, planner: GridPlanner
 ) -> dict:
-    """Each robot's arrival leg to each task on its route, by (robot id, task)."""
+    """Each robot's arrival leg to each task on its route, by (robot, task)."""
     motion_plans = {}
     tasks = domain.network.tasks
-    for robot, route in zip(domain.robots, robot_routes(alloc, schedule.start_times)):
+    routes = robot_routes(alloc, schedule.start_times)
+    for r, robot in enumerate(domain.robots):
         origin = robot.start_cell
-        for i in route:
+        for i in routes[r]:
             plan = planner.plan(origin, tasks[i].start_site)
             assert plan is not None, "accepted node has an unreachable leg"
-            motion_plans[(robot.id, i)] = plan
+            motion_plans[(r, i)] = plan
             origin = tasks[i].end_site
     return motion_plans

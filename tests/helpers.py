@@ -9,12 +9,14 @@ against these references. The GP marginal-likelihood grid search lives
 here too, as only tests use it, and so do the learning loop that refits
 the GP after every label, the rmse of a fit model, the search's child
 quality as a left fold over replaced entries, A* with its occupancy test
-and heuristic behind their own calls, and the node score's loss, overrun
-and blend as three functions.
+and heuristic behind their own calls, the node score's loss, overrun and
+blend as three functions, an allocation built from its 0/1 matrix, and a
+dataset CSV writer.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
 import math
@@ -494,12 +496,12 @@ def two_task_domain(*, alpha=0.4, time_budget=60.0, precedence=frozenset(),
     """
     world = open_world()
     robots = (
-        Robot(id=0, traits=np.array([1.0, 0.0]), start_cell=(0, 0), speed=1.0),
-        Robot(id=1, traits=np.array([0.0, 2.0]), start_cell=(7, 7), speed=2.0),
+        Robot(traits=np.array([1.0, 0.0]), start_cell=(0, 0), speed=1.0),
+        Robot(traits=np.array([0.0, 2.0]), start_cell=(7, 7), speed=2.0),
     )
     tasks = (
-        Task(id=0, duration=4.0, start_site=(2, 0), end_site=(3, 0)),
-        Task(id=1, duration=3.0, start_site=(5, 7), end_site=(5, 6)),
+        Task(duration=4.0, start_site=(2, 0), end_site=(3, 0)),
+        Task(duration=3.0, start_site=(5, 7), end_site=(5, 6)),
     )
     network = TaskNetwork(tasks=tasks, precedence=frozenset(precedence),
                           mutex=frozenset(mutex))
@@ -523,12 +525,12 @@ def drop_one_domain(time_budget=9.0, alpha=0.4):
     """
     world = open_world(4, 4)
     robots = (
-        Robot(id=0, traits=np.array([1.0, 0.0]), start_cell=(0, 0), speed=1.0),
-        Robot(id=1, traits=np.array([0.0, 1.0]), start_cell=(1, 0), speed=1.0),
+        Robot(traits=np.array([1.0, 0.0]), start_cell=(0, 0), speed=1.0),
+        Robot(traits=np.array([0.0, 1.0]), start_cell=(1, 0), speed=1.0),
     )
     tasks = (
-        Task(id=0, duration=4.0, start_site=(0, 0), end_site=(0, 0)),
-        Task(id=1, duration=4.0, start_site=(1, 0), end_site=(1, 0)),
+        Task(duration=4.0, start_site=(0, 0), end_site=(0, 0)),
+        Task(duration=4.0, start_site=(1, 0), end_site=(1, 0)),
     )
     network = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     # the library's linear maps: monotone, so the bound report's guarantee
@@ -590,3 +592,36 @@ def reference_brute_force_optimal(domain, planner, *, schedule_cap=None):
             return OracleResult(True, quality, alloc, outcome.schedule.makespan,
                                 int(np.sum(totals > quality + 1e-12)), n_scheduled)
     return OracleResult(False, None, None, None, int(totals.size), n_scheduled)
+
+
+def allocation_from_entries(entries) -> Allocation:
+    """The allocation of a task-by-robot 0/1 matrix."""
+    raw = np.asarray(entries)
+    if raw.ndim != 2:
+        raise InvalidInput("allocation must be a 2-D matrix")
+    if raw.size:
+        if raw.dtype.kind in "iub":
+            if int(raw.min()) < 0 or int(raw.max()) > 1:
+                raise InvalidInput("allocation entries must be 0 or 1")
+        elif not np.all((raw == 0) | (raw == 1)):
+            raise InvalidInput("allocation entries must be 0 or 1")
+    key = 0
+    for bit in raw.ravel().tolist():
+        key = (key << 1) | int(bit)
+    return Allocation(key, raw.shape)
+
+
+def save_dataset_csv(features, labels, path, *, trait_names=None, label_name="label"):
+    """Write a labeled dataset in the layout staq.instance_io.load_dataset_csv
+    reads: a header row, then trait columns and a final label column."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    labels = np.asarray(labels, dtype=float).ravel()
+    if features.shape[0] != labels.shape[0]:
+        raise InvalidInput(f"{features.shape[0]} rows but {labels.shape[0]} labels")
+    if trait_names is None:
+        trait_names = [f"trait_{i}" for i in range(features.shape[1])]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(trait_names) + [label_name])
+        for row, label in zip(features, labels):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])

@@ -166,11 +166,11 @@ def _random_linear_domain(rng):
     u = int(rng.integers(1, 4))
     world = WorldMap.from_ascii(["...", "...", "..."])
     robots = tuple(
-        Robot(id=i, traits=rng.uniform(0.0, 2.0, size=u), start_cell=(0, 0), speed=1.0)
+        Robot(traits=rng.uniform(0.0, 2.0, size=u), start_cell=(0, 0), speed=1.0)
         for i in range(n)
     )
     tasks = tuple(
-        Task(id=j, duration=1.0, start_site=(1, 1), end_site=(1, 1)) for j in range(m)
+        Task(duration=1.0, start_site=(1, 1), end_site=(1, 1)) for j in range(m)
     )
     maps = tuple(
         LinearQualityMap(rng.uniform(0.0, 1.0, size=u) + 1e-3, float(rng.uniform(0.5, 3.0)))

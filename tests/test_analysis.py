@@ -77,6 +77,12 @@ def test_posthoc_bound_values():
         posthoc_bound(0.25, 3.0, 0.0, -0.1)
 
 
+def test_posthoc_bound_is_zero_when_the_apriori_bound_is_zero():
+    # an infinite overrun times a zero a-priori bound once gave NaN
+    assert posthoc_bound(0.2, 0.0, 0.0, math.inf) == 0.0   # zero quality span
+    assert posthoc_bound(0.0, 1.0, 0.0, math.inf) == 0.0   # alpha 0
+
+
 # ------------------------------------------------------------- bound report
 
 def test_bound_report_without_an_oracle():
@@ -181,8 +187,8 @@ def test_oracle_reports_infeasible_when_nothing_fits():
 
 def test_oracle_degrades_to_the_null_allocation_when_walled_off():
     world = WorldMap.from_ascii((".#.", ".#.", ".#."))
-    robots = (Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
-    tasks = (Task(id=0, duration=1.0, start_site=(2, 0), end_site=(2, 0)),)
+    robots = (Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
+    tasks = (Task(duration=1.0, start_site=(2, 0), end_site=(2, 0)),)
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     domain = ProblemDomain(network=net, robots=robots,
                            quality_maps=(LinearMap([1.0], 2.0),),
@@ -203,9 +209,9 @@ def test_oracle_schedule_cap_aborts_before_the_next_solve():
 
 def test_oracle_rejects_oversized_instances():
     world = open_world(10, 10)
-    robots = tuple(Robot(id=i, traits=np.array([1.0]), start_cell=(i, 0),
+    robots = tuple(Robot(traits=np.array([1.0]), start_cell=(i, 0),
                          speed=1.0) for i in range(3))
-    tasks = tuple(Task(id=i, duration=1.0, start_site=(i, 2), end_site=(i, 2))
+    tasks = tuple(Task(duration=1.0, start_site=(i, 2), end_site=(i, 2))
                   for i in range(7))
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     domain = ProblemDomain(network=net, robots=robots,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,10 +9,10 @@ import pytest
 
 from staq.analysis import random_instance
 from staq.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
-from staq.instance_io import instance_to_document, save_dataset_csv, save_instance
+from staq.instance_io import instance_to_document, save_instance
 from staq.learning import LinearQualityMap
 
-from helpers import drop_one_domain
+from helpers import drop_one_domain, save_dataset_csv, walled_world
 
 
 @pytest.fixture
@@ -85,11 +86,11 @@ def test_oracle_refuses_oversized_instances(tmp_path, capsys):
 
     world = WorldMap.from_ascii(["...", "...", "..."])
     robots = tuple(
-        Robot(id=i, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
+        Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
         for i in range(3)
     )
     tasks = tuple(
-        Task(id=i, duration=1.0, start_site=(1, 1), end_site=(1, 1))
+        Task(duration=1.0, start_site=(1, 1), end_site=(1, 1))
         for i in range(7)
     )
     domain = ProblemDomain(
@@ -144,6 +145,48 @@ def test_sweep_infeasible_instance(tmp_path):
     save_instance(drop_one_domain(time_budget=0.5), path)
     rc = main(["sweep", str(path), "-o", str(tmp_path / "sweep.csv")])
     assert rc == EXIT_INFEASIBLE
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_zero_quality_span_writes_no_nan(tmp_path):
+    # Every map weights only a trait all robots have at 0, so q_root = q_null
+    # and the a-priori bound is 0. The budget is the estimated worst makespan,
+    # so the margin is 0; the wall makes planned travel longer, the root
+    # overruns once refined, and the best open node's overrun is inf.
+    from staq.model import ProblemDomain, Robot, Task, TaskNetwork
+    from staq.search import solve
+
+    robots = tuple(Robot(traits=np.array([1.0 + i, 0.0]), start_cell=(i, 0), speed=1.0)
+                   for i in range(3))
+    tasks = tuple(Task(duration=2.0, start_site=(7 + i, 0), end_site=(7 + i, 0))
+                  for i in range(2))
+    domain = ProblemDomain(
+        network=TaskNetwork(tasks=tasks), robots=robots, world=walled_world(),
+        quality_maps=tuple(LinearQualityMap(np.array([0.0, 1.0]), 1.0) for _ in tasks),
+        time_budget=1000.0,
+    )
+    worst = solve(domain)[1].worst_makespan
+    path = tmp_path / "zero_span.json"
+    save_instance(dataclasses.replace(domain, time_budget=worst), path)
+
+    out = tmp_path / "solution.json"
+    assert main(["solve", str(path), "-o", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["bounds"]["overrun_of_best_open"] == "inf"
+    assert doc["bounds"]["posthoc_bound"] == 0.0
+    assert doc["bounds"]["holds_posthoc"] is None
+
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", str(path), "--alphas", "0.0,0.2,0.4", "-o", str(sweep)]) == EXIT_OK
+    with open(sweep, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert "nan" not in sweep.read_text()
+    assert all(row["norm_posthoc_bound"] == "0.0" for row in rows)
+    assert all(row["holds_posthoc"] == "true" for row in rows)
 
 
 # ------------------------------------------------------------------ learn

@@ -16,7 +16,6 @@ from staq.instance_io import (
     load_instance,
     infeasible_document,
     oracle_document,
-    save_dataset_csv,
     save_gp_model,
     save_instance,
     solution_document,
@@ -29,7 +28,7 @@ from staq.model import InvalidInput
 from staq.scheduler import worst_makespan
 from staq.search import SearchStats, solve
 
-from helpers import drop_one_domain
+from helpers import drop_one_domain, save_dataset_csv
 
 
 # ----------------------------------------------------------- instance JSON
@@ -128,6 +127,18 @@ def test_instance_rejects_malformed_fields():
     doc = json.loads(json.dumps(base))
     doc["map"] = "not-a-list"
     with pytest.raises(InvalidInput, match="map"):
+        instance_from_document(doc)
+
+
+def test_invalid_robot_or_task_is_named_by_its_position():
+    base = instance_to_document(random_instance(3))
+    doc = json.loads(json.dumps(base))
+    doc["robots"][1]["traits"][0] = -0.5
+    with pytest.raises(InvalidInput, match=r"^robots\[1\]: robot traits must be non-negative"):
+        instance_from_document(doc)
+    doc = json.loads(json.dumps(base))
+    doc["tasks"][0]["duration"] = 0
+    with pytest.raises(InvalidInput, match=r"^tasks\[0\]: task duration must be positive"):
         instance_from_document(doc)
 
 
@@ -269,8 +280,10 @@ def test_result_documents_write_one_stats_block():
     assert sol is not None and nothing is None
     written = solution_document(drop_one_domain(), sol, stats)["stats"]
     failed = infeasible_document(drop_one_domain(), none_stats)["stats"]
-    # every scalar counter; the best open node is for the bound report only
+    # every scalar counter; the best open node is for the bound report only,
+    # and scheduler_calls is a property that reads nodes_generated
     fields = [f.name for f in dataclasses.fields(SearchStats) if f.name != "best_open"]
+    fields.append("scheduler_calls")
     assert sorted(written) == sorted(failed) == sorted(fields)
     assert {"bnb_runs", "bnb_nodes"} <= written.keys()
     for name in fields:
@@ -305,6 +318,17 @@ def test_json_results_are_deterministic(tmp_path):
     text = a.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert json.loads(text)["status"] == "solution"
+
+
+def test_a_result_holding_nan_raises_and_writes_nothing(tmp_path):
+    domain = drop_one_domain(time_budget=9.0)
+    sol, stats = solve(domain)
+    doc = solution_document(domain, sol, stats, bound_report(domain, sol, stats))
+    doc["bounds"]["posthoc_bound"] = float("nan")   # JSON has no NaN
+    out = tmp_path / "result.json"
+    with pytest.raises(ValueError):
+        write_json_result(doc, out)
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- CSVs

@@ -24,7 +24,13 @@ from staq.model import (
 from staq.motion import GridPlanner, PathResult
 from staq.search import solve
 
-from helpers import LinearMap, child_quality, open_world, two_task_domain
+from helpers import (
+    LinearMap,
+    allocation_from_entries,
+    child_quality,
+    open_world,
+    two_task_domain,
+)
 
 
 # ---------------------------------------------------------------- WorldMap
@@ -73,45 +79,45 @@ def test_world_rejects_non_finite_cell_size(value):
 # ------------------------------------------------------------ Robot / Task
 
 def test_robot_validation():
-    Robot(id=0, traits=np.array([0.0, 1.5]), start_cell=(0, 0), speed=1.0)
+    Robot(traits=np.array([0.0, 1.5]), start_cell=(0, 0), speed=1.0)
     with pytest.raises(InvalidInput):
-        Robot(id=0, traits=np.array([-0.1, 1.0]), start_cell=(0, 0), speed=1.0)
+        Robot(traits=np.array([-0.1, 1.0]), start_cell=(0, 0), speed=1.0)
     with pytest.raises(InvalidInput):
-        Robot(id=0, traits=np.array([]), start_cell=(0, 0), speed=1.0)
+        Robot(traits=np.array([]), start_cell=(0, 0), speed=1.0)
     with pytest.raises(InvalidInput):
-        Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=0.0)
+        Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=0.0)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_robot_rejects_non_finite_speed(value):
     with pytest.raises(InvalidInput, match="speed"):
-        Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=value)
+        Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=value)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_robot_rejects_non_finite_traits(value):
     with pytest.raises(InvalidInput, match="traits must be finite"):
-        Robot(id=0, traits=np.array([1.0, value]), start_cell=(0, 0), speed=1.0)
+        Robot(traits=np.array([1.0, value]), start_cell=(0, 0), speed=1.0)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_task_rejects_non_finite_duration(value):
     with pytest.raises(InvalidInput, match="duration"):
-        Task(id=0, duration=value, start_site=(0, 0), end_site=(1, 0))
+        Task(duration=value, start_site=(0, 0), end_site=(1, 0))
 
 
 def test_task_validation():
-    Task(id=0, duration=2.0, start_site=(0, 0), end_site=(1, 0))
+    Task(duration=2.0, start_site=(0, 0), end_site=(1, 0))
     with pytest.raises(InvalidInput):
-        Task(id=0, duration=0.0, start_site=(0, 0), end_site=(1, 0))
+        Task(duration=0.0, start_site=(0, 0), end_site=(1, 0))
     with pytest.raises(InvalidInput):
-        Task(id=0, duration=-3.0, start_site=(0, 0), end_site=(1, 0))
+        Task(duration=-3.0, start_site=(0, 0), end_site=(1, 0))
 
 
 # ------------------------------------------------------------- TaskNetwork
 
 def _tasks(m):
-    return tuple(Task(id=i, duration=1.0, start_site=(i, 0), end_site=(i, 0))
+    return tuple(Task(duration=1.0, start_site=(i, 0), end_site=(i, 0))
                  for i in range(m))
 
 
@@ -145,9 +151,9 @@ def test_network_rejects_precedence_cycle():
 # -------------------------------------------------------------- Allocation
 
 def test_allocation_key_is_row_major_most_significant_first():
-    alloc = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
+    alloc = allocation_from_entries(np.array([[1, 0], [0, 1]]))
     assert alloc.key == 0b1001
-    assert Allocation.from_entries(np.array([[1, 1, 0]])).key == 0b110
+    assert allocation_from_entries(np.array([[1, 1, 0]])).key == 0b110
     assert Allocation.root(2, 2).key == 0b1111
     assert Allocation.null(2, 2).key == 0
 
@@ -156,13 +162,13 @@ def test_allocation_from_key_roundtrip():
     for key in range(16):
         alloc = Allocation(key, (2, 2))
         assert alloc.key == key
-        assert Allocation.from_entries(alloc.entries.copy()).key == key
+        assert allocation_from_entries(alloc.entries.copy()).key == key
 
 
 def test_allocation_from_entries_inverts_entries_for_every_key():
     for key in range(1 << 6):
         alloc = Allocation(key, (2, 3))
-        assert Allocation.from_entries(alloc.entries) == alloc
+        assert allocation_from_entries(alloc.entries) == alloc
 
 
 def test_allocation_rejects_keys_outside_its_shape():
@@ -174,9 +180,9 @@ def test_allocation_rejects_keys_outside_its_shape():
 
 
 def test_allocation_equality_and_hash():
-    a = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
-    b = Allocation.from_entries(np.array([[1, 0], [0, 1]], dtype=bool))
-    c = Allocation.from_entries(np.array([[1, 0, 0, 1]]))   # same bits, different shape
+    a = allocation_from_entries(np.array([[1, 0], [0, 1]]))
+    b = allocation_from_entries(np.array([[1, 0], [0, 1]], dtype=bool))
+    c = allocation_from_entries(np.array([[1, 0, 0, 1]]))   # same bits, different shape
     assert a == b and hash(a) == hash(b)
     assert a != c
 
@@ -184,12 +190,12 @@ def test_allocation_equality_and_hash():
 def test_allocation_rejects_non_binary_entries():
     for bad in ([[0.5, 0.0]], [[2, 0]], [[-1, 1]], [[256, 0]]):
         with pytest.raises(InvalidInput):
-            Allocation.from_entries(np.array(bad))
+            allocation_from_entries(np.array(bad))
     with pytest.raises(InvalidInput):
-        Allocation.from_entries(np.array([1, 0]))   # 1-D
+        allocation_from_entries(np.array([1, 0]))   # 1-D
     # exact floats and bools are accepted
-    assert Allocation.from_entries(np.array([[1.0, 0.0]])).key == 0b10
-    assert Allocation.from_entries(np.array([[True, False]])).key == 0b10
+    assert allocation_from_entries(np.array([[1.0, 0.0]])).key == 0b10
+    assert allocation_from_entries(np.array([[True, False]])).key == 0b10
 
 
 def test_allocation_entries_are_read_only():
@@ -212,7 +218,7 @@ def test_values_holding_arrays_are_identity_equal():
 
 
 def test_allocation_coalition_and_popcount():
-    alloc = Allocation.from_entries(np.array([[1, 0, 1], [0, 0, 0]]))
+    alloc = allocation_from_entries(np.array([[1, 0, 1], [0, 0, 0]]))
     assert alloc.coalition(0) == (0, 2)
     assert alloc.coalition(1) == ()
     assert alloc.key.bit_count() == 2
@@ -240,9 +246,9 @@ def _aggregated(alloc, traits):
 
 def test_task_quality_sees_each_lone_robots_traits():
     traits = np.array([[3.0, 1.0], [2.0, 5.0]])
-    assert np.array_equal(_aggregated(Allocation.from_entries(np.eye(2, dtype=int)), traits),
+    assert np.array_equal(_aggregated(allocation_from_entries(np.eye(2, dtype=int)), traits),
                           traits)
-    swapped = _aggregated(Allocation.from_entries(np.array([[0, 1], [1, 0]])), traits)
+    swapped = _aggregated(allocation_from_entries(np.array([[0, 1], [1, 0]])), traits)
     assert np.array_equal(swapped, traits[::-1])
 
 
@@ -253,7 +259,7 @@ def test_task_quality_of_the_empty_coalition_sees_zero_traits():
 
 def test_task_quality_sums_the_coalition_traits():
     traits = np.array([[1.0, 0.0], [0.0, 2.0]])
-    alloc = Allocation.from_entries(np.array([[1, 1], [0, 1]]))
+    alloc = allocation_from_entries(np.array([[1, 1], [0, 1]]))
     assert np.array_equal(_aggregated(alloc, traits), np.array([[1.0, 2.0], [0.0, 2.0]]))
 
 
@@ -296,9 +302,9 @@ def test_each_task_and_coalition_is_evaluated_once_per_domain():
 # ---------------------------------------------- total allocation quality
 
 def _domain_with_maps(maps, traits):
-    robots = tuple(Robot(id=n, traits=traits[n], start_cell=(n, 0), speed=1.0)
+    robots = tuple(Robot(traits=traits[n], start_cell=(n, 0), speed=1.0)
                    for n in range(traits.shape[0]))
-    tasks = tuple(Task(id=m, duration=1.0, start_site=(m, 1), end_site=(m, 1))
+    tasks = tuple(Task(duration=1.0, start_site=(m, 1), end_site=(m, 1))
                   for m in range(len(maps)))
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     return ProblemDomain(network=net, robots=robots, quality_maps=tuple(maps),
@@ -323,7 +329,7 @@ def test_quality_weighted_sum_example():
     traits = np.array([[0.2, 0.4], [0.8, 0.6]])
     domain = _domain_with_maps([LinearMap([0.5, 0.5]), LinearMap([0.5, 0.5])],
                                traits)
-    alloc = Allocation.from_entries(np.array([[1, 0], [1, 1]]))
+    alloc = allocation_from_entries(np.array([[1, 0], [1, 1]]))
     # rows of A @ Q are (0.2, 0.4) and (1.0, 1.0)
     assert total_allocation_quality(alloc.coalition_masks(), domain) == pytest.approx(1.3)
 
@@ -344,16 +350,16 @@ def test_successors_of_null_is_empty():
 
 
 def test_successors_exact_set():
-    alloc = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
+    alloc = allocation_from_entries(np.array([[1, 0], [0, 1]]))
     got = set(successors(alloc))
-    want = {Allocation.from_entries(np.array([[0, 0], [0, 1]])).key,
-            Allocation.from_entries(np.array([[1, 0], [0, 0]])).key}
+    want = {allocation_from_entries(np.array([[0, 0], [0, 1]])).key,
+            allocation_from_entries(np.array([[1, 0], [0, 0]])).key}
     assert got == want
 
 
 def test_successors_and_coalition_masks_follow_the_key_layout():
     entries = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0]])
-    alloc = Allocation.from_entries(entries)
+    alloc = allocation_from_entries(entries)
     set_cells = [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)]   # row-major
     children = successors(alloc)
     assert all(isinstance(c, int) for c in children)
@@ -398,8 +404,8 @@ def test_child_quality_equals_the_total_of_the_childs_masks():
 
 def test_domain_validation_errors():
     traits = np.array([[1.0, 0.0]])
-    robot = Robot(id=0, traits=traits[0], start_cell=(0, 0), speed=1.0)
-    task = Task(id=0, duration=1.0, start_site=(1, 0), end_site=(1, 0))
+    robot = Robot(traits=traits[0], start_cell=(0, 0), speed=1.0)
+    task = Task(duration=1.0, start_site=(1, 0), end_site=(1, 0))
     net = TaskNetwork(tasks=(task,), precedence=frozenset(), mutex=frozenset())
     world = open_world(4, 4)
     kw = dict(network=net, robots=(robot,), quality_maps=(LinearMap([1, 1]),),
@@ -414,7 +420,7 @@ def test_domain_validation_errors():
         ProblemDomain(**{**kw, "quality_maps": ()})
     with pytest.raises(InvalidInput):
         ProblemDomain(**{**kw, "robots": ()})
-    bad_robot = Robot(id=0, traits=np.array([1.0, 0.0, 0.0]),
+    bad_robot = Robot(traits=np.array([1.0, 0.0, 0.0]),
                       start_cell=(0, 0), speed=1.0)
     with pytest.raises(InvalidInput):
         ProblemDomain(**{**kw, "robots": (robot, bad_robot)})
@@ -450,24 +456,26 @@ def test_domain_rejects_non_finite_time_budget(value):
         two_task_domain(time_budget=value)
 
 
-def test_domain_ids_must_equal_positions():
-    # robots, tasks and allocation columns are all indexed by position, so a
-    # swapped or offset id would make the search plan for the wrong robot
-    world = open_world(6, 1)
-    near = Robot(id=1, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
-    far = Robot(id=0, traits=np.array([1.0]), start_cell=(5, 0), speed=1.0)
-    task = Task(id=0, duration=1.0, start_site=(1, 0), end_site=(1, 0))
-    kw = dict(network=TaskNetwork(tasks=(task,)), quality_maps=(LinearMap([1.0]),),
-              world=world, time_budget=10.0)
-    with pytest.raises(InvalidInput, match="robot at position 0 has id 1"):
-        ProblemDomain(robots=(near, far), **kw)
-    lone = Robot(id=7, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
-    with pytest.raises(InvalidInput, match="robot at position 0 has id 7"):
-        ProblemDomain(robots=(lone,), **kw)
-    shifted = Task(id=1, duration=1.0, start_site=(1, 0), end_site=(1, 0))
-    with pytest.raises(InvalidInput, match="task at position 0 has id 1"):
-        ProblemDomain(robots=(far,), **{**kw, "network": TaskNetwork(tasks=(shifted,))})
-    ProblemDomain(robots=(far, near), **kw)  # the same robots in id order are fine
+def test_robots_and_tasks_are_known_by_position():
+    with pytest.raises(TypeError):
+        Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
+    with pytest.raises(TypeError):
+        Task(id=0, duration=1.0, start_site=(1, 0), end_site=(1, 0))
+    # the domain names a robot or task by its position
+    near = Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
+    lost = Robot(traits=np.array([1.0]), start_cell=(6, 0), speed=1.0)
+    task = Task(duration=1.0, start_site=(1, 0), end_site=(1, 0))
+    off_map = Task(duration=1.0, start_site=(1, 0), end_site=(1, 1))
+
+    def domain(robots, tasks):
+        return ProblemDomain(network=TaskNetwork(tasks=tasks), robots=robots,
+                             quality_maps=(LinearMap([1.0]),) * len(tasks),
+                             world=open_world(6, 1), time_budget=10.0)
+
+    with pytest.raises(InvalidInput, match=r"robot 1: start cell \(6, 0\)"):
+        domain((near, lost), (task,))
+    with pytest.raises(InvalidInput, match=r"task 1: site \(1, 1\)"):
+        domain((near,), (task, off_map))
 
 
 def test_domain_traits_matrix_is_stacked():
@@ -482,8 +490,8 @@ def test_domain_traits_matrix_is_stacked():
 def _single_task_domain():
     """One robot already standing on the only task's start site."""
     world = open_world(4, 4)
-    robot = Robot(id=0, traits=np.array([1.0]), start_cell=(1, 1), speed=1.0)
-    task = Task(id=0, duration=5.0, start_site=(1, 1), end_site=(2, 1))
+    robot = Robot(traits=np.array([1.0]), start_cell=(1, 1), speed=1.0)
+    task = Task(duration=5.0, start_site=(1, 1), end_site=(2, 1))
     net = TaskNetwork(tasks=(task,), precedence=frozenset(), mutex=frozenset())
     return ProblemDomain(network=net, robots=(robot,),
                          quality_maps=(LinearMap([1.0]),), world=world,
@@ -525,7 +533,7 @@ def test_validate_flags_budget_and_makespan_mismatch():
 def test_validate_flags_precedence_violation():
     domain = two_task_domain(precedence={(0, 1)}, time_budget=100.0)
     planner = GridPlanner(domain.world)
-    alloc = Allocation.from_entries(np.array([[1, 0], [0, 1]]))
+    alloc = allocation_from_entries(np.array([[1, 0], [0, 1]]))
     plans = {
         (0, 0): planner.plan((0, 0), (2, 0)),
         (1, 1): planner.plan((7, 7), (5, 7)),
@@ -572,7 +580,7 @@ def test_validate_flags_bad_motion_plans():
 def test_validate_flags_travel_slower_than_schedule():
     domain = two_task_domain(time_budget=100.0)
     planner = GridPlanner(domain.world)
-    alloc = Allocation.from_entries(np.array([[1, 0], [0, 0]]))
+    alloc = allocation_from_entries(np.array([[1, 0], [0, 0]]))
     plans = {(0, 0): planner.plan((0, 0), (2, 0))}
     # robot 0 needs 2s to reach the site but the task is scheduled at t=1
     sol = _solution(domain, alloc, (1.0, 50.0), 53.0, plans)
@@ -583,7 +591,7 @@ def test_validate_flags_travel_slower_than_schedule():
 def test_validate_reports_empty_coalitions_without_violation():
     domain = two_task_domain(time_budget=100.0)
     planner = GridPlanner(domain.world)
-    alloc = Allocation.from_entries(np.array([[1, 0], [0, 0]]))
+    alloc = allocation_from_entries(np.array([[1, 0], [0, 0]]))
     plans = {(0, 0): planner.plan((0, 0), (2, 0))}
     sol = _solution(domain, alloc, (2.0, 0.0), 6.0, plans)
     report = validate_solution(domain, sol, planner)

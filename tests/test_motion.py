@@ -180,8 +180,8 @@ def test_planner_caches_unreachable_results_too():
 
 def test_planned_leg_seconds_is_infinite_when_unreachable():
     world = WorldMap.from_ascii((".#.", ".#.", ".#."))
-    robot = Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
-    task = Task(id=0, duration=1.0, start_site=(2, 0), end_site=(2, 0))
+    robot = Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
+    task = Task(duration=1.0, start_site=(2, 0), end_site=(2, 0))
     domain = ProblemDomain(network=TaskNetwork(tasks=(task,)), robots=(robot,),
                            quality_maps=(LinearMap([1.0]),), world=world,
                            time_budget=10.0)

@@ -29,6 +29,7 @@ from staq.scheduler import (
 
 from helpers import (
     LinearMap,
+    allocation_from_entries,
     build_constraints,
     enumerate_schedules,
     evaluate_fixed_order,
@@ -97,7 +98,7 @@ def linprog_makespan(cs, orderings):
 def test_disjoint_coalitions_create_no_disjunctions():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
-    cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [0, 1]])), leg)
+    cs = _build(domain, allocation_from_entries(np.array([[1, 0], [0, 1]])), leg)
     assert cs.mutex_pairs == ()
     assert cs.precedence_travel == ()
     assert cs.durations == (4.0, 3.0)
@@ -106,7 +107,7 @@ def test_disjoint_coalitions_create_no_disjunctions():
 def test_shared_robot_induces_a_mutex_pair():
     domain = two_task_domain()
     leg = estimated_leg_seconds(domain)
-    cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [1, 0]])), leg)
+    cs = _build(domain, allocation_from_entries(np.array([[1, 0], [1, 0]])), leg)
     [(pair, (x_ij, x_ji))] = cs.mutex_pairs
     assert pair == (0, 1)
     # robot 0 (speed 1) moves end of task 0 (3,0) -> start of task 1 (5,7)
@@ -120,7 +121,7 @@ def test_shared_robot_induces_a_mutex_pair():
 def test_precedence_pair_is_not_doubled_as_mutex():
     domain = two_task_domain(precedence={(0, 1)}, mutex={(0, 1)})
     leg = estimated_leg_seconds(domain)
-    cs = _build(domain, Allocation.from_entries(np.array([[1, 0], [1, 0]])), leg)
+    cs = _build(domain, allocation_from_entries(np.array([[1, 0], [1, 0]])), leg)
     assert [pair for pair, _ in cs.precedence_travel] == [(0, 1)]
     assert cs.mutex_pairs == ()
 
@@ -429,8 +430,8 @@ def test_fast_constraints_reject_shape_mismatch():
 
 def test_worst_makespan_single_task_is_travel_plus_duration():
     world = open_world(6, 6)
-    robot = Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
-    task = Task(id=0, duration=4.0, start_site=(3, 4), end_site=(3, 4))
+    robot = Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0)
+    task = Task(duration=4.0, start_site=(3, 4), end_site=(3, 4))
     net = TaskNetwork(tasks=(task,), precedence=frozenset(), mutex=frozenset())
     domain = ProblemDomain(network=net, robots=(robot,),
                            quality_maps=(LinearMap([1.0]),),
@@ -446,8 +447,8 @@ def test_worst_makespan_serializes_tasks_sharing_the_whole_team():
 
 def test_worst_makespan_chain_without_travel():
     world = open_world(4, 4)
-    robot = Robot(id=0, traits=np.array([1.0]), start_cell=(1, 1), speed=1.0)
-    tasks = tuple(Task(id=i, duration=1.0, start_site=(1, 1), end_site=(1, 1))
+    robot = Robot(traits=np.array([1.0]), start_cell=(1, 1), speed=1.0)
+    tasks = tuple(Task(duration=1.0, start_site=(1, 1), end_site=(1, 1))
                   for i in range(3))
     net = TaskNetwork(tasks=tasks, precedence=frozenset({(0, 1), (1, 2)}),
                       mutex=frozenset())
@@ -462,8 +463,8 @@ def test_worst_makespan_chain_without_travel():
 def test_refinement_fixpoint_on_open_map():
     # axis-aligned legs: straight-line estimate equals the grid path
     world = open_world(6, 6)
-    robots = (Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
-    tasks = (Task(id=0, duration=2.0, start_site=(3, 0), end_site=(3, 0)),)
+    robots = (Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
+    tasks = (Task(duration=2.0, start_site=(3, 0), end_site=(3, 0)),)
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     domain = ProblemDomain(network=net, robots=robots,
                            quality_maps=(LinearMap([1.0]),),
@@ -479,8 +480,8 @@ def test_refinement_fixpoint_on_open_map():
 
 def test_refinement_grows_travel_around_walls():
     world = walled_world()
-    robots = (Robot(id=0, traits=np.array([1.0]), start_cell=(4, 0), speed=1.0),)
-    tasks = (Task(id=0, duration=2.0, start_site=(6, 0), end_site=(6, 0)),)
+    robots = (Robot(traits=np.array([1.0]), start_cell=(4, 0), speed=1.0),)
+    tasks = (Task(duration=2.0, start_site=(6, 0), end_site=(6, 0)),)
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     domain = ProblemDomain(network=net, robots=robots,
                            quality_maps=(LinearMap([1.0]),),
@@ -505,14 +506,14 @@ def test_refinement_grows_travel_around_walls():
 def test_refinement_updates_only_the_realized_mutex_direction():
     world = walled_world()
     # two tasks on opposite sides of the wall share the only robot
-    robots = (Robot(id=0, traits=np.array([1.0]), start_cell=(4, 0), speed=1.0),)
-    tasks = (Task(id=0, duration=2.0, start_site=(4, 1), end_site=(4, 1)),
-             Task(id=1, duration=2.0, start_site=(6, 0), end_site=(6, 0)))
+    robots = (Robot(traits=np.array([1.0]), start_cell=(4, 0), speed=1.0),)
+    tasks = (Task(duration=2.0, start_site=(4, 1), end_site=(4, 1)),
+             Task(duration=2.0, start_site=(6, 0), end_site=(6, 0)))
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     domain = ProblemDomain(network=net, robots=robots,
                            quality_maps=(LinearMap([1.0]),) * 2,
                            world=world, time_budget=200.0)
-    alloc = Allocation.from_entries(np.array([[1], [1]]))
+    alloc = allocation_from_entries(np.array([[1], [1]]))
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
     direction = outcome.schedule.orderings[(0, 1)]
@@ -554,8 +555,8 @@ def test_refinement_keeps_the_fresh_sets_pair_order():
 def test_refinement_marks_unreachable_legs_infinite():
     # task site reachable only... nowhere: separate component
     world = WorldMap.from_ascii((".#.", ".#.", ".#."))
-    robots = (Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
-    tasks = (Task(id=0, duration=1.0, start_site=(2, 0), end_site=(2, 0)),)
+    robots = (Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
+    tasks = (Task(duration=1.0, start_site=(2, 0), end_site=(2, 0)),)
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     domain = ProblemDomain(network=net, robots=robots,
                            quality_maps=(LinearMap([1.0]),),

@@ -22,7 +22,13 @@ from staq.motion import GridPlanner
 from staq.scheduler import worst_makespan
 from staq.search import FrontierEntry, OpenSet, solve
 
-from helpers import LinearMap, drop_one_domain, open_world, two_task_domain
+from helpers import (
+    LinearMap,
+    allocation_from_entries,
+    drop_one_domain,
+    open_world,
+    two_task_domain,
+)
 
 
 # --------------------------------------------------------------- open set
@@ -185,7 +191,7 @@ def test_tight_budget_drops_exactly_one_assignment():
     assert sol is not None
     assert sol.allocation.key.bit_count() == 3
     # deterministic tie-break: the smaller-key optimum wins
-    assert sol.allocation == Allocation.from_entries(np.array([[1, 0], [1, 1]]))
+    assert sol.allocation == allocation_from_entries(np.array([[1, 0], [1, 1]]))
     assert sol.total_quality == pytest.approx(1.5)
     assert sol.schedule.makespan == pytest.approx(9.0)
     assert sol.quality_loss == pytest.approx(0.25)
@@ -224,8 +230,8 @@ def test_unreachable_task_degrades_to_the_empty_allocation():
     # fine, planned refinement says never, so the root is reinserted and the
     # search falls back to assigning nobody
     world = WorldMap.from_ascii((".#.", ".#.", ".#."))
-    robots = (Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
-    tasks = (Task(id=0, duration=1.0, start_site=(2, 0), end_site=(2, 0)),)
+    robots = (Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
+    tasks = (Task(duration=1.0, start_site=(2, 0), end_site=(2, 0)),)
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     domain = ProblemDomain(network=net, robots=robots,
                            quality_maps=(LinearMap([1.0], 2.0),),
@@ -244,9 +250,9 @@ def test_unreachable_handover_in_the_unused_direction_still_validates():
     # a wall splits the map, so the only robot can go from task 1's end to
     # task 0's start but never from task 0's end to task 1's start
     world = WorldMap.from_ascii(("...#...", "...#...", "...#..."))
-    robots = (Robot(id=0, traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
-    tasks = (Task(id=0, duration=1.0, start_site=(1, 0), end_site=(5, 0)),
-             Task(id=1, duration=1.0, start_site=(2, 1), end_site=(0, 2)))
+    robots = (Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),)
+    tasks = (Task(duration=1.0, start_site=(1, 0), end_site=(5, 0)),
+             Task(duration=1.0, start_site=(2, 1), end_site=(0, 2)))
     domain = ProblemDomain(network=TaskNetwork(tasks=tasks), robots=robots,
                            quality_maps=(LinearMap([1.0]),) * 2,
                            world=world, time_budget=100.0)
@@ -267,9 +273,9 @@ def dip_domain():
     while staying inside the null-to-root range.
     """
     world = open_world(4, 4)
-    robots = tuple(Robot(id=i, traits=np.array([1.0]), start_cell=(i, 0),
+    robots = tuple(Robot(traits=np.array([1.0]), start_cell=(i, 0),
                          speed=1.0) for i in range(3))
-    tasks = (Task(id=0, duration=1.0, start_site=(0, 0), end_site=(0, 0)),)
+    tasks = (Task(duration=1.0, start_site=(0, 0), end_site=(0, 0)),)
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     by_size = {0: 0.0, 1: 0.5, 2: 0.2, 3: 1.0}
     maps = (lambda y: by_size[round(float(y[0]))],)
