@@ -68,12 +68,15 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class OracleResult:
-    feasible: bool
     quality: Optional[float]
-    allocation: Optional[Allocation]
+    allocation: Optional[Allocation]  # None: no allocation fits the budget
     makespan: Optional[float]
     n_strictly_better: int
     n_scheduled: int
+
+    @property
+    def feasible(self) -> bool:
+        return self.allocation is not None
 
 
 def apriori_bound(alpha: float, q_root: float, q_null: float) -> float:
@@ -239,7 +242,7 @@ def brute_force_optimal(
     ]
     # the first m columns are the offsets: each task's slowest arrival by mask
     arrivals = [np.array(tables.pieces[i])[ids] for i, (_, _, ids) in enumerate(columns[:m])]
-    too_slow = _arrival_floor(arrivals, tables.durations) > domain.time_budget + TOL
+    too_slow = _arrival_floor(arrivals, tables.durations) > domain.time_budget
     dtype = np.min_scalar_type(2**n - 1)
 
     def piece_rows(keys: np.ndarray) -> np.ndarray:
@@ -250,13 +253,14 @@ def brute_force_optimal(
         return rows
 
     def fits(outcome) -> bool:
-        return outcome.status == "optimal" and outcome.schedule.makespan <= domain.time_budget + TOL
+        """The search's acceptance rule: a schedule within the budget."""
+        return outcome.schedule is not None and outcome.schedule.makespan <= domain.time_budget
 
     outcomes = {}  # by piece row; only the empty allocation's may fit
     if not too_slow[0]:
         empty = solve_milp(build_constraints_fast(tables, [0] * m))
         if not fits(empty):
-            return OracleResult(False, None, None, None, int(totals.size), 1)
+            return OracleResult(None, None, None, int(totals.size), 1)
         outcomes[piece_rows(np.zeros(1, dtype=np.int64))[0].tobytes()] = empty
 
     n_scheduled = 0
@@ -276,7 +280,6 @@ def brute_force_optimal(
             if fits(outcome):
                 quality = float(totals[alloc.key])
                 return OracleResult(
-                    feasible=True,
                     quality=quality,
                     allocation=alloc,
                     makespan=outcome.schedule.makespan,
@@ -288,7 +291,7 @@ def brute_force_optimal(
             raise OracleBudgetExceeded(
                 f"gave up after scheduling {n_scheduled} allocations"
             )
-    return OracleResult(False, None, None, None, int(totals.size), n_scheduled)
+    return OracleResult(None, None, None, int(totals.size), n_scheduled)
 
 
 @dataclass(frozen=True)
@@ -309,21 +312,19 @@ def alpha_sweep(
     *,
     planner: Optional[GridPlanner] = None,
     oracle: Optional[OracleResult] = None,
-    schedule_cache: Optional[ScheduleCache] = None,
 ) -> Optional[list[SweepRow]]:
     """Solve the same instance across blend weights and report gaps against
     the exhaustive optimum, all normalized by the root-to-null quality span.
     Returns None when the instance has no feasible allocation at all.
 
     The runs share one schedule cache, so a constraint set is scheduled once
-    across all of them; pass one in to extend the sharing further.
+    across all of them.
     """
     if alphas is None:
         alphas = tuple(round(i / 10, 1) for i in range(11))
     if planner is None:
         planner = GridPlanner(domain.world)
-    if schedule_cache is None:
-        schedule_cache = {}
+    schedule_cache: ScheduleCache = {}
     if oracle is None:
         oracle = brute_force_optimal(domain, planner)
     if not oracle.feasible:

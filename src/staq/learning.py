@@ -46,10 +46,10 @@ class LinearQualityMap:
         object.__setattr__(self, "weights", weights)
         if weights.ndim != 1 or weights.size < 1:
             raise InvalidInput("weights must be a non-empty vector")
-        if np.any(weights < 0):
-            raise InvalidInput("weights must be non-negative")
-        if self.normalizer <= 0:
-            raise InvalidInput("normalizer must be positive")
+        if not (np.all(np.isfinite(weights)) and np.all(weights >= 0)):
+            raise InvalidInput("weights must be non-negative and finite")
+        if not (math.isfinite(self.normalizer) and self.normalizer > 0):
+            raise InvalidInput("normalizer must be positive and finite")
 
     @property
     def width(self) -> int:

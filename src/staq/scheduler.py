@@ -44,21 +44,10 @@ class ConstraintSet(NamedTuple):
             + 2 * len(self.mutex_pairs)
         )
 
-    @property
-    def infeasible_on_construction(self) -> bool:
-        """True when some constraint can never be met: an unreachable arrival
-        or precedence leg, or a mutex pair unreachable in both directions."""
-        return (
-            any(math.isinf(x) for x in self.initial_offsets)
-            or any(math.isinf(x) for _, x in self.precedence_travel)
-            or any(math.isinf(a) and math.isinf(b) for _, (a, b) in self.mutex_pairs)
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ScheduleOutcome:
-    status: str  # "optimal" or "infeasible"
-    schedule: Optional[Schedule]
+    schedule: Optional[Schedule]  # None: no schedule meets the constraints
     nodes_explored: int = 0
 
 
@@ -266,10 +255,10 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
     times before it: the precedence arcs at the root, then one mutex arc per
     branch. Branching handles pairs with the largest travel stakes first, and
     tries the direction the relaxed start times already suggest, so results
-    are deterministic and ties go to the first schedule found.
+    are deterministic and ties go to the first schedule found. An
+    unreachable leg (an infinite term) gives an infinite start, so no
+    schedule is found past it.
     """
-    if cs.infeasible_on_construction:
-        return ScheduleOutcome("infeasible", None, 0)
     durations = cs.durations
     m = len(durations)
     items = sorted(cs.mutex_pairs, key=lambda item: (-max(item[1]), item[0]))
@@ -314,15 +303,15 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
         w = durations[i] + x
         root = _tighten(root, out, i, j, w)
         if root is None:  # a precedence cycle
-            return ScheduleOutcome("infeasible", None, nodes)
+            return ScheduleOutcome(None, nodes)
         out[i].append((j, w))
     makespan = max(map(add, root, durations), default=math.inf)  # no tasks: infeasible
     if makespan < best_makespan:
         dfs(0, root, makespan)
     if best is None:
-        return ScheduleOutcome("infeasible", None, nodes)
+        return ScheduleOutcome(None, nodes)
     starts, orderings = best
-    return ScheduleOutcome("optimal", Schedule(starts, best_makespan, orderings), nodes)
+    return ScheduleOutcome(Schedule(starts, best_makespan, orderings), nodes)
 
 
 def worst_makespan(domain: ProblemDomain) -> float:
@@ -332,7 +321,7 @@ def worst_makespan(domain: ProblemDomain) -> float:
     root = Allocation.root(domain.n_tasks, domain.n_robots)
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
     outcome = solve_milp(build_constraints_fast(tables, root.coalition_masks()))
-    if outcome.status != "optimal":
+    if outcome.schedule is None:
         raise InvalidInput("root allocation admits no schedule")
     return outcome.schedule.makespan
 

@@ -173,7 +173,7 @@ def solve(
     root_masks = root.coalition_masks()
     root_quality = total_allocation_quality(root_masks, domain)
     root_outcome = schedule(build_constraints_fast(tables, root_masks))
-    if root_outcome.status != "optimal":
+    if root_outcome.schedule is None:
         raise InvalidInput("root allocation admits no schedule")
     piece_ids, columns = tables.piece_ids, tables.columns
     # per task, the columns its mask enters: (column, the other task, shift);
@@ -214,7 +214,7 @@ def solve(
                 build_constraints_fast(planned, masks),
                 stats, schedule,
             )
-            makespan = outcome.schedule.makespan if outcome.status == "optimal" else None
+            makespan = None if outcome.schedule is None else outcome.schedule.makespan
             loss, overrun, blended = score(quality, makespan)
             if overrun == 0.0:
                 best = open_set.best()
@@ -262,9 +262,8 @@ def solve(
             child_q = prefixes[task] + task_quality(task, mask)
             for q in qualities[task + 1:]:
                 child_q += q
-            child_makespan = (
-                child_outcome.schedule.makespan if child_outcome.status == "optimal" else None
-            )
+            child_schedule = child_outcome.schedule
+            child_makespan = None if child_schedule is None else child_schedule.makespan
             child_loss, _, child_blended = score(child_q, child_makespan)
             if check_invariants and child_loss < loss - LOSS_SLACK:
                 raise ContractViolation(
@@ -294,7 +293,7 @@ def _refine(
     """
     outcome = schedule(cs)
     for _ in range(cs.n_quantities + 1):
-        if outcome.status != "optimal":
+        if outcome.schedule is None:
             break
         cs, changed = refine_with_motion_plans(planned, outcome.schedule, cs)
         if not changed:

@@ -350,8 +350,6 @@ def reference_solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
     over the precedence arcs plus the orientations decided so far, where
     the library adds one arc to its parent's start times.
     """
-    if cs.infeasible_on_construction:
-        return ScheduleOutcome("infeasible", None, 0)
     durations = cs.durations
     offsets = cs.initial_offsets
     m = len(durations)
@@ -392,9 +390,9 @@ def reference_solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
 
     dfs(0)
     if best is None:
-        return ScheduleOutcome("infeasible", None, nodes)
+        return ScheduleOutcome(None, nodes)
     starts, orderings = best
-    return ScheduleOutcome("optimal", Schedule(starts, best_makespan, orderings), nodes)
+    return ScheduleOutcome(Schedule(starts, best_makespan, orderings), nodes)
 
 
 def build_constraints(domain, alloc, leg_seconds):
@@ -549,7 +547,7 @@ def oracle_by_enumeration(domain, planner):
     for key in range(2 ** (m * n)):
         alloc = Allocation(key, (m, n))
         makespan = enumerate_schedules(build_constraints(domain, alloc, leg))
-        if makespan is None or makespan > domain.time_budget + 1e-9:
+        if makespan is None or makespan > domain.time_budget:
             continue
         quality = total_allocation_quality(alloc.coalition_masks(), domain)
         if best is None or quality > best[0] + 1e-12:
@@ -578,7 +576,7 @@ def reference_brute_force_optimal(domain, planner, *, schedule_cap=None):
     order = np.argsort(-totals, kind="stable")
     n_scheduled = 0
     memo = {}
-    for key in order[floor[order] <= domain.time_budget + 1e-9].tolist():
+    for key in order[floor[order] <= domain.time_budget].tolist():
         if schedule_cap is not None and n_scheduled >= schedule_cap:
             raise OracleBudgetExceeded(f"gave up after scheduling {n_scheduled} allocations")
         alloc = Allocation(key, (m, n))
@@ -587,11 +585,11 @@ def reference_brute_force_optimal(domain, planner, *, schedule_cap=None):
             memo[cs] = solve_milp(cs)
         outcome = memo[cs]
         n_scheduled += 1
-        if outcome.status == "optimal" and outcome.schedule.makespan <= domain.time_budget + 1e-9:
+        if outcome.schedule is not None and outcome.schedule.makespan <= domain.time_budget:
             quality = float(totals[key])
-            return OracleResult(True, quality, alloc, outcome.schedule.makespan,
+            return OracleResult(quality, alloc, outcome.schedule.makespan,
                                 int(np.sum(totals > quality + 1e-12)), n_scheduled)
-    return OracleResult(False, None, None, None, int(totals.size), n_scheduled)
+    return OracleResult(None, None, None, int(totals.size), n_scheduled)
 
 
 def allocation_from_entries(entries) -> Allocation:

@@ -154,9 +154,9 @@ def test_scheduler_agrees_with_exhaustive_enumeration():
         outcome = solve_milp(cs)
         want = enumerate_schedules(cs)
         if want is None:
-            assert outcome.status == "infeasible"
+            assert outcome.schedule is None
         else:
-            assert outcome.status == "optimal"
+            assert outcome.schedule is not None
             assert outcome.schedule.makespan == want
 
 

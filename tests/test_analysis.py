@@ -393,15 +393,12 @@ def test_sweep_is_deterministic():
     assert alpha_sweep(domain) == alpha_sweep(domain)
 
 
-def test_sweep_accepts_a_precomputed_oracle_and_cache():
+def test_sweep_accepts_a_precomputed_oracle():
     domain = drop_one_domain(time_budget=9.0)
     planner = GridPlanner(domain.world)
     oracle = brute_force_optimal(domain, planner)
-    cache = {}
-    rows = alpha_sweep(domain, alphas=(0.0, 0.4), planner=planner,
-                       oracle=oracle, schedule_cache=cache)
+    rows = alpha_sweep(domain, alphas=(0.0, 0.4), planner=planner, oracle=oracle)
     assert len(rows) == 2
-    assert len(cache) > 0
     assert rows == alpha_sweep(domain, alphas=(0.0, 0.4))
 
 

@@ -147,6 +147,25 @@ def test_sweep_infeasible_instance(tmp_path):
     assert rc == EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle", "sweep"])
+def test_a_budget_overrun_below_1e9_is_infeasible_everywhere(command, tmp_path):
+    # One robot standing on one 4 s task: every allocation's makespan is
+    # 4.0, which overruns the budget by 5e-10. The search and the oracle
+    # judge the budget by the same rule, so all three commands say so.
+    from staq.model import ProblemDomain, Robot, Task, TaskNetwork
+
+    domain = ProblemDomain(
+        network=TaskNetwork(tasks=(Task(duration=4.0, start_site=(0, 0), end_site=(0, 0)),)),
+        robots=(Robot(traits=np.array([1.0]), start_cell=(0, 0), speed=1.0),),
+        quality_maps=(LinearQualityMap([1.0], 1.0),),
+        world=walled_world(),
+        time_budget=4.0 - 5e-10,
+    )
+    path = tmp_path / "tight.json"
+    save_instance(domain, path)
+    assert main([command, str(path), "-o", str(tmp_path / "out")]) == EXIT_INFEASIBLE
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -44,6 +44,15 @@ def test_linear_map_value_and_validation():
         LinearQualityMap(weights=np.array([]), normalizer=1.0)
 
 
+@pytest.mark.parametrize("weight, normalizer", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+])
+def test_linear_map_rejects_non_finite_values(weight, normalizer):
+    # a NaN quality would be clamped to 0 without a word downstream
+    with pytest.raises(InvalidInput, match="finite"):
+        LinearQualityMap([weight], normalizer)
+
+
 def test_linear_map_is_monotone_in_every_trait():
     rng = np.random.default_rng(4)
     qmap = LinearQualityMap(weights=rng.uniform(0, 2, size=5), normalizer=3.0)

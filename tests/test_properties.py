@@ -5,7 +5,7 @@ example counts keep the suite fast.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -13,10 +13,25 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from staq.analysis import brute_force_optimal, random_instance  # noqa: E402
-from staq.model import validate_solution  # noqa: E402
-from staq.motion import GridPlanner  # noqa: E402
-from staq.scheduler import TOL, ConstraintSet, solve_milp  # noqa: E402
+from staq.analysis import bound_report, brute_force_optimal, random_instance  # noqa: E402
+from staq.learning import LinearQualityMap  # noqa: E402
+from staq.model import (  # noqa: E402
+    ProblemDomain,
+    Robot,
+    Task,
+    TaskNetwork,
+    WorldMap,
+    validate_solution,
+)
+from staq.motion import GridPlanner, estimated_leg_seconds  # noqa: E402
+from staq.scheduler import (  # noqa: E402
+    TOL,
+    ConstraintSet,
+    build_constraints_fast,
+    make_travel_tables,
+    solve_milp,
+    worst_makespan,
+)
 from staq.search import solve  # noqa: E402
 
 from helpers import enumerate_schedules, oracle_by_enumeration  # noqa: E402
@@ -62,9 +77,9 @@ def test_branch_and_bound_agrees_with_enumeration(cs):
     outcome = solve_milp(cs)
     want = enumerate_schedules(cs)
     if want is None:
-        assert outcome.status == "infeasible"
+        assert outcome.schedule is None
     else:
-        assert outcome.status == "optimal"
+        assert outcome.schedule is not None
         assert abs(outcome.schedule.makespan - want) <= TOL
 
 
@@ -105,3 +120,72 @@ def test_oracle_matches_enumeration(seed, budget_fraction):
         assert result.allocation.key == want[1]
         assert result.quality == pytest.approx(want[0], abs=1e-9)
         assert result.makespan == pytest.approx(want[2], abs=TOL)
+
+
+@st.composite
+def domains(draw):
+    """At most 12 allocation bits on a 5x4 grid with about a quarter of its
+    cells walled, so some legs are unreachable. Traits and weights may be 0,
+    tasks may form precedence chains and declare mutex pairs, and the team
+    or the task list may have one member. The budget is the empty
+    allocation's makespan, 5e-10 either side of it, or the worst case."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(4, MAX_BITS // m)))
+    u = draw(st.integers(1, 2))
+    width, height = 5, 4
+    walled = draw(st.lists(st.sampled_from((True, False, False, False)),
+                           min_size=width * height, max_size=width * height))
+    cells = [(c, r) for r in range(height) for c in range(width)]
+    free = [cell for cell, wall in zip(cells, walled) if not wall]
+    assume(free)
+    world = WorldMap(width, height, frozenset(cells) - set(free))
+    cell = st.sampled_from(free)
+    amount = st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0))
+    robots = tuple(
+        Robot(traits=draw(st.lists(amount, min_size=u, max_size=u)), start_cell=draw(cell),
+              speed=draw(st.sampled_from((0.5, 1.0, 2.0))))
+        for _ in range(n)
+    )
+    tasks = tuple(
+        Task(duration=draw(st.floats(0.5, 6.0)), start_site=draw(cell), end_site=draw(cell))
+        for _ in range(m)
+    )
+    chain = {(i, i + 1) for i in range(m - 1) if draw(st.booleans())}
+    mutex = {(i, j) for i in range(m) for j in range(i + 1, m)
+             if (i, j) not in chain and draw(st.booleans())}
+    maps = tuple(
+        LinearQualityMap(draw(st.lists(amount, min_size=u, max_size=u)),
+                         draw(st.sampled_from((1.0, 2.0, 4.0))))
+        for _ in range(m)
+    )
+    domain = ProblemDomain(
+        network=TaskNetwork(tasks, frozenset(chain), frozenset(mutex)),
+        robots=robots, quality_maps=maps, world=world, time_budget=1.0,
+        alpha=draw(st.sampled_from((0.0, 0.4, 0.9, 1.0))),
+    )
+    tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+    empty = solve_milp(build_constraints_fast(tables, [0] * m)).schedule.makespan
+    budget = draw(st.sampled_from((empty - 5e-10, empty, empty + 5e-10, worst_makespan(domain))))
+    return replace(domain, time_budget=budget)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(domains())
+def test_search_and_oracle_agree_on_drawn_domains(domain):
+    """The search finds no solution exactly when the oracle finds no
+    allocation within the budget, both judging it by makespan <= budget.
+    Each solution validates, scores no better than the optimum, and gets
+    a bound report with no NaN field, whose bounds hold wherever the
+    guarantee applies and alpha is below 0.5."""
+    planner = GridPlanner(domain.world)
+    oracle = brute_force_optimal(domain, planner)
+    solution, stats = solve(domain, planner=planner)
+    assert (solution is None) == (not oracle.feasible)
+    if solution is not None:
+        report = validate_solution(domain, solution)
+        assert report.ok, report.violations
+        assert solution.total_quality <= oracle.quality + 1e-9
+        bounds = bound_report(domain, solution, stats, oracle=oracle)
+        assert not any(isinstance(x, float) and math.isnan(x) for x in astuple(bounds))
+        if bounds.guarantee_applies and domain.alpha < 0.5:
+            assert bounds.holds_apriori and bounds.holds_posthoc

@@ -137,15 +137,21 @@ def test_release_offsets_take_the_slowest_assigned_robot():
     assert cs.initial_offsets == (0.0, 0.0)
 
 
-def test_infeasible_on_construction_flags():
+def test_branch_and_bound_finds_no_schedule_across_an_unreachable_leg():
     ok = _cs([1.0, 1.0], mutex={(0, 1): (math.inf, 0.0)})
-    assert not ok.infeasible_on_construction   # one direction still open
-    assert _cs([1.0], offsets=[math.inf]).infeasible_on_construction
-    assert _cs([1.0, 1.0],
-               precedence={(0, 1): math.inf}).infeasible_on_construction
-    assert _cs([1.0, 1.0],
-               mutex={(0, 1): (math.inf, math.inf)}).infeasible_on_construction
-    assert solve_milp(_cs([1.0], offsets=[math.inf])).status == "infeasible"
+    outcome = solve_milp(ok)   # one direction still open
+    assert outcome.schedule is not None
+    assert outcome.schedule.orderings == {(0, 1): -1}
+    assert outcome.schedule.makespan == 2.0
+    for cs in (
+        _cs([1.0], offsets=[math.inf]),
+        _cs([1.0, 1.0], precedence={(0, 1): math.inf}),
+        _cs([1.0, 1.0], mutex={(0, 1): (math.inf, math.inf)}),
+    ):
+        outcome = solve_milp(cs)
+        assert outcome.schedule is None
+        assert outcome.nodes_explored >= 1
+        assert outcome == reference_solve_milp(cs)
 
 
 def test_n_quantities_counts_all_travel_terms():
@@ -207,7 +213,7 @@ def test_fixed_order_matches_lp_reference():
 def test_solver_equals_fixed_order_without_disjunctions():
     cs = _cs([5.0, 3.0], offsets=[1.0, 0.0], precedence={(0, 1): 2.0})
     outcome = solve_milp(cs)
-    assert outcome.status == "optimal"
+    assert outcome.schedule is not None
     assert outcome.schedule.makespan == pytest.approx(
         evaluate_fixed_order(cs, {}))
     assert outcome.schedule.orderings == {}
@@ -216,7 +222,7 @@ def test_solver_equals_fixed_order_without_disjunctions():
 def test_three_mutually_exclusive_tasks_serialize():
     mutex = {(0, 1): (0.0, 0.0), (0, 2): (0.0, 0.0), (1, 2): (0.0, 0.0)}
     outcome = solve_milp(_cs([2.0, 2.0, 2.0], mutex=mutex))
-    assert outcome.status == "optimal"
+    assert outcome.schedule is not None
     assert outcome.schedule.makespan == pytest.approx(6.0)
 
 
@@ -238,9 +244,9 @@ def test_solver_matches_exhaustive_enumeration():
         outcome = solve_milp(cs)
         want = enumerate_schedules(cs)
         if want is None:
-            assert outcome.status == "infeasible"
+            assert outcome.schedule is None
         else:
-            assert outcome.status == "optimal"
+            assert outcome.schedule is not None
             assert outcome.schedule.makespan == pytest.approx(want)
             assert outcome.nodes_explored >= 1
 
@@ -260,7 +266,7 @@ def test_solver_start_times_respect_all_constraints():
     for _ in range(30):
         cs = random_constraint_set(rng)
         outcome = solve_milp(cs)
-        if outcome.status != "optimal":
+        if outcome.schedule is None:
             continue
         s = outcome.schedule.start_times
         for i, x in enumerate(cs.initial_offsets):
@@ -273,7 +279,7 @@ def test_solver_start_times_respect_all_constraints():
 
 
 def test_solver_matches_full_relaxation_at_every_node():
-    # ScheduleOutcome equality covers status, start times, makespan,
+    # ScheduleOutcome equality covers the schedule's start times, makespan,
     # orderings and nodes_explored, all exactly
     rng = np.random.default_rng(21)
     for _ in range(2000):
@@ -288,7 +294,7 @@ def test_solver_matches_full_relaxation_on_hand_built_sets():
     no_tasks = _cs([])
     for cs in (cycle, unreachable, no_pairs, no_tasks):
         assert solve_milp(cs) == reference_solve_milp(cs)
-    assert solve_milp(no_tasks) == ScheduleOutcome("infeasible", None, 1)
+    assert solve_milp(no_tasks) == ScheduleOutcome(None, 1)
 
     # task 1 first would close a cycle with the precedence: infeasible branch
     outcome = solve_milp(cycle)
@@ -568,5 +574,4 @@ def test_refinement_marks_unreachable_legs_infinite():
                                                 outcome.schedule, cs)
     assert changed
     assert math.isinf(refined.initial_offsets[0])
-    assert refined.infeasible_on_construction
-    assert solve_milp(refined).status == "infeasible"
+    assert solve_milp(refined).schedule is None
