@@ -59,7 +59,7 @@ def describe(domain, solution, stats):
     for task, start in enumerate(solution.schedule.start_times):
         print(f"  task {task}: starts {start:6.2f}s, "
               f"runs {domain.network.tasks[task].duration:.0f}s")
-    for (i, j), direction in sorted(solution.schedule.orderings.items()):
+    for (i, j), direction in sorted(solution.orderings.items()):
         first, second = (i, j) if direction == 1 else (j, i)
         print(f"  mutex {i}-{j}: task {first} goes first")
     print(f"search         {stats.nodes_expanded} expanded / "

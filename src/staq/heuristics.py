@@ -9,53 +9,28 @@ scores every node with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .model import (
-    TOL,
-    Allocation,
-    ContractViolation,
-    InvalidInput,
-    ProblemDomain,
-    total_allocation_quality,
-)
-
-
-@dataclass(frozen=True)
-class HeuristicContext:
-    """Root/null reference values the per-node heuristics normalize against."""
-
-    quality_root: float
-    quality_null: float
-    makespan_worst: float
-    time_budget: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.quality_root < self.quality_null - TOL:
-            raise ContractViolation(
-                f"root quality {self.quality_root} below null quality {self.quality_null}"
-            )
-
-
-def make_context(domain: ProblemDomain, makespan_worst: float) -> HeuristicContext:
-    m, n = domain.n_tasks, domain.n_robots
-    return HeuristicContext(
-        quality_root=total_allocation_quality(Allocation.root(m, n).coalition_masks(), domain),
-        quality_null=total_allocation_quality(Allocation.null(m, n).coalition_masks(), domain),
-        makespan_worst=makespan_worst,
-        time_budget=domain.time_budget,
-        alpha=domain.alpha,
-    )
+from .model import TOL, ContractViolation, InvalidInput
 
 
 NodeScorer = Callable[[float, Optional[float]], tuple[float, float, float]]
 """Maps a node's quality and makespan to (loss, overrun, blend)."""
 
 
-def node_scorer(ctx: HeuristicContext) -> NodeScorer:
+def node_scorer(
+    quality_root: float,
+    quality_null: float,
+    makespan_worst: float,
+    time_budget: float,
+    alpha: float,
+) -> NodeScorer:
     """Normalized quality loss, budget overrun and their blend, in one step.
+
+    quality_root and quality_null are the qualities of the root allocation
+    (every robot on every task) and the empty one, makespan_worst the
+    root's minimal makespan under straight-line travel; a root quality
+    below the null quality beyond TOL is a ContractViolation.
 
     loss is the fraction of the root-to-null quality range given up: 0 at
     root quality, 1 at null quality, and 0 when the range is degenerate
@@ -68,14 +43,15 @@ def node_scorer(ctx: HeuristicContext) -> NodeScorer:
     the node has no schedule: its overrun and blend are inf, whatever alpha
     is. The span, the margin and the alpha check are settled once here.
     """
-    alpha = ctx.alpha
+    root, null, budget = quality_root, quality_null, time_budget
+    if root < null - TOL:
+        raise ContractViolation(f"root quality {root} below null quality {null}")
     if not (0.0 <= alpha <= 1.0):
         raise InvalidInput(f"alpha must be in [0,1], got {alpha}")
     beta = 1.0 - alpha
-    root, null, budget = ctx.quality_root, ctx.quality_null, ctx.time_budget
     span = root - null
     no_span = abs(span) <= TOL
-    margin = abs(ctx.makespan_worst - budget)
+    margin = abs(makespan_worst - budget)
     no_margin = margin <= TOL
     inf = math.inf
 

@@ -404,7 +404,7 @@ def solution_document(
         "start_times": list(sched.start_times),
         "makespan": sched.makespan,
         "orderings": [
-            [i, j, direction] for (i, j), direction in sorted(sched.orderings.items())
+            [i, j, direction] for (i, j), direction in sorted(solution.orderings.items())
         ],
         "total_quality": solution.total_quality,
         "scores": {

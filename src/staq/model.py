@@ -331,11 +331,11 @@ class ProblemDomain:
 
 @dataclass(frozen=True, slots=True)
 class Schedule:
-    """Start times, makespan, and the mutex orderings that realized them."""
+    """Start times and makespan; which task of a mutex pair runs first is
+    read off the start times (scheduler.realized_orderings)."""
 
     start_times: tuple[float, ...]
     makespan: float
-    orderings: dict[tuple[int, int], int]  # canonical (i,j), i<j; 1 means i before j
 
 
 @dataclass(frozen=True)
@@ -354,6 +354,7 @@ class Solution:
 
     allocation: Allocation
     schedule: Schedule
+    orderings: dict[tuple[int, int], int]  # mutex pair (i, j), i < j: 1 if i ran first, else -1
     motion_plans: dict  # (robot, task) positions -> PathResult for the arrival leg
     total_quality: float
     quality_loss: float

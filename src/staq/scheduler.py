@@ -269,8 +269,7 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
         ((i, j, durations[i] + x_ij), (j, i, durations[j] + x_ji))
         for (i, j), (x_ij, x_ji) in items
     ]
-    directions = [0] * n_pairs
-    best: Optional[tuple[tuple[float, ...], dict[tuple[int, int], int]]] = None
+    best: Optional[tuple[float, ...]] = None
     best_makespan = math.inf
     nodes = 1
     out: list[list[tuple[int, float]]] = [[] for _ in range(m)]
@@ -278,13 +277,12 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
     def dfs(depth: int, starts: list[float], makespan: float) -> None:
         nonlocal best, best_makespan, nodes
         if depth == n_pairs:
-            best = (tuple(starts), dict(zip(pairs, directions)))
+            best = tuple(starts)
             best_makespan = makespan
             return
         i, j = pairs[depth]
         fwd, rev = pair_arcs[depth]
-        ordered = ((1, fwd), (-1, rev)) if starts[i] <= starts[j] else ((-1, rev), (1, fwd))
-        for direction, (a, b, w) in ordered:
+        for a, b, w in (fwd, rev) if starts[i] <= starts[j] else (rev, fwd):
             nodes += 1
             child = _tighten(starts, out, a, b, w)
             if child is None:
@@ -293,7 +291,6 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
             # an infinite start (an unreachable direction) is cut here too
             if child_makespan >= best_makespan:
                 continue
-            directions[depth] = direction
             out[a].append((b, w))
             dfs(depth + 1, child, child_makespan)
             out[a].pop()
@@ -310,8 +307,20 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
         dfs(0, root, makespan)
     if best is None:
         return ScheduleOutcome(None, nodes)
-    starts, orderings = best
-    return ScheduleOutcome(Schedule(starts, best_makespan, orderings), nodes)
+    return ScheduleOutcome(Schedule(best, best_makespan), nodes)
+
+
+def realized_orderings(cs: ConstraintSet, schedule: Schedule) -> dict[tuple[int, int], int]:
+    """The direction each mutex pair (i, j) of cs takes in a schedule of
+    cs's allocation: 1 when i starts no later than j (i runs first), else -1.
+
+    Durations are positive and travel is never negative, so either arc of
+    a pair starts one task strictly after the other, and the start times
+    alone say which arc branch and bound chose; <= matches its preference
+    for the direction the relaxed start times suggest.
+    """
+    starts = schedule.start_times
+    return {(i, j): 1 if starts[i] <= starts[j] else -1 for (i, j), _ in cs.mutex_pairs}
 
 
 def worst_makespan(domain: ProblemDomain) -> float:
@@ -338,13 +347,14 @@ def refine_with_motion_plans(
     infeasible), built once per node: a round never changes it. Every
     release offset and precedence travel term is active in any schedule, so
     those come from planned; of each mutex disjunction only the direction
-    the schedule realized is, and the other keeps its value from cs, a set
-    of the same allocation, which lists the same pairs in the same order.
+    the schedule realized (realized_orderings) is, and the other keeps its
+    value from cs, a set of the same allocation, which lists the same pairs
+    in the same order.
     Returns the updated set and whether anything grew; planned paths are
     never shorter than the straight-line estimate, so quantities only
     increase and repeated refinement reaches a fixpoint.
     """
-    orderings = schedule.orderings
+    orderings = realized_orderings(cs, schedule)
     mutex_pairs = tuple(
         (pair, (x_ij, old_ji) if orderings[pair] == 1 else (old_ij, x_ji))
         for (pair, (x_ij, x_ji)), (_, (old_ij, old_ji)) in zip(planned.mutex_pairs, cs.mutex_pairs)

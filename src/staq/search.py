@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
-from .heuristics import make_context, node_scorer
+from .heuristics import node_scorer
 from .model import (
     Allocation,
     ContractViolation,
@@ -34,6 +34,7 @@ from .scheduler import (
     build_constraints_fast,
     make_travel_tables,
     piece_id,
+    realized_orderings,
     refine_with_motion_plans,
     solve_milp,
 )
@@ -120,7 +121,9 @@ def solve(
     """Find a budget-respecting allocation, greedily favoring high quality.
 
     Returns (solution, stats); the solution is None when no allocation in the
-    graph admits a schedule within the budget under planned travel. With
+    graph admits a schedule within the budget under planned travel, which
+    the empty allocation decides before any expansion: scheduled right
+    after the root, its makespan bounds every allocation's from below. With
     check_invariants the search asserts that removing an assignment never
     reduces normalized quality loss, which the suboptimality bound relies on.
 
@@ -142,7 +145,7 @@ def solve(
     schedule stops moving, and is scored once after; it is accepted if it
     still fits, else re-queued with its refined makespan. At acceptance
     only OpenSet.best, the open node the post-hoc bound reads, is scored
-    into stats.best_open; it stays None when the graph is exhausted.
+    into stats.best_open; it stays None when no allocation fits.
     schedule_cache, when given, is that memo, so solves that share it (e.g.
     one instance at several alpha values) share the runs; an outcome
     depends only on its set's content, so any solves may share one cache.
@@ -189,15 +192,25 @@ def solve(
         return sum(x << n * c for c, x in enumerate(ids)), ids
 
     by_signature = {signature(root_masks)[0]: root_outcome}
-    ctx = make_context(domain, root_outcome.schedule.makespan)
-    stats.worst_makespan = ctx.makespan_worst
-    stats.quality_root = ctx.quality_root
-    stats.quality_null = ctx.quality_null
-    score = node_scorer(ctx)
-    open_set = OpenSet()
+    null_masks = [0] * m
     root_makespan = root_outcome.schedule.makespan
+    stats.worst_makespan = root_makespan
+    stats.quality_root = root_quality
+    stats.quality_null = total_allocation_quality(null_masks, domain)
+    score = node_scorer(
+        root_quality, stats.quality_null, root_makespan, domain.time_budget, domain.alpha
+    )
+    open_set = OpenSet()
     open_set.push(0, root.key, root_quality, root_makespan, score(root_quality, root_makespan)[2])
     stats.nodes_generated = 1
+    # The empty allocation has no travel and only the declared mutex pairs,
+    # so its makespan bounds every allocation's from below, planned or not:
+    # if it overruns, nothing fits.
+    null_outcome = by_signature[signature(null_masks)[0]] = schedule(
+        build_constraints_fast(tables, null_masks)
+    )
+    if null_outcome.schedule.makespan > domain.time_budget:
+        return None, stats
     visited = {root.key}
     task_quality = domain.task_quality
 
@@ -209,11 +222,8 @@ def solve(
             if planned is None:
                 planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
             masks = alloc.coalition_masks()
-            outcome = _refine(
-                build_constraints_fast(tables, masks),
-                build_constraints_fast(planned, masks),
-                stats, schedule,
-            )
+            cs = build_constraints_fast(tables, masks)
+            outcome = _refine(cs, build_constraints_fast(planned, masks), stats, schedule)
             makespan = None if outcome.schedule is None else outcome.schedule.makespan
             loss, overrun, blended = score(quality, makespan)
             if overrun == 0.0:
@@ -224,7 +234,10 @@ def solve(
                     stats.best_open = FrontierEntry(best_key, best_quality, best_overrun, best_blend)
                 plans = _motion_plans(domain, alloc, outcome.schedule, planner)
                 stats.planner_calls = planner.calls - planner.cache_hits - astar_before
-                solution = Solution(alloc, outcome.schedule, plans, quality, loss, overrun, blended)
+                orderings = realized_orderings(cs, outcome.schedule)
+                solution = Solution(
+                    alloc, outcome.schedule, orderings, plans, quality, loss, overrun, blended
+                )
                 return solution, stats
             stats.reinserted += 1
             open_set.push(depth, key, quality, makespan, blended)
@@ -273,8 +286,7 @@ def solve(
         stats.nodes_generated += fresh
         stats.duplicates_skipped += len(children) - fresh
 
-    stats.planner_calls = planner.calls - planner.cache_hits - astar_before
-    return None, stats
+    raise ContractViolation("search exhausted the graph although the empty allocation fits")
 
 
 def _refine(

@@ -61,24 +61,22 @@ from staq.scheduler import (
 SCORE_TOL = 1e-9
 
 
-def normalized_quality_loss(quality, ctx):
+def normalized_quality_loss(quality, quality_root, quality_null):
     """Fraction of the root-to-null quality range given up by this allocation.
 
     0 at root quality, 1 at null quality. Degenerate range (root == null)
     yields 0: no quality is at stake, so nothing is lost.
     """
-    span = ctx.quality_root - ctx.quality_null
+    span = quality_root - quality_null
     if abs(span) <= SCORE_TOL:
         return 0.0
-    loss = (ctx.quality_root - quality) / span
+    loss = (quality_root - quality) / span
     if loss < -SCORE_TOL or loss > 1.0 + SCORE_TOL:
-        raise ContractViolation(
-            f"quality {quality} outside [{ctx.quality_null}, {ctx.quality_root}]"
-        )
+        raise ContractViolation(f"quality {quality} outside [{quality_null}, {quality_root}]")
     return min(1.0, max(0.0, loss))
 
 
-def budget_overrun(makespan, ctx):
+def budget_overrun(makespan, makespan_worst, time_budget):
     """Excess of the makespan over the budget, scaled by the worst-case margin.
 
     0 when the schedule fits the budget. Degenerate margin (worst-case equals
@@ -87,8 +85,8 @@ def budget_overrun(makespan, ctx):
     """
     if makespan < 0:
         raise ContractViolation(f"negative makespan {makespan}")
-    margin = abs(ctx.makespan_worst - ctx.time_budget)
-    excess = makespan - ctx.time_budget
+    margin = abs(makespan_worst - time_budget)
+    excess = makespan - time_budget
     if excess <= 0.0:
         return 0.0
     if margin <= SCORE_TOL:
@@ -342,13 +340,16 @@ def enumerate_schedules(cs: ConstraintSet):
     return best
 
 
-def reference_solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
+def reference_solve_milp(cs: ConstraintSet):
     """Branch and bound that relaxes every node from scratch.
 
     The same branching order, pruning and node count as
     staq.scheduler.solve_milp, but each node runs a full Bellman-Ford pass
     over the precedence arcs plus the orientations decided so far, where
-    the library adds one arc to its parent's start times.
+    the library adds one arc to its parent's start times. Returns the
+    outcome and the direction each mutex pair took in its schedule, as
+    branched (1: i before j, -1: j before i), or None without a schedule;
+    the library reads these directions off the start times instead.
     """
     durations = cs.durations
     offsets = cs.initial_offsets
@@ -390,9 +391,9 @@ def reference_solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
 
     dfs(0)
     if best is None:
-        return ScheduleOutcome(None, nodes)
+        return ScheduleOutcome(None, nodes), None
     starts, orderings = best
-    return ScheduleOutcome(Schedule(starts, best_makespan, orderings), nodes)
+    return ScheduleOutcome(Schedule(starts, best_makespan), nodes), orderings
 
 
 def build_constraints(domain, alloc, leg_seconds):

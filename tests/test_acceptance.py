@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from staq.analysis import OracleBudgetExceeded, brute_force_optimal, bound_report, random_instance
-from staq.heuristics import make_context
 from staq.learning import (
     LinearQualityMap,
     QueryPool,
@@ -186,16 +185,18 @@ def test_loss_is_monotone_under_assignment_removal():
     violations = 0
     while checks < 10_000:
         domain = _random_linear_domain(rng)
-        ctx = make_context(domain, makespan_worst=100.0)
         m, n = domain.n_tasks, domain.n_robots
+        root = total_allocation_quality(Allocation.root(m, n).coalition_masks(), domain)
+        null = total_allocation_quality(Allocation.null(m, n).coalition_masks(), domain)
         for _ in range(8):
             key = int(rng.integers(1, 2 ** (m * n)))
             parent = Allocation(key, (m, n))
             parent_loss = normalized_quality_loss(
-                total_allocation_quality(parent.coalition_masks(), domain), ctx)
+                total_allocation_quality(parent.coalition_masks(), domain), root, null)
             for child in successors(parent):
                 masks = Allocation(child, (m, n)).coalition_masks()
-                child_loss = normalized_quality_loss(total_allocation_quality(masks, domain), ctx)
+                child_loss = normalized_quality_loss(
+                    total_allocation_quality(masks, domain), root, null)
                 if child_loss < parent_loss - 1e-12:
                     violations += 1
                 checks += 1

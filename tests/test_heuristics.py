@@ -2,77 +2,71 @@ import math
 
 import pytest
 
-from staq.heuristics import HeuristicContext, make_context, node_scorer
-from staq.model import Allocation, ContractViolation, InvalidInput, total_allocation_quality
+from staq.heuristics import node_scorer
+from staq.model import ContractViolation, InvalidInput
 
-from helpers import blend, budget_overrun, normalized_quality_loss, two_task_domain
+from helpers import blend, budget_overrun, normalized_quality_loss
 
 
 def _ctx(root=2.0, null=0.0, worst=200.0, budget=100.0, alpha=0.4):
-    return HeuristicContext(quality_root=root, quality_null=null,
-                            makespan_worst=worst, time_budget=budget,
-                            alpha=alpha)
+    """node_scorer's arguments: root and null quality, worst-case makespan,
+    budget and alpha."""
+    return root, null, worst, budget, alpha
 
 
 # ------------------------------------------------------- quality loss
+# normalized_quality_loss(quality, root, null)
 
 def test_loss_is_zero_at_root_and_one_at_null():
-    ctx = _ctx()
-    assert normalized_quality_loss(2.0, ctx) == 0.0
-    assert normalized_quality_loss(0.0, ctx) == 1.0
+    assert normalized_quality_loss(2.0, 2.0, 0.0) == 0.0
+    assert normalized_quality_loss(0.0, 2.0, 0.0) == 1.0
 
 
 def test_loss_interpolates_linearly():
-    ctx = _ctx(root=2.0, null=0.0)
-    assert normalized_quality_loss(1.5, ctx) == pytest.approx(0.25)
-    assert normalized_quality_loss(0.5, ctx) == pytest.approx(0.75)
+    assert normalized_quality_loss(1.5, 2.0, 0.0) == pytest.approx(0.25)
+    assert normalized_quality_loss(0.5, 2.0, 0.0) == pytest.approx(0.75)
 
 
 def test_loss_clamps_within_tolerance():
-    ctx = _ctx(root=2.0, null=0.0)
-    assert normalized_quality_loss(2.0 + 5e-10, ctx) == 0.0
-    assert normalized_quality_loss(-5e-10, ctx) == 1.0
+    assert normalized_quality_loss(2.0 + 5e-10, 2.0, 0.0) == 0.0
+    assert normalized_quality_loss(-5e-10, 2.0, 0.0) == 1.0
 
 
 def test_loss_out_of_range_is_a_contract_violation():
-    ctx = _ctx(root=2.0, null=0.0)
     with pytest.raises(ContractViolation):
-        normalized_quality_loss(-1.0, ctx)
+        normalized_quality_loss(-1.0, 2.0, 0.0)
     with pytest.raises(ContractViolation):
-        normalized_quality_loss(3.0, ctx)
+        normalized_quality_loss(3.0, 2.0, 0.0)
 
 
 def test_loss_degenerate_range_is_zero():
-    ctx = _ctx(root=1.0, null=1.0)
-    assert normalized_quality_loss(1.0, ctx) == 0.0
-    assert normalized_quality_loss(7.0, ctx) == 0.0
+    assert normalized_quality_loss(1.0, 1.0, 1.0) == 0.0
+    assert normalized_quality_loss(7.0, 1.0, 1.0) == 0.0
 
 
 # ----------------------------------------------------- budget overrun
+# budget_overrun(makespan, worst-case makespan, budget)
 
 def test_overrun_zero_at_or_below_budget():
-    ctx = _ctx(worst=200.0, budget=100.0)
-    assert budget_overrun(100.0, ctx) == 0.0
-    assert budget_overrun(40.0, ctx) == 0.0
-    assert budget_overrun(0.0, ctx) == 0.0
+    assert budget_overrun(100.0, 200.0, 100.0) == 0.0
+    assert budget_overrun(40.0, 200.0, 100.0) == 0.0
+    assert budget_overrun(0.0, 200.0, 100.0) == 0.0
 
 
 def test_overrun_scales_by_worst_case_margin():
-    ctx = _ctx(worst=200.0, budget=100.0)
-    assert budget_overrun(120.0, ctx) == pytest.approx(0.2)
-    assert budget_overrun(200.0, ctx) == pytest.approx(1.0)
-    assert budget_overrun(300.0, ctx) == pytest.approx(2.0)
+    assert budget_overrun(120.0, 200.0, 100.0) == pytest.approx(0.2)
+    assert budget_overrun(200.0, 200.0, 100.0) == pytest.approx(1.0)
+    assert budget_overrun(300.0, 200.0, 100.0) == pytest.approx(2.0)
 
 
 def test_overrun_degenerate_margin():
-    ctx = _ctx(worst=100.0, budget=100.0)
-    assert budget_overrun(90.0, ctx) == 0.0
-    assert budget_overrun(110.0, ctx) == math.inf
+    assert budget_overrun(90.0, 100.0, 100.0) == 0.0
+    assert budget_overrun(110.0, 100.0, 100.0) == math.inf
 
 
 def test_overrun_negative_makespan_is_a_contract_violation():
     with pytest.raises(ContractViolation):
-        budget_overrun(-1.0, _ctx())
+        budget_overrun(-1.0, 200.0, 100.0)
 
 
 # -------------------------------------------------------------- blend
@@ -84,8 +78,8 @@ def test_blend_endpoints_select_one_component():
 
 def test_blend_hand_example():
     assert blend(0.4, 0.2, 0.5) == pytest.approx(0.3)
-    ctx = _ctx(root=2.0, null=0.0, worst=200.0, budget=100.0, alpha=0.5)
-    composed = blend(normalized_quality_loss(1.5, ctx), budget_overrun(120.0, ctx), 0.5)
+    composed = blend(normalized_quality_loss(1.5, 2.0, 0.0), budget_overrun(120.0, 200.0, 100.0),
+                     0.5)
     assert composed == pytest.approx(0.5 * 0.25 + 0.5 * 0.2)
 
 
@@ -106,19 +100,7 @@ def test_blend_rejects_alpha_outside_unit_interval():
 
 def test_context_rejects_root_below_null():
     with pytest.raises(ContractViolation):
-        HeuristicContext(quality_root=0.5, quality_null=1.0,
-                         makespan_worst=10.0, time_budget=5.0, alpha=0.4)
-
-
-def test_make_context_uses_domain_quality_extremes():
-    domain = two_task_domain(alpha=0.3)
-    ctx = make_context(domain, 42.0)
-    m, n = domain.n_tasks, domain.n_robots
-    assert ctx.quality_root == total_allocation_quality(Allocation.root(m, n).coalition_masks(), domain)
-    assert ctx.quality_null == 0.0
-    assert ctx.makespan_worst == 42.0
-    assert ctx.time_budget == domain.time_budget
-    assert ctx.alpha == 0.3
+        node_scorer(*_ctx(root=0.5, null=1.0, worst=10.0, budget=5.0))
 
 
 # ------------------------------------------------------ one-step score
@@ -136,16 +118,15 @@ SCORED_CONTEXTS = (
 
 @pytest.mark.parametrize("ctx", SCORED_CONTEXTS)
 def test_one_step_score_equals_the_three_functions(ctx):
-    score = node_scorer(ctx)
-    qualities = (ctx.quality_null, ctx.quality_root, ctx.quality_root + 5e-10,
-                 ctx.quality_null - 5e-10, (ctx.quality_root + ctx.quality_null) / 3)
-    makespans = (0.0, 12.5, ctx.time_budget, ctx.time_budget + 1e-7, 1.7 * ctx.time_budget,
-                 math.inf)
+    score = node_scorer(*ctx)
+    root, null, worst, budget, alpha = ctx
+    qualities = (null, root, root + 5e-10, null - 5e-10, (root + null) / 3)
+    makespans = (0.0, 12.5, budget, budget + 1e-7, 1.7 * budget, math.inf)
     for quality in qualities:
-        loss = normalized_quality_loss(quality, ctx)
+        loss = normalized_quality_loss(quality, root, null)
         for makespan in makespans:
-            overrun = budget_overrun(makespan, ctx)
-            want = (loss, overrun, blend(loss, overrun, ctx.alpha))
+            overrun = budget_overrun(makespan, worst, budget)
+            want = (loss, overrun, blend(loss, overrun, alpha))
             assert score(quality, makespan) == want
         # no schedule: overrun and blend are inf, also at alpha = 0
         assert score(quality, None) == (loss, math.inf, math.inf)
@@ -154,11 +135,11 @@ def test_one_step_score_equals_the_three_functions(ctx):
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
 def test_one_step_score_rejects_a_bad_alpha(alpha):
     with pytest.raises(InvalidInput):
-        node_scorer(_ctx(alpha=alpha))
+        node_scorer(*_ctx(alpha=alpha))
 
 
 def test_one_step_score_raises_what_the_three_functions_raise():
-    score = node_scorer(_ctx(root=2.0, null=0.0))
+    score = node_scorer(*_ctx(root=2.0, null=0.0))
     for quality in (-1.0, 3.0):
         with pytest.raises(ContractViolation):
             score(quality, 50.0)

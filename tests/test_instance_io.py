@@ -270,7 +270,7 @@ def test_infeasible_document_layout():
     doc = infeasible_document(domain, stats)
     assert doc["status"] == "infeasible"
     assert doc["time_budget"] == 0.5
-    assert doc["stats"]["nodes_generated"] == 16
+    assert doc["stats"]["nodes_generated"] == 1   # the root; the empty allocation overruns
     json.dumps(doc)
 
 

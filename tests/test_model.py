@@ -500,9 +500,8 @@ def _single_task_domain():
 
 def _solution(domain, alloc, starts, makespan, plans):
     return Solution(allocation=alloc,
-                    schedule=Schedule(start_times=starts, makespan=makespan,
-                                      orderings={}),
-                    motion_plans=plans, total_quality=0.0, quality_loss=0.0,
+                    schedule=Schedule(start_times=starts, makespan=makespan),
+                    orderings={}, motion_plans=plans, total_quality=0.0, quality_loss=0.0,
                     overrun=0.0, blended=0.0)
 
 

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from staq.analysis import bound_report, brute_force_optimal, random_instance  # noqa: E402
+from staq.instance_io import instance_from_document, instance_to_document  # noqa: E402
 from staq.learning import LinearQualityMap  # noqa: E402
 from staq.model import (  # noqa: E402
     ProblemDomain,
@@ -34,7 +35,7 @@ from staq.scheduler import (  # noqa: E402
 )
 from staq.search import solve  # noqa: E402
 
-from helpers import enumerate_schedules, oracle_by_enumeration  # noqa: E402
+from helpers import build_constraints, enumerate_schedules, oracle_by_enumeration  # noqa: E402
 
 MAX_TASKS = 6
 MAX_PAIRS = 8
@@ -174,16 +175,22 @@ def domains(draw):
 def test_search_and_oracle_agree_on_drawn_domains(domain):
     """The search finds no solution exactly when the oracle finds no
     allocation within the budget, both judging it by makespan <= budget.
-    Each solution validates, scores no better than the optimum, and gets
-    a bound report with no NaN field, whose bounds hold wherever the
-    guarantee applies and alpha is below 0.5."""
-    planner = GridPlanner(domain.world)
-    oracle = brute_force_optimal(domain, planner)
-    solution, stats = solve(domain, planner=planner)
+    The instance written as a JSON document and read back solves to the
+    same solution and stats. Each solution validates, gives one direction
+    for each mutex pair of its allocation's set and nothing else, scores
+    no better than the optimum, and gets a bound report with no NaN field,
+    whose bounds hold wherever the guarantee applies and alpha is below
+    0.5."""
+    oracle = brute_force_optimal(domain, GridPlanner(domain.world))
+    solution, stats = solve(domain)
     assert (solution is None) == (not oracle.feasible)
+    assert solve(instance_from_document(instance_to_document(domain)).domain) == (solution, stats)
     if solution is not None:
         report = validate_solution(domain, solution)
         assert report.ok, report.violations
+        cs = build_constraints(domain, solution.allocation, estimated_leg_seconds(domain))
+        assert sorted(solution.orderings) == [pair for pair, _ in cs.mutex_pairs]
+        assert set(solution.orderings.values()) <= {1, -1}
         assert solution.total_quality <= oracle.quality + 1e-9
         bounds = bound_report(domain, solution, stats, oracle=oracle)
         assert not any(isinstance(x, float) and math.isnan(x) for x in astuple(bounds))

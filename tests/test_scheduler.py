@@ -22,6 +22,7 @@ from staq.scheduler import (
     build_constraints_fast,
     make_travel_tables,
     piece_id,
+    realized_orderings,
     refine_with_motion_plans,
     solve_milp,
     worst_makespan,
@@ -141,7 +142,7 @@ def test_branch_and_bound_finds_no_schedule_across_an_unreachable_leg():
     ok = _cs([1.0, 1.0], mutex={(0, 1): (math.inf, 0.0)})
     outcome = solve_milp(ok)   # one direction still open
     assert outcome.schedule is not None
-    assert outcome.schedule.orderings == {(0, 1): -1}
+    assert realized_orderings(ok, outcome.schedule) == {(0, 1): -1}
     assert outcome.schedule.makespan == 2.0
     for cs in (
         _cs([1.0], offsets=[math.inf]),
@@ -151,7 +152,7 @@ def test_branch_and_bound_finds_no_schedule_across_an_unreachable_leg():
         outcome = solve_milp(cs)
         assert outcome.schedule is None
         assert outcome.nodes_explored >= 1
-        assert outcome == reference_solve_milp(cs)
+        assert (outcome, None) == reference_solve_milp(cs)
 
 
 def test_n_quantities_counts_all_travel_terms():
@@ -216,7 +217,7 @@ def test_solver_equals_fixed_order_without_disjunctions():
     assert outcome.schedule is not None
     assert outcome.schedule.makespan == pytest.approx(
         evaluate_fixed_order(cs, {}))
-    assert outcome.schedule.orderings == {}
+    assert realized_orderings(cs, outcome.schedule) == {}
 
 
 def test_three_mutually_exclusive_tasks_serialize():
@@ -229,12 +230,11 @@ def test_three_mutually_exclusive_tasks_serialize():
 def test_solver_reports_realized_orderings():
     cs = _cs([5.0, 3.0], mutex={(0, 1): (0.0, 0.0)})
     outcome = solve_milp(cs)
-    assert set(outcome.schedule.orderings) == {(0, 1)}
-    direction = outcome.schedule.orderings[(0, 1)]
-    assert direction in (1, -1)
-    # reported orderings replay to the same makespan
-    assert evaluate_fixed_order(cs, outcome.schedule.orderings) == \
-        pytest.approx(outcome.schedule.makespan)
+    orderings = realized_orderings(cs, outcome.schedule)
+    assert set(orderings) == {(0, 1)}
+    assert orderings[(0, 1)] in (1, -1)
+    # orderings read off the start times replay to the same makespan
+    assert evaluate_fixed_order(cs, orderings) == pytest.approx(outcome.schedule.makespan)
 
 
 def test_solver_matches_exhaustive_enumeration():
@@ -258,7 +258,6 @@ def test_solver_is_deterministic():
     second = solve_milp(cs)
     assert first.schedule.makespan == second.schedule.makespan
     assert first.schedule.start_times == second.schedule.start_times
-    assert first.schedule.orderings == second.schedule.orderings
 
 
 def test_solver_start_times_respect_all_constraints():
@@ -279,12 +278,30 @@ def test_solver_start_times_respect_all_constraints():
 
 
 def test_solver_matches_full_relaxation_at_every_node():
-    # ScheduleOutcome equality covers the schedule's start times, makespan,
-    # orderings and nodes_explored, all exactly
+    # ScheduleOutcome equality covers the schedule's start times, makespan
+    # and nodes_explored, all exactly
     rng = np.random.default_rng(21)
     for _ in range(2000):
         cs = random_constraint_set(rng)
-        assert solve_milp(cs) == reference_solve_milp(cs)
+        assert solve_milp(cs) == reference_solve_milp(cs)[0]
+
+
+def test_orderings_read_off_the_start_times_are_the_branched_directions():
+    # durations are positive and travel non-negative, so no mutex pair
+    # starts together and the start times fix each pair's direction
+    rng = np.random.default_rng(22)
+    scheduled = 0
+    for _ in range(20_000):
+        cs = random_constraint_set(rng)
+        outcome, directions = reference_solve_milp(cs)
+        if outcome.schedule is None:
+            assert directions is None
+            continue
+        starts = outcome.schedule.start_times
+        assert all(starts[i] != starts[j] for (i, j), _ in cs.mutex_pairs)
+        assert realized_orderings(cs, solve_milp(cs).schedule) == directions
+        scheduled += 1
+    assert scheduled > 10_000
 
 
 def test_solver_matches_full_relaxation_on_hand_built_sets():
@@ -293,23 +310,23 @@ def test_solver_matches_full_relaxation_on_hand_built_sets():
     no_pairs = _cs([3.0, 2.0, 4.0], offsets=[1.0, 0.0, 2.0], precedence={(0, 2): 1.0})
     no_tasks = _cs([])
     for cs in (cycle, unreachable, no_pairs, no_tasks):
-        assert solve_milp(cs) == reference_solve_milp(cs)
+        assert solve_milp(cs) == reference_solve_milp(cs)[0]
     assert solve_milp(no_tasks) == ScheduleOutcome(None, 1)
 
     # task 1 first would close a cycle with the precedence: infeasible branch
     outcome = solve_milp(cycle)
-    assert outcome.schedule.orderings == {(0, 1): 1}
+    assert realized_orderings(cycle, outcome.schedule) == {(0, 1): 1}
     assert outcome.schedule.start_times == (0.0, 4.0)
     assert outcome.nodes_explored == 3
     # 0 before 1 is unreachable, so the only schedule runs 1 first
     outcome = solve_milp(unreachable)
-    assert outcome.schedule.orderings == {(0, 1): -1}
+    assert realized_orderings(unreachable, outcome.schedule) == {(0, 1): -1}
     assert outcome.schedule.makespan == 6.0
     assert outcome.nodes_explored == 3
     # nothing to branch on: the root relaxation is the schedule
     outcome = solve_milp(no_pairs)
     assert outcome.schedule.start_times == (1.0, 0.0, 5.0)
-    assert (outcome.schedule.orderings, outcome.nodes_explored) == ({}, 1)
+    assert (realized_orderings(no_pairs, outcome.schedule), outcome.nodes_explored) == ({}, 1)
 
 
 # ---------------------------------------------------- travel table variant
@@ -522,7 +539,7 @@ def test_refinement_updates_only_the_realized_mutex_direction():
     alloc = allocation_from_entries(np.array([[1], [1]]))
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
-    direction = outcome.schedule.orderings[(0, 1)]
+    direction = realized_orderings(cs, outcome.schedule)[(0, 1)]
     refined, changed = refine_with_motion_plans(_planned(domain, alloc),
                                                 outcome.schedule, cs)
     assert changed
@@ -545,12 +562,13 @@ def test_refinement_keeps_the_fresh_sets_pair_order():
         if len(cs.mutex_pairs) < 2:
             continue
         schedule = solve_milp(cs).schedule
+        starts = schedule.start_times
         fresh = _planned(domain, alloc)
         refined, _ = refine_with_motion_plans(fresh, schedule, cs)
         assert [p for p, _ in refined.mutex_pairs] == [p for p, _ in fresh.mutex_pairs]
-        for (pair, new), (_, planned_pair), (_, old) in zip(
+        for ((i, j), new), (_, planned_pair), (_, old) in zip(
                 refined.mutex_pairs, fresh.mutex_pairs, cs.mutex_pairs):
-            if schedule.orderings[pair] == 1:
+            if starts[i] <= starts[j]:   # i runs first
                 assert new == (planned_pair[0], old[1])
             else:
                 assert new == (old[0], planned_pair[1])

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from staq import search
 from staq.analysis import random_instance
-from staq.heuristics import make_context, node_scorer
+from staq.heuristics import node_scorer
 from staq.model import (
     Allocation,
     ContractViolation,
@@ -18,14 +19,17 @@ from staq.model import (
     total_allocation_quality,
     validate_solution,
 )
-from staq.motion import GridPlanner
-from staq.scheduler import worst_makespan
+from staq.motion import GridPlanner, estimated_leg_seconds
+from staq.scheduler import build_constraints_fast, make_travel_tables, solve_milp, worst_makespan
 from staq.search import FrontierEntry, OpenSet, solve
 
 from helpers import (
     LinearMap,
     allocation_from_entries,
+    blend,
+    budget_overrun,
     drop_one_domain,
+    normalized_quality_loss,
     open_world,
     two_task_domain,
 )
@@ -125,7 +129,7 @@ def _stored(open_set):
 
 def test_open_entries_hold_numbers_only(recorded):
     domains = [random_instance(seed) for seed in range(4)]
-    for domain in domains + [drop_one_domain(), drop_one_domain(time_budget=0.5)]:
+    for domain in domains + [drop_one_domain()]:
         solve(domain)
         entries = _stored(recorded[-1])
         assert len(entries) > 1
@@ -138,7 +142,8 @@ def test_best_open_is_the_best_recorded_open_entry(recorded):
     for domain in [random_instance(seed) for seed in range(10)] + [drop_one_domain()]:
         sol, stats = solve(domain)
         assert sol is not None
-        score = node_scorer(make_context(domain, stats.worst_makespan))
+        score = node_scorer(stats.quality_root, stats.quality_null, stats.worst_makespan,
+                            domain.time_budget, domain.alpha)
         want = None
         open_entries = sorted(recorded[-1].open_at_acceptance, key=lambda e: e[2])
         for _, _, key, quality, makespan in open_entries:
@@ -215,14 +220,54 @@ def test_stats_account_for_the_whole_expansion(recorded):
     assert stats.best_open.quality == pytest.approx(1.5)
 
 
-def test_impossible_budget_exhausts_the_graph():
+def test_solve_normalizes_by_the_domain_quality_extremes():
+    domain = two_task_domain(alpha=0.3)
+    sol, stats = solve(domain)
+    m, n = domain.n_tasks, domain.n_robots
+    assert stats.quality_root == total_allocation_quality(
+        Allocation.root(m, n).coalition_masks(), domain)
+    assert stats.quality_null == 0.0
+    assert stats.worst_makespan == worst_makespan(domain)
+    loss = normalized_quality_loss(sol.total_quality, stats.quality_root, stats.quality_null)
+    overrun = budget_overrun(sol.schedule.makespan, stats.worst_makespan, domain.time_budget)
+    assert (sol.quality_loss, sol.overrun, sol.blended) == (loss, overrun, blend(loss, overrun, 0.3))
+
+
+def test_impossible_budget_is_decided_by_the_empty_allocation():
     domain = drop_one_domain(time_budget=0.5)
     sol, stats = solve(domain)
     assert sol is None
     assert stats.best_open is None
-    assert stats.nodes_generated == 16
-    assert stats.nodes_expanded == 16
-    assert stats.duplicates_skipped == 17    # 32 child emissions, 15 unique
+    assert stats.nodes_generated == 1        # the root, never expanded
+    assert stats.nodes_expanded == 0
+    assert stats.bnb_runs == 2               # the root and the empty allocation
+
+
+def _empty_outcome(domain):
+    """The empty allocation's branch-and-bound outcome."""
+    tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+    return solve_milp(build_constraints_fast(tables, [0] * domain.n_tasks))
+
+
+def test_an_empty_allocation_just_over_budget_ends_the_search_at_once():
+    # 4 tasks x 5 robots: expanding all 2^20 allocations took about 26 s on a
+    # 2-CPU host
+    domain = random_instance(4)
+    budget = 0.999 * _empty_outcome(domain).schedule.makespan
+    domain = dataclasses.replace(domain, time_budget=budget)
+    started = time.perf_counter()
+    sol, stats = solve(domain)
+    assert time.perf_counter() - started < 1.0
+    assert sol is None
+    assert (stats.nodes_expanded, stats.bnb_runs) == (0, 2)
+
+
+def test_exhausting_the_graph_while_the_empty_allocation_fits_is_a_contract_violation(
+        monkeypatch):
+    # with no children the overrunning root is the whole graph: a search bug
+    monkeypatch.setattr(search, "successors", lambda alloc: [])
+    with pytest.raises(ContractViolation):
+        solve(drop_one_domain(time_budget=9.0))
 
 
 def test_unreachable_task_degrades_to_the_empty_allocation():
@@ -258,7 +303,7 @@ def test_unreachable_handover_in_the_unused_direction_still_validates():
                            world=world, time_budget=100.0)
     sol, _ = solve(domain)
     assert sol.allocation == Allocation.root(2, 1)
-    assert sol.schedule.orderings == {(0, 1): -1}
+    assert sol.orderings == {(0, 1): -1}
     report = validate_solution(domain, sol)
     assert report.ok, report.violations
 
@@ -279,8 +324,10 @@ def dip_domain():
     net = TaskNetwork(tasks=tasks, precedence=frozenset(), mutex=frozenset())
     by_size = {0: 0.0, 1: 0.5, 2: 0.2, 3: 1.0}
     maps = (lambda y: by_size[round(float(y[0]))],)
+    # the root (makespan 3) and robots {0, 1} (makespan 2) overrun, so the
+    # search expands that pair and meets the dip; robot 0 alone fits
     return ProblemDomain(network=net, robots=robots, quality_maps=maps,
-                         world=world, time_budget=0.5)
+                         world=world, time_budget=1.5)
 
 
 def test_invariant_checker_flags_non_monotone_quality_maps():
@@ -290,13 +337,13 @@ def test_invariant_checker_flags_non_monotone_quality_maps():
 
 def test_non_monotone_maps_pass_without_the_checker():
     sol, stats = solve(dip_domain(), check_invariants=False)
-    assert sol is None   # budget below every duration
+    assert sol is not None and stats.nodes_expanded >= 2
 
 
 def test_invariant_checker_is_quiet_on_monotone_maps():
-    domain = drop_one_domain(time_budget=0.5)
+    domain = drop_one_domain(time_budget=5.0)
     sol, stats = solve(domain, check_invariants=True)
-    assert sol is None
+    assert sol is not None and stats.nodes_expanded >= 2
 
 
 # ---------------------------------------------------------- schedule cache
@@ -450,7 +497,9 @@ def test_search_results_are_pinned(seed, key, makespan, expanded, rounds, reinse
 
 
 # The work behind PINNED, for the same seeds: nodes generated, duplicate
-# children skipped, allocations scheduled, branch-and-bound runs and nodes.
+# children skipped, allocations scheduled, and the expansion's own
+# branch-and-bound runs and nodes. No such search reaches the empty
+# allocation, so scheduling it after the root adds one run and its nodes.
 PINNED_WORK = (
     (0, 328, 90, 328, 142, 1966),
     (1, 82, 21, 82, 31, 329),
@@ -467,9 +516,12 @@ PINNED_WORK = (
 
 @pytest.mark.parametrize("seed,generated,duplicates,scheduled,runs,bnb_nodes", PINNED_WORK)
 def test_search_work_is_pinned(seed, generated, duplicates, scheduled, runs, bnb_nodes):
-    _, stats = solve(random_instance(seed))
+    domain = random_instance(seed)
+    _, stats = solve(domain)
+    empty_nodes = _empty_outcome(domain).nodes_explored
     assert (stats.nodes_generated, stats.duplicates_skipped, stats.scheduler_calls,
-            stats.bnb_runs, stats.bnb_nodes) == (generated, duplicates, scheduled, runs, bnb_nodes)
+            stats.bnb_runs, stats.bnb_nodes) == (
+        generated, duplicates, scheduled, runs + 1, bnb_nodes + empty_nodes)
 
 
 # ------------------------------------------------------------ solution body
