@@ -7,7 +7,11 @@ other starts. A fixed orientation of every disjunction leaves a longest-path
 computation; the solver branches over orientations with the relaxed longest
 path as a lower bound, so the returned makespan is exactly minimal. Each
 branch adds one arc and propagates it from its parent's start times, as in
-incremental consistency on a simple temporal network.
+incremental consistency on a simple temporal network. The search is one
+flat loop over an explicit stack; it keeps each node's makespan
+incrementally and stops propagating once a raised start pushes a finish to
+the incumbent, which cuts exactly the children that propagating to the
+fixpoint would cut, so it explores the same tree.
 """
 
 from __future__ import annotations
@@ -216,36 +220,6 @@ def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> Constr
     )
 
 
-def _tighten(
-    starts: list[float], out: list[list[tuple[int, float]]], a: int, b: int, w: float
-) -> Optional[list[float]]:
-    """Longest-path start times once the arc a -> b of weight w joins out.
-
-    starts is the fixpoint of out's arcs and comes back as it is when the new
-    arc already holds; otherwise a copy is raised from b along out until
-    nothing moves. Raising a means a positive cycle through the new arc, the
-    only kind the addition can close: None. An infinite weight leaves an
-    infinite start.
-    """
-    x = starts[a] + w
-    if x <= starts[b]:
-        return starts
-    starts = starts.copy()
-    starts[b] = x
-    work = [b]
-    while work:
-        i = work.pop()
-        si = starts[i]
-        for j, wj in out[i]:
-            c = si + wj
-            if c > starts[j]:
-                if j == a:
-                    return None
-                starts[j] = c
-                work.append(j)
-    return starts
-
-
 def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
     """Minimal-makespan schedule via branch and bound over mutex orientations.
 
@@ -258,53 +232,101 @@ def solve_milp(cs: ConstraintSet) -> ScheduleOutcome:
     are deterministic and ties go to the first schedule found. An
     unreachable leg (an infinite term) gives an infinite start, so no
     schedule is found past it.
+
+    The search is one flat loop, with no recursion: a node tries its first
+    arc at once and leaves a (depth, start times, makespan, arc still to
+    try) frame for its second on an explicit stack, depth counting the arcs
+    joined above it. The root's precedence arcs and the branches' mutex
+    arcs go through the same propagation, which raises start times from the
+    arc's head along the joined arcs until nothing moves. A child's makespan
+    is kept incrementally, as the larger of its parent's and each raised
+    task's finish: starts only rise, and max does no rounding. Propagation
+    stops as soon as a raised task finishes at the incumbent or later, or
+    the arc's tail is raised (a positive cycle through the new arc, the only
+    kind it can close). The child is cut either way, so the tree, its node
+    count and the schedule are those of propagating to the fixpoint and
+    then comparing the child's makespan with the incumbent.
     """
     durations = cs.durations
     m = len(durations)
     items = sorted(cs.mutex_pairs, key=lambda item: (-max(item[1]), item[0]))
-    pairs = [pair for pair, _ in items]
-    n_pairs = len(pairs)
-    # Both orientations of every disjunction, built once: (i before j, j before i).
-    pair_arcs = [
+    # The arcs joined along a path, one level per depth: each precedence arc
+    # alone, then both orientations of each disjunction, (i before j, j before i).
+    levels = [((i, j, durations[i] + x),) for (i, j), x in cs.precedence_travel]
+    n_fixed = len(levels)
+    levels += [
         ((i, j, durations[i] + x_ij), (j, i, durations[j] + x_ji))
         for (i, j), (x_ij, x_ji) in items
     ]
+    n_levels = len(levels)
     best: Optional[tuple[float, ...]] = None
     best_makespan = math.inf
     nodes = 1
     out: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-
-    def dfs(depth: int, starts: list[float], makespan: float) -> None:
-        nonlocal best, best_makespan, nodes
-        if depth == n_pairs:
-            best = tuple(starts)
-            best_makespan = makespan
-            return
-        i, j = pairs[depth]
-        fwd, rev = pair_arcs[depth]
-        for a, b, w in (fwd, rev) if starts[i] <= starts[j] else (rev, fwd):
-            nodes += 1
-            child = _tighten(starts, out, a, b, w)
-            if child is None:
+    path: list[int] = []  # the tail of each arc joined, one per level above depth
+    stack: list[tuple[int, list[float], float, tuple[int, int, float]]] = []
+    # the node in hand: its depth, start times and makespan; None once cut
+    depth = 0
+    starts: Optional[list[float]] = list(cs.initial_offsets)
+    makespan = max(map(add, starts, durations), default=math.inf)  # no tasks: infeasible
+    if makespan >= best_makespan:  # an unreachable release
+        starts = None
+    while True:
+        if starts is not None and depth < n_levels:
+            # try the node's first arc now and leave its second on the stack
+            if depth < n_fixed:
+                arc = levels[depth][0]
+            else:
+                fwd, rev = levels[depth]
+                arc, second = (fwd, rev) if starts[fwd[0]] <= starts[fwd[1]] else (rev, fwd)
+                stack.append((depth, starts, makespan, second))
+                nodes += 2  # each arc of the pair is tried once
+        else:
+            if starts is not None:  # a leaf below the incumbent
+                best = tuple(starts)
+                best_makespan = makespan
+            if not stack:
+                break
+            depth, starts, makespan, arc = stack.pop()
+            # the incumbent may have improved since the frame was pushed
+            if makespan >= best_makespan:
+                starts = None
                 continue
-            child_makespan = makespan if child is starts else max(map(add, child, durations))
+            while len(path) > depth:
+                out[path.pop()].pop()
+        a, b, w = arc
+        x = starts[a] + w
+        if x > starts[b]:
+            finish = x + durations[b]
             # an infinite start (an unreachable direction) is cut here too
-            if child_makespan >= best_makespan:
+            if finish >= best_makespan:
+                starts = None
                 continue
-            out[a].append((b, w))
-            dfs(depth + 1, child, child_makespan)
-            out[a].pop()
-
-    root: Optional[list[float]] = list(cs.initial_offsets)
-    for (i, j), x in cs.precedence_travel:
-        w = durations[i] + x
-        root = _tighten(root, out, i, j, w)
-        if root is None:  # a precedence cycle
-            return ScheduleOutcome(None, nodes)
-        out[i].append((j, w))
-    makespan = max(map(add, root, durations), default=math.inf)  # no tasks: infeasible
-    if makespan < best_makespan:
-        dfs(0, root, makespan)
+            starts = starts.copy()
+            starts[b] = x
+            if finish > makespan:
+                makespan = finish
+            work = [b]
+            while work:
+                i = work.pop()
+                si = starts[i]
+                for j, wj in out[i]:
+                    c = si + wj
+                    if c > starts[j]:
+                        finish = c + durations[j]
+                        if j == a or finish >= best_makespan:
+                            work = None
+                            break
+                        starts[j] = c
+                        work.append(j)
+                        if finish > makespan:
+                            makespan = finish
+            if work is None:
+                starts = None
+                continue
+        path.append(a)
+        out[a].append((b, w))
+        depth += 1
     if best is None:
         return ScheduleOutcome(None, nodes)
     return ScheduleOutcome(Schedule(best, best_makespan), nodes)

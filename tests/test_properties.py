@@ -4,6 +4,8 @@ Examples are derandomized so that every run draws the same ones; the
 example counts keep the suite fast.
 """
 
+import csv
+import json
 import math
 from dataclasses import astuple, replace
 
@@ -14,7 +16,12 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from staq.analysis import bound_report, brute_force_optimal, random_instance  # noqa: E402
-from staq.instance_io import instance_from_document, instance_to_document  # noqa: E402
+from staq.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main  # noqa: E402
+from staq.instance_io import (  # noqa: E402
+    instance_from_document,
+    instance_to_document,
+    save_instance,
+)
 from staq.learning import LinearQualityMap  # noqa: E402
 from staq.model import (  # noqa: E402
     ProblemDomain,
@@ -35,7 +42,12 @@ from staq.scheduler import (  # noqa: E402
 )
 from staq.search import solve  # noqa: E402
 
-from helpers import build_constraints, enumerate_schedules, oracle_by_enumeration  # noqa: E402
+from helpers import (  # noqa: E402
+    build_constraints,
+    enumerate_schedules,
+    oracle_by_enumeration,
+    reference_solve_milp,
+)
 
 MAX_TASKS = 6
 MAX_PAIRS = 8
@@ -82,6 +94,30 @@ def test_branch_and_bound_agrees_with_enumeration(cs):
     else:
         assert outcome.schedule is not None
         assert abs(outcome.schedule.makespan - want) <= TOL
+
+
+@st.composite
+def unreachable_terms(draw):
+    """A drawn constraint set with one release offset or one precedence
+    travel term made infinite."""
+    cs = draw(constraint_sets())
+    if cs.precedence_travel and draw(st.booleans()):
+        k = draw(st.integers(0, len(cs.precedence_travel) - 1))
+        pair, _ = cs.precedence_travel[k]
+        terms = list(cs.precedence_travel)
+        terms[k] = (pair, math.inf)
+        return cs._replace(precedence_travel=tuple(terms))
+    offsets = list(cs.initial_offsets)
+    offsets[draw(st.integers(0, len(offsets) - 1))] = math.inf
+    return cs._replace(initial_offsets=tuple(offsets))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(constraint_sets(), unreachable_terms()))
+def test_branch_and_bound_matches_full_relaxation_with_infinite_terms(cs):
+    # the same start times, makespan and nodes_explored as relaxing every
+    # node from scratch, on sets whose unreachable legs give infinite starts
+    assert solve_milp(cs) == reference_solve_milp(cs)[0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -196,3 +232,33 @@ def test_search_and_oracle_agree_on_drawn_domains(domain):
         assert not any(isinstance(x, float) and math.isnan(x) for x in astuple(bounds))
         if bounds.guarantee_applies and domain.alpha < 0.5:
             assert bounds.holds_apriori and bounds.holds_posthoc
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(domain=domains())
+def test_cli_exit_codes_and_files_on_drawn_domains(domain, tmp_path_factory):
+    """staq solve, oracle and sweep exit 0, 1 or 2 on a drawn instance
+    file, and solve and oracle agree on infeasibility. Each JSON file
+    written parses with NaN and the infinities refused, and a sweep CSV
+    has no nan cell."""
+    work = tmp_path_factory.mktemp("cli")
+    instance = work / "instance.json"
+    save_instance(domain, instance)
+    codes = {}
+    for command, name in (("solve", "solution.json"), ("oracle", "oracle.json"),
+                          ("sweep", "sweep.csv")):
+        out = work / name
+        codes[command] = main([command, str(instance), "-o", str(out)])
+        assert codes[command] in (EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE)
+        if not out.exists():
+            continue
+        if name.endswith(".json"):
+            json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+        else:
+            with open(out, newline="", encoding="utf-8") as fh:
+                assert "nan" not in {cell for row in csv.reader(fh) for cell in row}
+    assert (codes["solve"] == EXIT_INFEASIBLE) == (codes["oracle"] == EXIT_INFEASIBLE)

@@ -309,7 +309,10 @@ def test_solver_matches_full_relaxation_on_hand_built_sets():
     unreachable = _cs([3.0, 2.0], mutex={(0, 1): (math.inf, 1.0)})
     no_pairs = _cs([3.0, 2.0, 4.0], offsets=[1.0, 0.0, 2.0], precedence={(0, 2): 1.0})
     no_tasks = _cs([])
-    for cs in (cycle, unreachable, no_pairs, no_tasks):
+    incumbent_first = _cs([1.0, 1.0, 3.0, 2.0], offsets=[2.0, 0.0, 1.0, 1.0],
+                          precedence={(0, 1): 0.0, (1, 2): 0.0, (2, 3): 0.0},
+                          mutex={(0, 2): (2.0, 1.0)})
+    for cs in (cycle, unreachable, no_pairs, no_tasks, incumbent_first):
         assert solve_milp(cs) == reference_solve_milp(cs)[0]
     assert solve_milp(no_tasks) == ScheduleOutcome(None, 1)
 
@@ -327,6 +330,15 @@ def test_solver_matches_full_relaxation_on_hand_built_sets():
     outcome = solve_milp(no_pairs)
     assert outcome.schedule.start_times == (1.0, 0.0, 5.0)
     assert (realized_orderings(no_pairs, outcome.schedule), outcome.nodes_explored) == ({}, 1)
+    # The chain 0 -> 1 -> 2 -> 3 starts the tasks at (2, 3, 4, 7). Task 0
+    # first gives the incumbent: task 2 starts at 2 + 1 + 2 = 5, task 3 at
+    # 8, makespan 10. Task 2 first raises task 0 to 4 + 3 + 1 = 8 and task 1
+    # to 9, whose finish, 10, reaches the incumbent, so propagation stops
+    # there; going on would raise task 2 itself, a cycle. Either way the
+    # child is cut: the same 3 nodes as the full relaxation.
+    outcome = solve_milp(incumbent_first)
+    assert outcome.schedule.start_times == (2.0, 3.0, 5.0, 8.0)
+    assert (outcome.schedule.makespan, outcome.nodes_explored) == (10.0, 3)
 
 
 # ---------------------------------------------------- travel table variant
