@@ -30,7 +30,7 @@ from .model import (
     WorldMap,
 )
 from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
-from .scheduler import build_constraints_fast, make_travel_tables, piece_id, solve_milp
+from .scheduler import build_constraints_fast, make_travel_tables, solve_milp, tabulate_pieces
 from .search import ScheduleCache, SearchStats, solve
 
 ORACLE_MAX_BITS = 20
@@ -212,12 +212,15 @@ def brute_force_optimal(
     lower bound on every allocation's, so when it overruns the instance is
     infeasible after that one run (n_scheduled 1), outside schedule_cap.
 
-    An allocation's constraint set is a row of piece ids, one per column of
-    the travel table (piece_id, tabulated over every mask). The scan reads
-    its order chunk by chunk and builds and schedules only each row's first
-    occurrence, so allocations with equal sets share one branch and bound
-    run; n_scheduled counts every allocation scanned up to the answer. Guarded to at most 2^20 allocations; schedule_cap,
-    when given, aborts with OracleBudgetExceeded after that many.
+    Qualities and piece ids are tabulated over every mask
+    (ProblemDomain.quality_arrays, scheduler.tabulate_pieces). An
+    allocation's constraint set is a row of piece ids, one per column of
+    the travel table. The scan reads its order chunk by chunk and builds
+    and schedules only each row's first occurrence, so allocations with
+    equal sets share one branch and bound run; n_scheduled counts every
+    allocation scanned up to the answer. Guarded to at most 2^20
+    allocations; schedule_cap, when given, aborts with
+    OracleBudgetExceeded after that many.
     """
     m, n = domain.n_tasks, domain.n_robots
     if m * n > ORACLE_MAX_BITS:
@@ -230,18 +233,14 @@ def brute_force_optimal(
 
     # indexed by allocation key: task 0's coalition mask is the most significant
     totals = np.zeros(1)
-    for task in range(m):
-        per_mask = np.array([domain.task_quality(task, mask) for mask in range(2**n)])
+    for per_mask in domain.quality_arrays():
         totals = (totals[:, None] + per_mask[None, :]).ravel()
 
-    masks = range(2**n)
     # (i, j, piece ids by the mask tasks i and j share)
-    columns = [
-        (i, j, np.array([piece_id(tables, c, s) for s in masks]))
-        for c, (i, j) in enumerate(tables.columns)
-    ]
+    piece_ids, pieces = tabulate_pieces(tables)
+    columns = [(i, j, np.array(ids)) for (i, j), ids in zip(tables.columns, piece_ids)]
     # the first m columns are the offsets: each task's slowest arrival by mask
-    arrivals = [np.array(tables.pieces[i])[ids] for i, (_, _, ids) in enumerate(columns[:m])]
+    arrivals = [np.array(pieces[i]) for i in range(m)]
     too_slow = _arrival_floor(arrivals, tables.durations) > domain.time_budget
     dtype = np.min_scalar_type(2**n - 1)
 

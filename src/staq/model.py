@@ -2,9 +2,12 @@
 
 Values are observably immutable after construction and safe to share
 across threads; the module-level operations are pure functions. The one
-mutable part is ProblemDomain's quality memo, a pure cache: it holds only
-values task_quality would compute again, and dataclasses.replace starts a
-fresh one.
+mutable part is ProblemDomain's quality memo, a pure cache: per task, the
+qualities of the coalition masks asked for so far, and, once the search or
+the oracle reads the whole tables (quality_tables), of every mask,
+tabulated at once up to TABLE_MAX_ROBOTS robots. It holds only values
+task_quality would compute again, and dataclasses.replace starts a fresh
+one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ ProblemDomain checks a map's `width` property, the trait vector length it
 reads, against the robots' trait count; a map without one is unchecked."""
 
 TOL = 1e-9
+
+TABLE_MAX_ROBOTS = 12
+"""Widest team whose per-mask tables (a task's qualities, a travel table's
+piece ids) are tabulated whole, 2^n entries at a time; a wider team fills
+them one mask at a time, when first read."""
 
 
 class InvalidInput(ValueError):
@@ -261,9 +269,7 @@ class ProblemDomain:
     time_budget: float
     alpha: float = 0.4
     traits: np.ndarray = field(init=False, repr=False)
-    _quality_memo: dict[tuple[int, int], float] = field(
-        init=False, repr=False, compare=False
-    )
+    _quality_tables: list[Sequence[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         robots = tuple(self.robots)
@@ -294,27 +300,48 @@ class ProblemDomain:
         traits = np.stack([r.traits for r in robots])
         traits.setflags(write=False)
         object.__setattr__(self, "traits", traits)
-        object.__setattr__(self, "_quality_memo", {})
+        object.__setattr__(
+            self, "_quality_tables", [_QualityMemo(traits, q) for q in self.quality_maps]
+        )
 
     def task_quality(self, task: int, mask: int) -> float:
         """Quality of one task under a coalition, clamped to [0, 1].
 
         mask is laid out as Allocation.coalition_mask (robot 0 in the most
-        significant bit). The coalition's traits are summed in robot order
-        and each (task, mask) is evaluated once per domain value.
+        significant bit). Read off the task's quality memo: its table once
+        tabulated (quality_tables), else the one mask, evaluated when first
+        asked for.
         """
-        quality = self._quality_memo.get((task, mask))
-        if quality is None:
-            n = self.n_robots
-            if not (0 <= task < self.n_tasks and 0 <= mask < 1 << n):
-                raise InvalidInput(f"no task {task} or coalition mask {mask} for {n} robots")
-            aggregated = np.zeros(self.n_traits)
-            for robot in range(n):
-                if (mask >> (n - 1 - robot)) & 1:
-                    aggregated += self.traits[robot]
-            raw = float(self.quality_maps[task](aggregated))
-            quality = self._quality_memo[(task, mask)] = min(1.0, max(0.0, raw))
-        return quality
+        n = self.n_robots
+        if not (0 <= task < self.n_tasks and 0 <= mask < 1 << n):
+            raise InvalidInput(f"no task {task} or coalition mask {mask} for {n} robots")
+        return self._quality_tables[task][mask]
+
+    def quality_tables(self) -> tuple[Sequence[float], ...]:
+        """Every task's quality of every coalition, read as
+        tables[task][mask]; the caller keeps masks in [0, 2^n).
+
+        Up to TABLE_MAX_ROBOTS robots the first call tabulates every task
+        into a list, each map called once per row of coalition_trait_sums;
+        past that each table stays a memo that evaluates a mask when first
+        read. Either way the tables evaluate each (task, mask) once per
+        domain value.
+        """
+        tables = self._quality_tables
+        if self.n_robots <= TABLE_MAX_ROBOTS and isinstance(tables[0], _QualityMemo):
+            sums = coalition_trait_sums(self.traits)
+            tables[:] = [memo.tabulate(sums) for memo in tables]
+        return tuple(tables)
+
+    def quality_arrays(self) -> list[np.ndarray]:
+        """quality_tables as arrays; past TABLE_MAX_ROBOTS robots every mask
+        the memo lacks is evaluated afresh, as its tabulated list would be
+        2^n Python floats, and not kept."""
+        tables = self.quality_tables()
+        if isinstance(tables[0], _QualityMemo):
+            sums = coalition_trait_sums(self.traits)
+            tables = [memo.tabulate(sums) for memo in tables]
+        return [np.array(table) for table in tables]
 
     @property
     def n_tasks(self) -> int:
@@ -327,6 +354,52 @@ class ProblemDomain:
     @property
     def n_traits(self) -> int:
         return self.traits.shape[1]
+
+
+def coalition_trait_sums(traits: np.ndarray) -> np.ndarray:
+    """Row mask holds the traits of the robots in mask summed in robot
+    order, robot 0 in the most significant bit, as task_quality sums them.
+
+    Built by doubling: each robot in turn becomes the new least
+    significant bit, its rows the old ones plus its traits.
+    """
+    sums = np.zeros((1, traits.shape[1]))
+    for row in traits:
+        sums = np.stack([sums, sums + row], axis=1).reshape(-1, traits.shape[1])
+    return sums
+
+
+def _clamp(x: float) -> float:
+    """min(1.0, max(0.0, x)), NaN to 0.0 as there, in two comparisons."""
+    return x if 0.0 < x < 1.0 else 1.0 if x >= 1.0 else 0.0
+
+
+class _QualityMemo(dict):
+    """One task's quality by coalition mask, each evaluated when first read
+    from the coalition's traits summed in robot order."""
+
+    def __init__(self, traits: np.ndarray, quality_map: QualityMap):
+        super().__init__()
+        self.traits, self.quality_map = traits, quality_map
+
+    def __missing__(self, mask: int) -> float:
+        n = len(self.traits)
+        aggregated = np.zeros(self.traits.shape[1])
+        for robot in range(n):
+            if (mask >> (n - 1 - robot)) & 1:
+                aggregated += self.traits[robot]
+        quality = self[mask] = _clamp(float(self.quality_map(aggregated)))
+        return quality
+
+    def tabulate(self, sums: np.ndarray) -> list[float]:
+        """Every mask's quality, indexed by mask, given coalition_trait_sums
+        of the traits: the map called once per row, except for masks
+        already read. The rows sum as __missing__ does."""
+        quality_map = self.quality_map
+        return [
+            self[mask] if mask in self else _clamp(float(quality_map(row)))
+            for mask, row in enumerate(sums)
+        ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,8 +1,12 @@
-"""Grid motion planning: A* shortest paths with memoization.
+"""Grid motion planning: A* shortest paths and breadth-first distance
+fields, both memoized.
 
 Paths live on a 4-connected grid with unit cost per move, so A* under the
-Euclidean heuristic is optimal. Travel estimates used before planning are
-straight-line distances, which never exceed the planned path length.
+Euclidean heuristic is optimal, and a breadth-first search from a goal
+counts the moves of a shortest path from every cell to it. Travel estimates
+used before planning are straight-line distances, which never exceed the
+planned path length; planned travel times are read off the distance
+fields, and A* draws the paths themselves.
 """
 
 from __future__ import annotations
@@ -87,12 +91,47 @@ def plan_path(world: WorldMap, start: Cell, goal: Cell) -> Optional[PathResult]:
     return None
 
 
+def steps_field(world: WorldMap, goal: Cell) -> list[int]:
+    """Fewest 4-connected moves from each cell to goal, indexed
+    row * width + col, by breadth-first search from goal; -1 where a free
+    cell cannot reach goal, -2 on a blocked cell. Moves are symmetric, so
+    each count is the length of plan_path(world, cell, goal) minus one."""
+    if not world.is_free(goal):
+        raise InvalidInput(f"goal cell {goal} is blocked or out of bounds")
+    width, size = world.width, world.width * world.height
+    steps = [-1] * size
+    for col, row in world.occupied:
+        steps[row * width + col] = -2
+    start = goal[1] * width + goal[0]
+    steps[start] = 0
+    queue = [start]
+    for i in queue:  # grows as it is read: first in, first out
+        d = steps[i] + 1
+        col = i % width
+        # the neighbors up, right, down and left, each inside the grid
+        if i >= width and steps[i - width] == -1:
+            steps[i - width] = d
+            queue.append(i - width)
+        if col + 1 < width and steps[i + 1] == -1:
+            steps[i + 1] = d
+            queue.append(i + 1)
+        if i + width < size and steps[i + width] == -1:
+            steps[i + width] = d
+            queue.append(i + width)
+        if col and steps[i - 1] == -1:
+            steps[i - 1] = d
+            queue.append(i - 1)
+    return steps
+
+
 class GridPlanner:
-    """Memoizing wrapper around plan_path; one entry per (start, goal) pair."""
+    """Memoizing wrapper around plan_path, one entry per (start, goal) pair,
+    and around steps_field, one per goal."""
 
     def __init__(self, world: WorldMap):
         self.world = world
         self._cache: dict[tuple[Cell, Cell], Optional[PathResult]] = {}
+        self._fields: dict[Cell, list[int]] = {}
         self.calls = 0
         self.cache_hits = 0
 
@@ -105,6 +144,19 @@ class GridPlanner:
         result = plan_path(self.world, start, goal)
         self._cache[key] = result
         return result
+
+    def steps(self, start: Cell, goal: Cell) -> Optional[int]:
+        """Moves on a shortest path from start to goal, None if unreachable:
+        the length plan(start, goal) would have, in cells, without running
+        A*. Read off goal's steps_field, made at the first call for goal."""
+        field = self._fields.get(goal)
+        if field is None:
+            field = self._fields[goal] = steps_field(self.world, goal)
+        col, row = start
+        steps = field[row * self.world.width + col] if self.world.in_bounds(start) else -2
+        if steps == -2:
+            raise InvalidInput(f"start cell {start} is blocked or out of bounds")
+        return None if steps == -1 else steps
 
 
 def estimated_leg_seconds(domain: ProblemDomain) -> LegSeconds:
@@ -120,14 +172,18 @@ def estimated_leg_seconds(domain: ProblemDomain) -> LegSeconds:
 
 
 def planned_leg_seconds(planner: GridPlanner, domain: ProblemDomain) -> LegSeconds:
-    """Travel times from planned grid paths; inf where the goal is unreachable."""
+    """Travel times along shortest grid paths; inf where the goal is
+    unreachable. The path length, steps times the cell size, is read off
+    the planner's distance field (GridPlanner.steps) and equals the length
+    of the path A* would plan."""
     cell_size = domain.world.cell_size
+    step_length = planner.world.cell_size
     robots = domain.robots
 
     def leg(robot: int, a: Cell, b: Cell) -> float:
-        result = planner.plan(a, b)
-        if result is None:
+        steps = planner.steps(a, b)
+        if steps is None:
             return math.inf
-        return travel_time(result.length, robots[robot].speed * cell_size)
+        return travel_time(steps * step_length, robots[robot].speed * cell_size)
 
     return leg

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .model import TOL, Allocation, InvalidInput, ProblemDomain, Schedule
+import numpy as np
+
+from .model import TABLE_MAX_ROBOTS, TOL, Allocation, InvalidInput, ProblemDomain, Schedule
 from .motion import LegSeconds, estimated_leg_seconds
 
 
@@ -70,13 +72,16 @@ class TravelTables:
     shared mask, masks[i] & masks[j], is all it depends on: (i, i) for task
     i's release offset, then the precedence pairs, each with its precedence
     item, then the unordered pairs, each with its mutex item or None. Per
-    column, piece_ids maps a mask to its piece's number, pieces maps a
-    number to the piece and _numbers a piece back to its number; piece_id
-    fills all three, deriving each mask's piece once per table, and
-    build_constraints_fast assembles a set from these pieces as they are,
-    so allocations with equal pieces give equal sets, each its own
-    schedule-memo key. The tables are pure caches; replace() starts fresh
-    ones.
+    column, pieces[column][mask] is the piece of every set whose column
+    tasks share the robots in mask, and piece_ids[column][mask] its number:
+    masks with equal pieces get equal numbers. build_constraints_fast
+    assembles a set from these pieces as they are, so allocations with
+    equal pieces give equal sets, each its own schedule-memo key. Up to
+    TABLE_MAX_ROBOTS robots both are lists tabulated whole on construction
+    (tabulate_pieces), so a number depends on the table alone; past that
+    a column derives each mask's piece when first read and numbers the
+    pieces in the order they are first read. Either way the tables are pure
+    caches; replace() starts fresh ones.
     """
 
     durations: tuple[float, ...]
@@ -86,17 +91,20 @@ class TravelTables:
     unordered: tuple[tuple[int, int], ...]
     user_mutex: frozenset[tuple[int, int]]
     columns: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    piece_ids: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    piece_ids: tuple[Sequence[int], ...] = field(init=False, repr=False, compare=False)
     pieces: tuple[list, ...] = field(init=False, repr=False, compare=False)
-    _numbers: tuple[dict, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         columns = tuple((i, i) for i in range(len(self.durations)))
         columns += self.precedence + self.unordered
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "piece_ids", tuple({} for _ in columns))
-        object.__setattr__(self, "pieces", tuple([] for _ in columns))
-        object.__setattr__(self, "_numbers", tuple({} for _ in columns))
+        if len(self.arrive) <= TABLE_MAX_ROBOTS:
+            piece_ids, pieces = tabulate_pieces(self)
+        else:
+            pieces = tuple(_LazyPieces(self, c) for c in range(len(columns)))
+            piece_ids = tuple(_LazyPieceIds(column) for column in pieces)
+        object.__setattr__(self, "piece_ids", piece_ids)
+        object.__setattr__(self, "pieces", pieces)
 
 
 def make_travel_tables(domain: ProblemDomain, leg_seconds: LegSeconds) -> TravelTables:
@@ -145,6 +153,19 @@ def _slowest(travel: list[float], mask: int) -> float:
     return x
 
 
+def _slowest_by_mask(travel: np.ndarray) -> np.ndarray:
+    """Per row of travel (one entry per robot), _slowest of every mask,
+    indexed by mask: by doubling, each robot in turn the new least
+    significant bit. A max does no rounding, so each entry is exactly
+    _slowest's."""
+    rows = travel.shape[0]
+    slowest = np.zeros((rows, 1))
+    for t in travel.T:
+        t = t[:, None]
+        slowest = np.stack([slowest, np.maximum(slowest, t)], axis=-1).reshape(rows, -1)
+    return slowest
+
+
 def _piece(tables: TravelTables, column: int, mask: int):
     """The piece in a column (tables.columns) of every constraint set whose
     column tasks share the robots in mask (the Allocation.coalition_mask
@@ -167,35 +188,87 @@ def _piece(tables: TravelTables, column: int, mask: int):
     return None
 
 
+def tabulate_pieces(tables: TravelTables) -> tuple[tuple[list[int], ...], tuple[list, ...]]:
+    """Per column (tables.columns), every mask's piece number and piece,
+    both indexed by mask: _piece of each mask, with the travel maxima of
+    every column tabulated at once by _slowest_by_mask.
+
+    A column's distinct pieces are numbered from 0 in the order of the
+    first mask giving each, so the numbers depend on the table alone and
+    lie in [0, 2^n) for n robots.
+    """
+    m = len(tables.durations)
+    k = m + len(tables.precedence)
+    arrive, hand = np.array(tables.arrive), np.array(tables.hand)
+    # one row per travel vector: each offset's arrivals, each pair's
+    # handovers i -> j, then each unordered pair's handovers j -> i
+    pairs = tables.columns[m:]
+    travel = np.concatenate([
+        arrive.T,
+        hand[:, [i for i, _ in pairs], [j for _, j in pairs]].T,
+        hand[:, [j for _, j in tables.unordered], [i for i, _ in tables.unordered]].T,
+    ])
+    slowest = _slowest_by_mask(travel).tolist()
+    piece_ids, pieces = [], []
+    for c, (i, j) in enumerate(tables.columns):
+        keys = slowest[c]
+        if c >= k:
+            keys = list(zip(keys, slowest[c + len(tables.unordered)]))
+            if (i, j) not in tables.user_mutex:
+                keys[0] = None  # no robot serves both: no mutex pair
+        numbers: dict = {}
+        ids = [numbers.setdefault(key, len(numbers)) for key in keys]
+        if c >= m:  # one item per distinct key, shared by its masks
+            items = [None if key is None else ((i, j), key) for key in numbers]
+            keys = [items[x] for x in ids]
+        piece_ids.append(ids)
+        pieces.append(keys)
+    return tuple(piece_ids), tuple(pieces)
+
+
+class _LazyPieces(dict):
+    """A wide team's pieces in one column, by mask, each derived when first
+    read."""
+
+    def __init__(self, tables: TravelTables, column: int):
+        super().__init__()
+        self.tables, self.column = tables, column
+
+    def __missing__(self, mask: int):
+        piece = self[mask] = _piece(self.tables, self.column, mask)
+        return piece
+
+
+class _LazyPieceIds(dict):
+    """A wide team's piece numbers in one column, by mask: its pieces
+    numbered in the order first read."""
+
+    def __init__(self, pieces: _LazyPieces):
+        super().__init__()
+        self.pieces, self.numbers = pieces, {}
+
+    def __missing__(self, mask: int) -> int:
+        x = self[mask] = self.numbers.setdefault(self.pieces[mask], len(self.numbers))
+        return x
+
+
 def piece_id(tables: TravelTables, column: int, mask: int) -> int:
     """Number of the piece in a column (tables.columns) of every constraint
-    set whose column tasks share the robots in mask; tables.pieces[column]
-    holds the piece under it.
-
-    A column's distinct pieces are numbered from 0 in the order first asked
-    for, so a number lies in [0, 2^n) for n robots, and two allocations
-    give equal sets exactly when they give equal numbers in every column.
-    The only place that derives a piece: memoized by mask in
-    tables.piece_ids[column]. A mask outside [0, 2^n) is InvalidInput.
+    set whose column tasks share the robots in mask, the piece
+    tables.pieces[column][mask]. Two allocations give equal sets exactly
+    when they give equal numbers in every column, and a number lies in
+    [0, 2^n) for n robots. Reads tables.piece_ids[column][mask]; a mask
+    outside [0, 2^n) is InvalidInput.
     """
-    x = tables.piece_ids[column].get(mask)
-    if x is None:
-        if not 0 <= mask < 1 << len(tables.arrive):
-            raise InvalidInput(f"coalition mask {mask} outside [0, 2^{len(tables.arrive)})")
-        piece = _piece(tables, column, mask)
-        numbers = tables._numbers[column]
-        x = numbers.get(piece)
-        if x is None:
-            x = numbers[piece] = len(numbers)
-            tables.pieces[column].append(piece)
-        tables.piece_ids[column][mask] = x
-    return x
+    if not 0 <= mask < 1 << len(tables.arrive):
+        raise InvalidInput(f"coalition mask {mask} outside [0, 2^{len(tables.arrive)})")
+    return tables.piece_ids[column][mask]
 
 
 def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> ConstraintSet:
     """Derive the constraint set for an allocation, given as its coalition
     masks (Allocation.coalition_masks), from a travel table: per column,
-    the piece numbered by the column tasks' shared mask (piece_id).
+    the piece of the column tasks' shared mask (tables.pieces).
 
     Mutex pairs are the user-declared ones plus every pair of tasks sharing a
     robot, minus pairs already ordered by direct precedence. Travel terms take
@@ -204,16 +277,10 @@ def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> Constr
     m = len(tables.durations)
     if len(masks) != m:
         raise InvalidInput(f"{len(masks)} coalition masks for {m} tasks")
-    piece_ids, pieces = tables.piece_ids, tables.pieces
-    row = []
-    # the offset columns come first, so every task mask is checked before
-    # a shared mask is read
-    for c, (i, j) in enumerate(tables.columns):
-        shared = masks[i] & masks[j]
-        x = piece_ids[c].get(shared)
-        if x is None:
-            x = piece_id(tables, c, shared)
-        row.append(pieces[c][x])
+    n = len(tables.arrive)
+    if not (0 <= min(masks) and max(masks) < 1 << n):
+        raise InvalidInput(f"coalition masks {tuple(masks)} outside [0, 2^{n})")
+    row = [pieces[masks[i] & masks[j]] for pieces, (i, j) in zip(tables.pieces, tables.columns)]
     k = m + len(tables.precedence)
     return ConstraintSet(
         tables.durations, tuple(row[:m]), tuple(row[m:k]), tuple(filter(None, row[k:]))

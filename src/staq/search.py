@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional
+from operator import lshift
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .heuristics import node_scorer
 from .model import (
@@ -33,7 +34,6 @@ from .scheduler import (
     TravelTables,
     build_constraints_fast,
     make_travel_tables,
-    piece_id,
     realized_orderings,
     refine_with_motion_plans,
     solve_milp,
@@ -129,23 +129,28 @@ def solve(
 
     successors gives a popped node's child keys; a visited child is skipped
     before any other work. At its first new child the node derives, once,
-    its masks, its per-task qualities with their left-fold prefixes, and
-    its signature: each column c's piece id (scheduler.piece_id) shifted
-    left by n * c, equal for two allocations exactly when their sets are.
-    A child re-reads only the columns of the task whose bit it clears; its
-    quality is that task's prefix plus the new entry plus the rest, the
-    additions of total_allocation_quality in their order. Only a signature
-    this solve has not seen builds its set, whose content keys the schedule
-    memo, so branch and bound runs once per distinct set. An open node is
+    its masks, its per-task qualities (read off domain.quality_tables) with
+    their left-fold prefixes, and its signature: each column c's piece id
+    (tables.piece_ids[c] at the column's shared mask, as scheduler.piece_id
+    reads it) shifted left by n * c, equal for two allocations exactly when
+    their sets are. Both are tables indexed by mask, so a read is a list
+    subscript. A child re-reads only the columns of the task whose bit it
+    clears; its quality is that task's prefix plus the new entry plus the
+    rest, the additions of total_allocation_quality in their order. Only a
+    signature this solve has not seen builds its set, whose content keys
+    the schedule memo, so branch and bound runs once per distinct set. An open node is
     held as its quality and makespan (OpenEntry) and scored again when
     popped, with the same scorer on the same inputs. A popped node that
     fits the budget builds its set under estimated travel, whose outcome
     the memo already holds, and its set under planned travel (the planned
-    table is made at the first such node), once each, refines until its
+    table is made at the first such node, its legs read off the planner's
+    breadth-first distance fields), once each, refines until its
     schedule stops moving, and is scored once after; it is accepted if it
     still fits, else re-queued with its refined makespan. At acceptance
     only OpenSet.best, the open node the post-hoc bound reads, is scored
-    into stats.best_open; it stays None when no allocation fits.
+    into stats.best_open; it stays None when no allocation fits. A* runs
+    only to draw the accepted allocation's paths; planner_calls counts
+    those runs that the planner's memo did not serve.
     schedule_cache, when given, is that memo, so solves that share it (e.g.
     one instance at several alpha values) share the runs; an outcome
     depends only on its set's content, so any solves may share one cache.
@@ -179,17 +184,20 @@ def solve(
     if root_outcome.schedule is None:
         raise InvalidInput("root allocation admits no schedule")
     piece_ids, columns = tables.piece_ids, tables.columns
-    # per task, the columns its mask enters: (column, the other task, shift);
-    # an offset's other task is its own, as a child's mask lies within masks[task]
-    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    quality_tables = domain.quality_tables()
+    shifts = [n * c for c in range(len(columns))]
+    # per task, the columns its mask enters: (column, its piece ids, the
+    # other task, shift); an offset's other task is its own, as a child's
+    # mask lies within masks[task]
+    touching: list[list[tuple[int, Sequence[int], int, int]]] = [[] for _ in range(m)]
     for c, (i, j) in enumerate(columns):
-        touching[i].append((c, j, n * c))
+        touching[i].append((c, piece_ids[c], j, shifts[c]))
         if j != i:
-            touching[j].append((c, i, n * c))
+            touching[j].append((c, piece_ids[c], i, shifts[c]))
 
     def signature(masks: tuple[int, ...]) -> tuple[int, list[int]]:
-        ids = [piece_id(tables, c, masks[i] & masks[j]) for c, (i, j) in enumerate(columns)]
-        return sum(x << n * c for c, x in enumerate(ids)), ids
+        ids = [column[masks[i] & masks[j]] for column, (i, j) in zip(piece_ids, columns)]
+        return sum(map(lshift, ids, shifts)), ids
 
     by_signature = {signature(root_masks)[0]: root_outcome}
     null_masks = [0] * m
@@ -212,7 +220,6 @@ def solve(
     if null_outcome.schedule.makespan > domain.time_budget:
         return None, stats
     visited = {root.key}
-    task_quality = domain.task_quality
 
     while len(open_set):
         _, depth, key, quality, makespan = open_set.pop()
@@ -252,7 +259,7 @@ def solve(
             if not fresh:
                 masks = alloc.coalition_masks()
                 sig, ids = signature(masks)
-                qualities = [task_quality(task, mask) for task, mask in enumerate(masks)]
+                qualities = [table[mask] for table, mask in zip(quality_tables, masks)]
                 prefixes = list(accumulate(qualities, initial=0.0))
             fresh += 1
             # the child clears one robot's bit in one task's row
@@ -260,11 +267,8 @@ def solve(
             task = m - 1 - shift // n
             mask = masks[task] ^ (1 << shift % n)
             child_sig = sig
-            for c, other, at in touching[task]:
-                x = piece_ids[c].get(mask & masks[other])
-                if x is None:
-                    x = piece_id(tables, c, mask & masks[other])
-                child_sig ^= (x ^ ids[c]) << at
+            for c, column, other, at in touching[task]:
+                child_sig ^= (column[mask & masks[other]] ^ ids[c]) << at
             child_outcome = by_signature.get(child_sig)
             if child_outcome is None:
                 child_masks = list(masks)
@@ -272,7 +276,7 @@ def solve(
                 child_outcome = by_signature[child_sig] = schedule(
                     build_constraints_fast(tables, child_masks)
                 )
-            child_q = prefixes[task] + task_quality(task, mask)
+            child_q = prefixes[task] + quality_tables[task][mask]
             for q in qualities[task + 1:]:
                 child_q += q
             child_schedule = child_outcome.schedule
@@ -326,7 +330,8 @@ def _motion_plans(
         origin = robot.start_cell
         for i in routes[r]:
             plan = planner.plan(origin, tasks[i].start_site)
-            assert plan is not None, "accepted node has an unreachable leg"
+            if plan is None:
+                raise ContractViolation(f"accepted allocation: robot {r} cannot reach task {i}")
             motion_plans[(r, i)] = plan
             origin = tasks[i].end_site
     return motion_plans

@@ -304,6 +304,36 @@ def test_oracle_decides_infeasibility_from_the_empty_allocation():
     assert (result.n_strictly_better, result.n_scheduled) == (2**20, 1)
 
 
+def test_oracle_tabulates_a_wide_team():
+    """One task, 20 robots, and a budget the whole team meets, so the root
+    is the first allocation scanned. Filling the 2^20 masks' qualities and
+    arrivals one mask at a time took about 30 s on a 2-CPU host."""
+    robots = tuple(Robot(traits=np.array([1.0 + k % 3]), start_cell=(k % 5, k // 5), speed=1.0)
+                   for k in range(20))
+    task = Task(duration=4.0, start_site=(0, 0), end_site=(0, 0))
+    domain = ProblemDomain(network=TaskNetwork(tasks=(task,)), robots=robots,
+                           quality_maps=(LinearMap([1.0], 50.0),), world=open_world(5, 4),
+                           time_budget=100.0)
+    result = brute_force_optimal(domain)
+    root = Allocation.root(1, 20)
+    # the farthest robot walks 4 + 3 cells at one cell per second
+    assert (result.allocation, result.makespan, result.n_scheduled) == (root, 11.0, 1)
+    assert (result.quality, result.n_strictly_better) == (domain.task_quality(0, root.key), 0)
+
+
+def test_oracle_on_lazy_tables_matches_the_tabulated_oracle(monkeypatch):
+    import staq.model as model
+    import staq.scheduler as scheduler
+
+    for seed in (1, 2, 6):   # 41, 175 and 1,330 allocations scheduled
+        domain = random_instance(seed)
+        want = brute_force_optimal(domain)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "TABLE_MAX_ROBOTS", 0)
+            patch.setattr(scheduler, "TABLE_MAX_ROBOTS", 0)
+            assert brute_force_optimal(dataclasses.replace(domain)) == want
+
+
 def _stable_order(totals, too_slow):
     return [int(k) for k in np.argsort(-totals, kind="stable") if not too_slow[k]]
 

@@ -17,6 +17,7 @@ from staq.model import (
     TaskNetwork,
     ValidationReport,
     WorldMap,
+    coalition_trait_sums,
     successors,
     total_allocation_quality,
     validate_solution,
@@ -297,6 +298,36 @@ def test_each_task_and_coalition_is_evaluated_once_per_domain():
     again = dataclasses.replace(domain, alpha=0.1)   # a new value, a new memo
     again.task_quality(0, every_mask - 1)
     assert maps[0].calls == every_mask + 1
+
+
+def test_quality_tables_hold_what_task_quality_reads(monkeypatch):
+    import staq.model as model
+
+    for seed in range(6):
+        base = random_instance(seed)
+        m, n = base.n_tasks, base.n_robots
+        one_by_one = dataclasses.replace(base)
+        want = [[one_by_one.task_quality(t, mask) for mask in range(1 << n)] for t in range(m)]
+        tables = dataclasses.replace(base).quality_tables()
+        assert all(type(table) is list for table in tables)
+        assert [table for table in tables] == want   # the same floats, bit for bit
+        # past the cap the tables stay memos, and the oracle's arrays agree
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "TABLE_MAX_ROBOTS", 0)
+            wide = dataclasses.replace(base)
+            assert [array.tolist() for array in wide.quality_arrays()] == want
+            tables = wide.quality_tables()
+            assert not any(isinstance(table, list) for table in tables)
+            assert [[table[mask] for mask in range(1 << n)] for table in tables] == want
+
+
+def test_coalition_trait_sums_follow_the_mask_layout():
+    traits = np.array([[1.0, 0.5], [2.0, 0.25], [4.0, 0.125]])
+    sums = coalition_trait_sums(traits)
+    assert sums.shape == (8, 2)
+    for mask in range(8):
+        members = [r for r in range(3) if (mask >> (2 - r)) & 1]   # robot 0 most significant
+        assert sums[mask].tolist() == traits[members].sum(axis=0).tolist()
 
 
 # ---------------------------------------------- total allocation quality

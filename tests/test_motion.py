@@ -10,6 +10,7 @@ from staq.motion import (
     euclidean_estimate,
     plan_path,
     planned_leg_seconds,
+    steps_field,
     travel_time,
 )
 
@@ -188,6 +189,75 @@ def test_planned_leg_seconds_is_infinite_when_unreachable():
     leg = planned_leg_seconds(GridPlanner(world), domain)
     assert leg(0, (0, 0), (2, 0)) == math.inf
     assert leg(0, (0, 0), (0, 2)) == pytest.approx(2.0)
+
+
+# --------------------------------------------------------- distance fields
+
+def _fenced_worlds():
+    """Seeded worlds with random walls, each with a walled-off pocket in
+    its top-left corner, at two cell sizes."""
+    rng = np.random.default_rng(21)
+    for k in range(6):
+        w, h = int(rng.integers(5, 9)), int(rng.integers(5, 9))
+        blocked = {(c, r) for c in range(w) for r in range(h) if rng.random() < 0.2}
+        blocked -= {(0, 0)}
+        blocked |= {(1, 0), (1, 1), (0, 1)}   # (0, 0) sealed in
+        yield WorldMap(width=w, height=h, occupied=frozenset(blocked),
+                       cell_size=0.5 if k % 2 else 1.0)
+
+
+def test_steps_match_astar_path_lengths_on_every_pair():
+    unreachable = 0
+    for world in _fenced_worlds():
+        planner = GridPlanner(world)
+        free = [(c, r) for c in range(world.width) for r in range(world.height)
+                if world.is_free((c, r))]
+        for goal in free:
+            field = steps_field(world, goal)
+            assert [k for k, x in enumerate(field) if x == -2] == sorted(
+                r * world.width + c for c, r in world.occupied)
+            for start in free:
+                path = plan_path(world, start, goal)
+                steps = planner.steps(start, goal)
+                assert field[start[1] * world.width + start[0]] == (-1 if steps is None else steps)
+                if path is None:
+                    assert steps is None
+                    unreachable += 1
+                else:
+                    assert steps == len(path.cells) - 1
+                    assert steps * world.cell_size == path.length
+        assert planner.calls == 0   # no A* run behind a distance
+    assert unreachable
+
+
+def test_steps_reject_blocked_and_outside_cells():
+    world = WorldMap.from_ascii(("..#", "...", "..."))
+    planner = GridPlanner(world)
+    for bad in ((2, 0), (3, 0), (0, -1), (-1, 1), (0, 3)):
+        with pytest.raises(InvalidInput):
+            steps_field(world, bad)
+        with pytest.raises(InvalidInput):
+            planner.steps(bad, (0, 0))
+        with pytest.raises(InvalidInput):
+            planner.steps((0, 0), bad)
+
+
+def test_planner_keeps_one_distance_field_per_goal(monkeypatch):
+    import staq.motion as motion
+
+    made = []
+    real = motion.steps_field
+
+    def counting(world, goal):
+        made.append(goal)
+        return real(world, goal)
+
+    monkeypatch.setattr(motion, "steps_field", counting)
+    planner = GridPlanner(open_world(5, 5))
+    for start in ((0, 0), (4, 4), (2, 3), (0, 0)):
+        assert planner.steps(start, (1, 1)) == abs(start[0] - 1) + abs(start[1] - 1)
+    assert planner.steps((1, 1), (4, 0)) == 4
+    assert made == [(1, 1), (4, 0)]
 
 
 # ------------------------------------------------------- leg time sources

@@ -366,32 +366,60 @@ def test_fast_constraints_match_reference_everywhere():
                 assert got == want
 
 
-def test_each_memo_entry_is_derived_once_per_table(monkeypatch):
-    domain = random_instance(8)   # precedence and a user mutex pair
-    m, n = domain.n_tasks, domain.n_robots
-    tables = make_travel_tables(domain, estimated_leg_seconds(domain))
-    derived = []
-    real_piece = scheduler._piece
+def test_piece_ids_depend_on_the_table_alone():
+    for seed in SMALL_SEEDS:
+        domain = random_instance(seed)
+        planner = GridPlanner(domain.world)
+        for leg in (estimated_leg_seconds(domain), planned_leg_seconds(planner, domain)):
+            first, second = make_travel_tables(domain, leg), make_travel_tables(domain, leg)
+            # read in different orders, the tables stay as tabulated
+            n_masks = 1 << domain.n_robots
+            for c in range(len(first.columns)):
+                for mask in range(n_masks):
+                    piece_id(first, c, mask)
+                for mask in reversed(range(n_masks)):
+                    piece_id(second, c, mask)
+            assert first.piece_ids == second.piece_ids
+            assert first.pieces == second.pieces
+            for c, (ids, pieces) in enumerate(zip(first.piece_ids, first.pieces)):
+                assert type(ids) is list and type(pieces) is list
+                assert pieces == [scheduler._piece(first, c, mask) for mask in range(n_masks)]
+                # numbered from 0 in the order of the first mask giving each
+                first_seen = {}
+                assert ids == [first_seen.setdefault(piece, len(first_seen)) for piece in pieces]
 
-    def counting_piece(tables, column, mask):
-        derived.append((column, mask))
-        return real_piece(tables, column, mask)
 
-    # patched after random_instance, which builds tables of its own
-    monkeypatch.setattr(scheduler, "_piece", counting_piece)
-    allocs = [Allocation(key, (m, n)) for key in range(1 << (m * n))]
-    sets = [build_constraints_fast(tables, alloc.coalition_masks()) for alloc in allocs]
-    # once per (column, mask): every shared mask occurs over all allocations
-    assert sorted(derived) == [(c, mask) for c in range(len(tables.columns)) for mask in range(1 << n)]
-    for ids, pieces in zip(tables.piece_ids, tables.pieces):
-        assert sorted(set(ids.values())) == list(range(len(pieces)))
-    derived.clear()
-    for alloc, cs in zip(allocs, sets):
-        assert build_constraints_fast(tables, alloc.coalition_masks()) == cs
-    assert derived == []   # everything after the first pass hit
+def test_lazy_piece_ids_give_the_eager_sets(monkeypatch):
+    for seed in SMALL_SEEDS:
+        domain = random_instance(seed)
+        m, n = domain.n_tasks, domain.n_robots
+        planner = GridPlanner(domain.world)
+        for leg in (estimated_leg_seconds(domain), planned_leg_seconds(planner, domain)):
+            eager = make_travel_tables(domain, leg)
+            with monkeypatch.context() as patch:
+                patch.setattr(scheduler, "TABLE_MAX_ROBOTS", 0)
+                lazy = make_travel_tables(domain, leg)
+                derived = []
+                real_piece = scheduler._piece
 
-    fresh = make_travel_tables(domain, estimated_leg_seconds(domain))
-    assert fresh.piece_ids == tuple({} for _ in fresh.columns)   # the memo belongs to one table
+                def counting_piece(tables, column, mask):
+                    derived.append((column, mask))
+                    return real_piece(tables, column, mask)
+
+                patch.setattr(scheduler, "_piece", counting_piece)
+                assert all(ids == {} for ids in lazy.piece_ids + lazy.pieces)   # nothing derived yet
+                for key in range(1 << (m * n)):
+                    masks = Allocation(key, (m, n)).coalition_masks()
+                    assert build_constraints_fast(lazy, masks) == build_constraints_fast(eager, masks)
+                for c, pieces in enumerate(lazy.pieces):
+                    ids = [piece_id(lazy, c, mask) for mask in range(1 << n)]
+                    # numbered in the order first read, equal exactly when the pieces are
+                    first_seen = {}
+                    assert ids == [first_seen.setdefault(pieces[mask], len(first_seen))
+                                   for mask in range(1 << n)]
+            # each (column, mask) derived once: every shared mask occurs over all allocations
+            assert sorted(derived) == [(c, mask) for c in range(len(lazy.columns))
+                                       for mask in range(1 << n)]
 
 
 def test_constraint_items_are_sorted_by_pair():
@@ -451,14 +479,21 @@ def test_piece_ids_are_equal_exactly_when_sets_are():
     assert equal > 100 and unequal > 100
 
 
-def test_fast_constraints_reject_shape_mismatch():
+def test_fast_constraints_reject_shape_mismatch(monkeypatch):
     domain = two_task_domain()
-    tables = make_travel_tables(domain, estimated_leg_seconds(domain))
-    with pytest.raises(InvalidInput):
-        build_constraints_fast(tables, Allocation.root(3, 2).coalition_masks())
-    for masks in ((4, 0), (0, -1)):   # two robots: masks lie in [0, 4)
+    for cap in (scheduler.TABLE_MAX_ROBOTS, 0):   # tabulated, then lazy
+        monkeypatch.setattr(scheduler, "TABLE_MAX_ROBOTS", cap)
+        tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+        assert isinstance(tables.piece_ids[0], list) == (cap > 0)
         with pytest.raises(InvalidInput):
-            build_constraints_fast(tables, masks)
+            build_constraints_fast(tables, Allocation.root(3, 2).coalition_masks())
+        # two robots: masks lie in [0, 4); a list would wrap a negative one
+        for masks in ((4, 0), (0, -1), (-1, -1), (-4, 3)):
+            with pytest.raises(InvalidInput):
+                build_constraints_fast(tables, masks)
+        for mask in (4, -1, -4):
+            with pytest.raises(InvalidInput):
+                piece_id(tables, 0, mask)
 
 
 # ----------------------------------------------------------- worst case

@@ -381,6 +381,44 @@ def test_planner_calls_count_the_astar_runs_of_one_solve():
     assert counts[1:] == [0, 0]   # every leg is a memo hit the second time
 
 
+class _NoPathPlanner(GridPlanner):
+    """A GridPlanner whose A* finds no path for one leg; its distances, and
+    so the search's planned travel, are the world's."""
+
+    def __init__(self, world, leg):
+        super().__init__(world)
+        self.leg = leg
+
+    def plan(self, start, goal):
+        return None if (start, goal) == self.leg else super().plan(start, goal)
+
+
+def test_an_accepted_leg_without_a_path_is_a_contract_violation():
+    domain = two_task_domain(time_budget=60.0)
+    solution, _ = solve(domain)
+    plan = next(iter(solution.motion_plans.values()))
+    planner = _NoPathPlanner(domain.world, (plan.cells[0], plan.cells[-1]))
+    with pytest.raises(ContractViolation, match="cannot reach"):
+        solve(domain, planner=planner)
+
+
+def test_search_on_lazy_tables_matches_the_tabulated_search(monkeypatch):
+    import staq.model as model
+    import staq.scheduler as scheduler
+
+    for seed in (0, 1, 2, 3, 6, 8):
+        domain = random_instance(seed)
+        want = solve(domain)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "TABLE_MAX_ROBOTS", 0)
+            patch.setattr(scheduler, "TABLE_MAX_ROBOTS", 0)
+            got = solve(dataclasses.replace(domain))
+        assert got[1] == want[1]
+        assert got[0].allocation == want[0].allocation
+        assert got[0].schedule == want[0].schedule
+        assert got[0].total_quality == want[0].total_quality
+
+
 def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
     built, scheduled, nodes = [], [], []
 
