@@ -29,10 +29,15 @@ reads, against the robots' trait count; a map without one is unchecked."""
 
 TOL = 1e-9
 
-TABLE_MAX_ROBOTS = 12
+TABLE_MAX_ROBOTS = 7
 """Widest team whose per-mask tables (a task's qualities, a travel table's
-piece ids) are tabulated whole, 2^n entries at a time; a wider team fills
-them one mask at a time, when first read."""
+piece ids) are tabulated whole, 2^n entries at a time, when the search
+first reads them; a wider team fills them one mask at a time, when first
+read. Set from whole solves timed both ways (scripts/table_costs.py, the
+`table_costs` record in BENCH_21.json): up to 7 robots tabulating won on
+every search of 20 or more expansions; at 8 one search ran 19% slower
+tabulated, and the tabulation's own cost doubles with each robot (about
+1.6 ms at 8 robots, 45 ms at 12), which short solves pay in full."""
 
 
 class InvalidInput(ValueError):

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import TABLE_MAX_ROBOTS, TOL, Allocation, InvalidInput, ProblemDomain, Schedule
+from . import model
+from .model import TOL, Allocation, InvalidInput, ProblemDomain, Schedule
 from .motion import LegSeconds, estimated_leg_seconds
 
 
@@ -76,12 +78,16 @@ class TravelTables:
     tasks share the robots in mask, and piece_ids[column][mask] its number:
     masks with equal pieces get equal numbers. build_constraints_fast
     assembles a set from these pieces as they are, so allocations with
-    equal pieces give equal sets, each its own schedule-memo key. Up to
-    TABLE_MAX_ROBOTS robots both are lists tabulated whole on construction
-    (tabulate_pieces), so a number depends on the table alone; past that
-    a column derives each mask's piece when first read and numbers the
-    pieces in the order they are first read. Either way the tables are pure
-    caches; replace() starts fresh ones.
+    equal pieces give equal sets, each its own schedule-memo key.
+
+    A column derives each mask's piece when first read, so a table that
+    builds a few sets (one solution's check, a makespan reference) pays
+    for those masks only. The numbers are made at the first read of
+    piece_ids: up to model.TABLE_MAX_ROBOTS robots every column is then
+    tabulated whole (tabulate_pieces), pieces becoming lists too, so a
+    number depends on the table alone; past that a column numbers its
+    pieces in the order they are first read. Either way the tables are
+    pure caches; replace() starts fresh ones.
     """
 
     durations: tuple[float, ...]
@@ -91,20 +97,21 @@ class TravelTables:
     unordered: tuple[tuple[int, int], ...]
     user_mutex: frozenset[tuple[int, int]]
     columns: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    piece_ids: tuple[Sequence[int], ...] = field(init=False, repr=False, compare=False)
-    pieces: tuple[list, ...] = field(init=False, repr=False, compare=False)
+    pieces: tuple[Sequence, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         columns = tuple((i, i) for i in range(len(self.durations)))
         columns += self.precedence + self.unordered
         object.__setattr__(self, "columns", columns)
-        if len(self.arrive) <= TABLE_MAX_ROBOTS:
-            piece_ids, pieces = tabulate_pieces(self)
-        else:
-            pieces = tuple(_LazyPieces(self, c) for c in range(len(columns)))
-            piece_ids = tuple(_LazyPieceIds(column) for column in pieces)
-        object.__setattr__(self, "piece_ids", piece_ids)
+        object.__setattr__(self, "pieces", tuple(_LazyPieces(self, c) for c in range(len(columns))))
+
+    @cached_property
+    def piece_ids(self) -> tuple[Sequence[int], ...]:
+        if len(self.arrive) > model.TABLE_MAX_ROBOTS:
+            return tuple(_LazyPieceIds(column) for column in self.pieces)
+        piece_ids, pieces = tabulate_pieces(self)
         object.__setattr__(self, "pieces", pieces)
+        return piece_ids
 
 
 def make_travel_tables(domain: ProblemDomain, leg_seconds: LegSeconds) -> TravelTables:
@@ -227,8 +234,7 @@ def tabulate_pieces(tables: TravelTables) -> tuple[tuple[list[int], ...], tuple[
 
 
 class _LazyPieces(dict):
-    """A wide team's pieces in one column, by mask, each derived when first
-    read."""
+    """The pieces in one column, by mask, each derived when first read."""
 
     def __init__(self, tables: TravelTables, column: int):
         super().__init__()

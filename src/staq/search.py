@@ -183,6 +183,24 @@ def solve(
     root_outcome = schedule(build_constraints_fast(tables, root_masks))
     if root_outcome.schedule is None:
         raise InvalidInput("root allocation admits no schedule")
+    null_masks = [0] * m
+    root_makespan = root_outcome.schedule.makespan
+    stats.worst_makespan = root_makespan
+    stats.quality_root = root_quality
+    stats.quality_null = total_allocation_quality(null_masks, domain)
+    score = node_scorer(
+        root_quality, stats.quality_null, root_makespan, domain.time_budget, domain.alpha
+    )
+    open_set = OpenSet()
+    open_set.push(0, root.key, root_quality, root_makespan, score(root_quality, root_makespan)[2])
+    stats.nodes_generated = 1
+    # The empty allocation has no travel and only the declared mutex pairs,
+    # so its makespan bounds every allocation's from below, planned or not:
+    # if it overruns, nothing fits, and no whole table is read.
+    null_outcome = schedule(build_constraints_fast(tables, null_masks))
+    if null_outcome.schedule.makespan > domain.time_budget:
+        return None, stats
+
     piece_ids, columns = tables.piece_ids, tables.columns
     quality_tables = domain.quality_tables()
     shifts = [n * c for c in range(len(columns))]
@@ -199,26 +217,9 @@ def solve(
         ids = [column[masks[i] & masks[j]] for column, (i, j) in zip(piece_ids, columns)]
         return sum(map(lshift, ids, shifts)), ids
 
-    by_signature = {signature(root_masks)[0]: root_outcome}
-    null_masks = [0] * m
-    root_makespan = root_outcome.schedule.makespan
-    stats.worst_makespan = root_makespan
-    stats.quality_root = root_quality
-    stats.quality_null = total_allocation_quality(null_masks, domain)
-    score = node_scorer(
-        root_quality, stats.quality_null, root_makespan, domain.time_budget, domain.alpha
-    )
-    open_set = OpenSet()
-    open_set.push(0, root.key, root_quality, root_makespan, score(root_quality, root_makespan)[2])
-    stats.nodes_generated = 1
-    # The empty allocation has no travel and only the declared mutex pairs,
-    # so its makespan bounds every allocation's from below, planned or not:
-    # if it overruns, nothing fits.
-    null_outcome = by_signature[signature(null_masks)[0]] = schedule(
-        build_constraints_fast(tables, null_masks)
-    )
-    if null_outcome.schedule.makespan > domain.time_budget:
-        return None, stats
+    by_signature = {
+        signature(root_masks)[0]: root_outcome, signature(null_masks)[0]: null_outcome
+    }
     visited = {root.key}
 
     while len(open_set):

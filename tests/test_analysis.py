@@ -323,14 +323,12 @@ def test_oracle_tabulates_a_wide_team():
 
 def test_oracle_on_lazy_tables_matches_the_tabulated_oracle(monkeypatch):
     import staq.model as model
-    import staq.scheduler as scheduler
 
     for seed in (1, 2, 6):   # 41, 175 and 1,330 allocations scheduled
         domain = random_instance(seed)
         want = brute_force_optimal(domain)
         with monkeypatch.context() as patch:
             patch.setattr(model, "TABLE_MAX_ROBOTS", 0)
-            patch.setattr(scheduler, "TABLE_MAX_ROBOTS", 0)
             assert brute_force_optimal(dataclasses.replace(domain)) == want
 
 

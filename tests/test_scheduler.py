@@ -14,7 +14,7 @@ from staq.model import (
     WorldMap,
 )
 from staq.motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
-from staq import scheduler
+from staq import model, scheduler
 from staq.analysis import random_instance
 from staq.scheduler import (
     ConstraintSet,
@@ -366,13 +366,34 @@ def test_fast_constraints_match_reference_everywhere():
                 assert got == want
 
 
+def test_a_table_derives_only_the_pieces_it_is_asked_for(monkeypatch):
+    # one solution's check or one makespan reference builds one set
+    derived = []
+    real_piece = scheduler._piece
+    monkeypatch.setattr(
+        scheduler, "_piece", lambda t, c, mask: derived.append((c, mask)) or real_piece(t, c, mask)
+    )
+    for seed in SMALL_SEEDS:
+        domain = random_instance(seed)
+        m, n = domain.n_tasks, domain.n_robots
+        tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+        masks = Allocation.root(m, n).coalition_masks()
+        derived.clear()
+        for _ in range(2):
+            build_constraints_fast(tables, masks)
+        assert derived == [(c, 2**n - 1) for c in range(len(tables.columns))]
+        assert not any(isinstance(pieces, list) for pieces in tables.pieces)
+
+
 def test_piece_ids_depend_on_the_table_alone():
     for seed in SMALL_SEEDS:
         domain = random_instance(seed)
         planner = GridPlanner(domain.world)
         for leg in (estimated_leg_seconds(domain), planned_leg_seconds(planner, domain)):
             first, second = make_travel_tables(domain, leg), make_travel_tables(domain, leg)
-            # read in different orders, the tables stay as tabulated
+            # pieces read before the numbers, or numbers read in different
+            # orders, leave the tables as tabulated
+            build_constraints_fast(second, Allocation(5, (domain.n_tasks, domain.n_robots)).coalition_masks())
             n_masks = 1 << domain.n_robots
             for c in range(len(first.columns)):
                 for mask in range(n_masks):
@@ -396,8 +417,9 @@ def test_lazy_piece_ids_give_the_eager_sets(monkeypatch):
         planner = GridPlanner(domain.world)
         for leg in (estimated_leg_seconds(domain), planned_leg_seconds(planner, domain)):
             eager = make_travel_tables(domain, leg)
+            assert type(eager.piece_ids[0]) is list
             with monkeypatch.context() as patch:
-                patch.setattr(scheduler, "TABLE_MAX_ROBOTS", 0)
+                patch.setattr(model, "TABLE_MAX_ROBOTS", 0)
                 lazy = make_travel_tables(domain, leg)
                 derived = []
                 real_piece = scheduler._piece
@@ -481,8 +503,8 @@ def test_piece_ids_are_equal_exactly_when_sets_are():
 
 def test_fast_constraints_reject_shape_mismatch(monkeypatch):
     domain = two_task_domain()
-    for cap in (scheduler.TABLE_MAX_ROBOTS, 0):   # tabulated, then lazy
-        monkeypatch.setattr(scheduler, "TABLE_MAX_ROBOTS", cap)
+    for cap in (model.TABLE_MAX_ROBOTS, 0):   # tabulated, then lazy
+        monkeypatch.setattr(model, "TABLE_MAX_ROBOTS", cap)
         tables = make_travel_tables(domain, estimated_leg_seconds(domain))
         assert isinstance(tables.piece_ids[0], list) == (cap > 0)
         with pytest.raises(InvalidInput):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from staq import search
+from staq import scheduler, search
 from staq.analysis import random_instance
 from staq.heuristics import node_scorer
 from staq.model import (
@@ -243,6 +243,30 @@ def test_impossible_budget_is_decided_by_the_empty_allocation():
     assert stats.bnb_runs == 2               # the root and the empty allocation
 
 
+def test_an_impossible_budget_reads_no_whole_table(monkeypatch):
+    class Counting:
+        def __init__(self, inner):
+            self.inner, self.calls = inner, 0
+
+        def __call__(self, traits):
+            self.calls += 1
+            return self.inner(traits)
+
+    base = drop_one_domain(time_budget=0.5)
+    maps = tuple(Counting(qm) for qm in base.quality_maps)
+    domain = dataclasses.replace(base, quality_maps=maps)
+    derived = []
+    real_piece = scheduler._piece
+    monkeypatch.setattr(
+        scheduler, "_piece", lambda t, c, mask: derived.append(mask) or real_piece(t, c, mask)
+    )
+    assert solve(domain)[0] is None
+    # only the root's coalition and the empty one, per task and per column
+    full = 2 ** domain.n_robots - 1
+    assert [qm.calls for qm in maps] == [2] * domain.n_tasks
+    assert sorted(set(derived)) == [0, full]
+
+
 def _empty_outcome(domain):
     """The empty allocation's branch-and-bound outcome."""
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
@@ -404,14 +428,12 @@ def test_an_accepted_leg_without_a_path_is_a_contract_violation():
 
 def test_search_on_lazy_tables_matches_the_tabulated_search(monkeypatch):
     import staq.model as model
-    import staq.scheduler as scheduler
 
     for seed in (0, 1, 2, 3, 6, 8):
         domain = random_instance(seed)
         want = solve(domain)
         with monkeypatch.context() as patch:
             patch.setattr(model, "TABLE_MAX_ROBOTS", 0)
-            patch.setattr(scheduler, "TABLE_MAX_ROBOTS", 0)
             got = solve(dataclasses.replace(domain))
         assert got[1] == want[1]
         assert got[0].allocation == want[0].allocation
