@@ -2,18 +2,19 @@
 
 Values are observably immutable after construction and safe to share
 across threads; the module-level operations are pure functions. The one
-mutable part is ProblemDomain's quality memo, a pure cache: per task, the
-qualities of the coalition masks asked for so far, and, once the search or
-the oracle reads the whole tables (quality_tables), of every mask,
-tabulated at once up to TABLE_MAX_ROBOTS robots. It holds only values
+mutable part is ProblemDomain's quality memo, a pure cache: per task, a
+MaskMemo of the qualities read so far, which quality_tables turns into a
+list of every mask's up to TABLE_MAX_ROBOTS robots. It holds only values
 task_quality would compute again, and dataclasses.replace starts a fresh
-one.
+one. MaskMemo and by_mask, a fold over every mask at once, serve the
+scheduler's travel tables too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,13 +32,14 @@ TOL = 1e-9
 
 TABLE_MAX_ROBOTS = 7
 """Widest team whose per-mask tables (a task's qualities, a travel table's
-piece ids) are tabulated whole, 2^n entries at a time, when the search
-first reads them; a wider team fills them one mask at a time, when first
-read. Set from whole solves timed both ways (scripts/table_costs.py, the
-`table_costs` record in BENCH_21.json): up to 7 robots tabulating won on
-every search of 20 or more expansions; at 8 one search ran 19% slower
-tabulated, and the tabulation's own cost doubles with each robot (about
-1.6 ms at 8 robots, 45 ms at 12), which short solves pay in full."""
+pieces and piece ids) are tabulated whole, 2^n entries at a time with
+by_mask, when the search first reads them; a wider team keeps them as
+MaskMemos, each mask derived when first read. Set from whole solves
+timed both ways (scripts/table_costs.py, the `table_costs` record in
+BENCH_21.json): up to 7 robots tabulating won on every search of 20 or
+more expansions; at 8 one search ran 19% slower tabulated, and the
+tabulation's own cost doubles with each robot (about 1.6 ms at 8
+robots, 45 ms at 12), which short solves pay in full."""
 
 
 class InvalidInput(ValueError):
@@ -305,9 +307,8 @@ class ProblemDomain:
         traits = np.stack([r.traits for r in robots])
         traits.setflags(write=False)
         object.__setattr__(self, "traits", traits)
-        object.__setattr__(
-            self, "_quality_tables", [_QualityMemo(traits, q) for q in self.quality_maps]
-        )
+        memos = [MaskMemo(partial(_coalition_quality, traits, q)) for q in self.quality_maps]
+        object.__setattr__(self, "_quality_tables", memos)
 
     def task_quality(self, task: int, mask: int) -> float:
         """Quality of one task under a coalition, clamped to [0, 1].
@@ -327,15 +328,13 @@ class ProblemDomain:
         tables[task][mask]; the caller keeps masks in [0, 2^n).
 
         Up to TABLE_MAX_ROBOTS robots the first call tabulates every task
-        into a list, each map called once per row of coalition_trait_sums;
-        past that each table stays a memo that evaluates a mask when first
-        read. Either way the tables evaluate each (task, mask) once per
-        domain value.
+        into a list (_tabulated_qualities); past that each table stays a
+        MaskMemo that evaluates a mask when first read. Either way the
+        tables evaluate each (task, mask) once per domain value.
         """
         tables = self._quality_tables
-        if self.n_robots <= TABLE_MAX_ROBOTS and isinstance(tables[0], _QualityMemo):
-            sums = coalition_trait_sums(self.traits)
-            tables[:] = [memo.tabulate(sums) for memo in tables]
+        if self.n_robots <= TABLE_MAX_ROBOTS and isinstance(tables[0], MaskMemo):
+            tables[:] = self._tabulated_qualities()
         return tuple(tables)
 
     def quality_arrays(self) -> list[np.ndarray]:
@@ -343,10 +342,19 @@ class ProblemDomain:
         the memo lacks is evaluated afresh, as its tabulated list would be
         2^n Python floats, and not kept."""
         tables = self.quality_tables()
-        if isinstance(tables[0], _QualityMemo):
-            sums = coalition_trait_sums(self.traits)
-            tables = [memo.tabulate(sums) for memo in tables]
+        if isinstance(tables[0], MaskMemo):
+            tables = self._tabulated_qualities()
         return [np.array(table) for table in tables]
+
+    def _tabulated_qualities(self) -> list[list[float]]:
+        """Every task's quality of every mask, indexed by mask: each map
+        called once per row of by_mask(traits, np.add), which sums as
+        _coalition_quality does, except for masks its memo already holds."""
+        sums = by_mask(self.traits, np.add)
+        return [
+            [memo[mask] if mask in memo else _clamp(float(q(row))) for mask, row in enumerate(sums)]
+            for memo, q in zip(self._quality_tables, self.quality_maps)
+        ]
 
     @property
     def n_tasks(self) -> int:
@@ -361,17 +369,34 @@ class ProblemDomain:
         return self.traits.shape[1]
 
 
-def coalition_trait_sums(traits: np.ndarray) -> np.ndarray:
-    """Row mask holds the traits of the robots in mask summed in robot
-    order, robot 0 in the most significant bit, as task_quality sums them.
+class MaskMemo(dict):
+    """A table by coalition mask whose entries are derived when first read:
+    derive(mask) runs once per mask and its value is kept."""
+
+    def __init__(self, derive: Callable[[int], object]):
+        super().__init__()
+        self.derive = derive
+
+    def __missing__(self, mask: int):
+        value = self[mask] = self.derive(mask)
+        return value
+
+
+def by_mask(rows: np.ndarray, combine: Callable) -> np.ndarray:
+    """Given one row per robot, row mask of the result folds the rows of
+    the robots in mask with combine, in robot order from a row of zeros,
+    robot 0 in the most significant bit (the Allocation.coalition_mask
+    layout). by_mask(traits, np.add) sums coalition traits as task_quality
+    does; a max does no rounding, so by_mask(travel, np.maximum) is exact.
 
     Built by doubling: each robot in turn becomes the new least
-    significant bit, its rows the old ones plus its traits.
+    significant bit, its rows the old ones combined with its own.
     """
-    sums = np.zeros((1, traits.shape[1]))
-    for row in traits:
-        sums = np.stack([sums, sums + row], axis=1).reshape(-1, traits.shape[1])
-    return sums
+    width = rows.shape[1]
+    out = np.zeros((1, width))
+    for row in rows:
+        out = np.stack([out, combine(out, row)], axis=1).reshape(-1, width)
+    return out
 
 
 def _clamp(x: float) -> float:
@@ -379,32 +404,15 @@ def _clamp(x: float) -> float:
     return x if 0.0 < x < 1.0 else 1.0 if x >= 1.0 else 0.0
 
 
-class _QualityMemo(dict):
-    """One task's quality by coalition mask, each evaluated when first read
-    from the coalition's traits summed in robot order."""
-
-    def __init__(self, traits: np.ndarray, quality_map: QualityMap):
-        super().__init__()
-        self.traits, self.quality_map = traits, quality_map
-
-    def __missing__(self, mask: int) -> float:
-        n = len(self.traits)
-        aggregated = np.zeros(self.traits.shape[1])
-        for robot in range(n):
-            if (mask >> (n - 1 - robot)) & 1:
-                aggregated += self.traits[robot]
-        quality = self[mask] = _clamp(float(self.quality_map(aggregated)))
-        return quality
-
-    def tabulate(self, sums: np.ndarray) -> list[float]:
-        """Every mask's quality, indexed by mask, given coalition_trait_sums
-        of the traits: the map called once per row, except for masks
-        already read. The rows sum as __missing__ does."""
-        quality_map = self.quality_map
-        return [
-            self[mask] if mask in self else _clamp(float(quality_map(row)))
-            for mask, row in enumerate(sums)
-        ]
+def _coalition_quality(traits: np.ndarray, quality_map: QualityMap, mask: int) -> float:
+    """One task's quality of a coalition, from its robots' traits summed in
+    robot order (robot 0 in the most significant bit of mask)."""
+    n = len(traits)
+    aggregated = np.zeros(traits.shape[1])
+    for robot in range(n):
+        if (mask >> (n - 1 - robot)) & 1:
+            aggregated += traits[robot]
+    return _clamp(float(quality_map(aggregated)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import model
-from .model import TOL, Allocation, InvalidInput, ProblemDomain, Schedule
+from .model import TOL, Allocation, InvalidInput, MaskMemo, ProblemDomain, Schedule, by_mask
 from .motion import LegSeconds, estimated_leg_seconds
 
 
@@ -75,19 +75,21 @@ class TravelTables:
     i's release offset, then the precedence pairs, each with its precedence
     item, then the unordered pairs, each with its mutex item or None. Per
     column, pieces[column][mask] is the piece of every set whose column
-    tasks share the robots in mask, and piece_ids[column][mask] its number:
-    masks with equal pieces get equal numbers. build_constraints_fast
-    assembles a set from these pieces as they are, so allocations with
-    equal pieces give equal sets, each its own schedule-memo key.
+    tasks share the robots in mask, and piece_ids[column][mask] its number,
+    in [0, 2^n) for n robots: masks with equal pieces get equal numbers.
+    build_constraints_fast assembles a set from these pieces as they are,
+    so allocations with equal pieces give equal sets, each its own
+    schedule-memo key.
 
-    A column derives each mask's piece when first read, so a table that
-    builds a few sets (one solution's check, a makespan reference) pays
-    for those masks only. The numbers are made at the first read of
-    piece_ids: up to model.TABLE_MAX_ROBOTS robots every column is then
-    tabulated whole (tabulate_pieces), pieces becoming lists too, so a
-    number depends on the table alone; past that a column numbers its
-    pieces in the order they are first read. Either way the tables are
-    pure caches; replace() starts fresh ones.
+    A column's pieces start as a model.MaskMemo that derives each mask's
+    piece when first read, so a table that builds a few sets (one
+    solution's check, a makespan reference) pays for those masks only.
+    The numbers are made at the first read of piece_ids: up to
+    model.TABLE_MAX_ROBOTS robots every column is then tabulated whole
+    (tabulate_pieces), pieces becoming lists too, so a number depends on
+    the table alone; past that each column's numbers are a MaskMemo too,
+    its pieces numbered in the order they are first read. Either way the
+    tables are pure caches; replace() starts fresh ones.
     """
 
     durations: tuple[float, ...]
@@ -103,12 +105,14 @@ class TravelTables:
         columns = tuple((i, i) for i in range(len(self.durations)))
         columns += self.precedence + self.unordered
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "pieces", tuple(_LazyPieces(self, c) for c in range(len(columns))))
+        # a lambda, so _piece is looked up when a mask is first read
+        pieces = [MaskMemo(lambda mask, c=c: _piece(self, c, mask)) for c in range(len(columns))]
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     @cached_property
     def piece_ids(self) -> tuple[Sequence[int], ...]:
         if len(self.arrive) > model.TABLE_MAX_ROBOTS:
-            return tuple(_LazyPieceIds(column) for column in self.pieces)
+            return tuple(map(_first_read_ids, self.pieces))
         piece_ids, pieces = tabulate_pieces(self)
         object.__setattr__(self, "pieces", pieces)
         return piece_ids
@@ -160,19 +164,6 @@ def _slowest(travel: list[float], mask: int) -> float:
     return x
 
 
-def _slowest_by_mask(travel: np.ndarray) -> np.ndarray:
-    """Per row of travel (one entry per robot), _slowest of every mask,
-    indexed by mask: by doubling, each robot in turn the new least
-    significant bit. A max does no rounding, so each entry is exactly
-    _slowest's."""
-    rows = travel.shape[0]
-    slowest = np.zeros((rows, 1))
-    for t in travel.T:
-        t = t[:, None]
-        slowest = np.stack([slowest, np.maximum(slowest, t)], axis=-1).reshape(rows, -1)
-    return slowest
-
-
 def _piece(tables: TravelTables, column: int, mask: int):
     """The piece in a column (tables.columns) of every constraint set whose
     column tasks share the robots in mask (the Allocation.coalition_mask
@@ -198,7 +189,7 @@ def _piece(tables: TravelTables, column: int, mask: int):
 def tabulate_pieces(tables: TravelTables) -> tuple[tuple[list[int], ...], tuple[list, ...]]:
     """Per column (tables.columns), every mask's piece number and piece,
     both indexed by mask: _piece of each mask, with the travel maxima of
-    every column tabulated at once by _slowest_by_mask.
+    every column tabulated at once by by_mask with np.maximum.
 
     A column's distinct pieces are numbered from 0 in the order of the
     first mask giving each, so the numbers depend on the table alone and
@@ -207,15 +198,15 @@ def tabulate_pieces(tables: TravelTables) -> tuple[tuple[list[int], ...], tuple[
     m = len(tables.durations)
     k = m + len(tables.precedence)
     arrive, hand = np.array(tables.arrive), np.array(tables.hand)
-    # one row per travel vector: each offset's arrivals, each pair's
-    # handovers i -> j, then each unordered pair's handovers j -> i
+    # one row per robot; one column per travel vector: each offset's arrivals,
+    # each pair's handovers i -> j, then each unordered pair's handovers j -> i
     pairs = tables.columns[m:]
     travel = np.concatenate([
-        arrive.T,
-        hand[:, [i for i, _ in pairs], [j for _, j in pairs]].T,
-        hand[:, [j for _, j in tables.unordered], [i for i, _ in tables.unordered]].T,
-    ])
-    slowest = _slowest_by_mask(travel).tolist()
+        arrive,
+        hand[:, [i for i, _ in pairs], [j for _, j in pairs]],
+        hand[:, [j for _, j in tables.unordered], [i for i, _ in tables.unordered]],
+    ], axis=1)
+    slowest = by_mask(travel, np.maximum).T.tolist()
     piece_ids, pieces = [], []
     for c, (i, j) in enumerate(tables.columns):
         keys = slowest[c]
@@ -233,42 +224,11 @@ def tabulate_pieces(tables: TravelTables) -> tuple[tuple[list[int], ...], tuple[
     return tuple(piece_ids), tuple(pieces)
 
 
-class _LazyPieces(dict):
-    """The pieces in one column, by mask, each derived when first read."""
-
-    def __init__(self, tables: TravelTables, column: int):
-        super().__init__()
-        self.tables, self.column = tables, column
-
-    def __missing__(self, mask: int):
-        piece = self[mask] = _piece(self.tables, self.column, mask)
-        return piece
-
-
-class _LazyPieceIds(dict):
+def _first_read_ids(pieces: MaskMemo) -> MaskMemo:
     """A wide team's piece numbers in one column, by mask: its pieces
     numbered in the order first read."""
-
-    def __init__(self, pieces: _LazyPieces):
-        super().__init__()
-        self.pieces, self.numbers = pieces, {}
-
-    def __missing__(self, mask: int) -> int:
-        x = self[mask] = self.numbers.setdefault(self.pieces[mask], len(self.numbers))
-        return x
-
-
-def piece_id(tables: TravelTables, column: int, mask: int) -> int:
-    """Number of the piece in a column (tables.columns) of every constraint
-    set whose column tasks share the robots in mask, the piece
-    tables.pieces[column][mask]. Two allocations give equal sets exactly
-    when they give equal numbers in every column, and a number lies in
-    [0, 2^n) for n robots. Reads tables.piece_ids[column][mask]; a mask
-    outside [0, 2^n) is InvalidInput.
-    """
-    if not 0 <= mask < 1 << len(tables.arrive):
-        raise InvalidInput(f"coalition mask {mask} outside [0, 2^{len(tables.arrive)})")
-    return tables.piece_ids[column][mask]
+    numbers: dict = {}
+    return MaskMemo(lambda mask: numbers.setdefault(pieces[mask], len(numbers)))
 
 
 def build_constraints_fast(tables: TravelTables, masks: Sequence[int]) -> ConstraintSet:

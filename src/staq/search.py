@@ -31,7 +31,6 @@ from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
     ConstraintSet,
     ScheduleOutcome,
-    TravelTables,
     build_constraints_fast,
     make_travel_tables,
     realized_orderings,
@@ -131,26 +130,26 @@ def solve(
     before any other work. At its first new child the node derives, once,
     its masks, its per-task qualities (read off domain.quality_tables) with
     their left-fold prefixes, and its signature: each column c's piece id
-    (tables.piece_ids[c] at the column's shared mask, as scheduler.piece_id
-    reads it) shifted left by n * c, equal for two allocations exactly when
-    their sets are. Both are tables indexed by mask, so a read is a list
-    subscript. A child re-reads only the columns of the task whose bit it
-    clears; its quality is that task's prefix plus the new entry plus the
-    rest, the additions of total_allocation_quality in their order. Only a
-    signature this solve has not seen builds its set, whose content keys
-    the schedule memo, so branch and bound runs once per distinct set. An open node is
-    held as its quality and makespan (OpenEntry) and scored again when
-    popped, with the same scorer on the same inputs. A popped node that
-    fits the budget builds its set under estimated travel, whose outcome
-    the memo already holds, and its set under planned travel (the planned
-    table is made at the first such node, its legs read off the planner's
-    breadth-first distance fields), once each, refines until its
-    schedule stops moving, and is scored once after; it is accepted if it
-    still fits, else re-queued with its refined makespan. At acceptance
-    only OpenSet.best, the open node the post-hoc bound reads, is scored
-    into stats.best_open; it stays None when no allocation fits. A* runs
-    only to draw the accepted allocation's paths; planner_calls counts
-    those runs that the planner's memo did not serve.
+    (tables.piece_ids[c] at the column's shared mask) shifted left by
+    n * c, equal for two allocations exactly when their sets are. Both are
+    tables indexed by mask, so a read is a list subscript. A child re-reads
+    only the columns of the task whose bit it clears; its quality is that
+    task's prefix plus the new entry plus the rest, the additions of
+    total_allocation_quality in their order. Only a signature this solve
+    has not seen builds its set, whose content keys the schedule memo, so
+    branch and bound runs once per distinct set. An open node is held as
+    its quality and makespan (OpenEntry) and scored again when popped,
+    with the same scorer on the same inputs. The planned travel table is
+    made once, after the empty allocation fits, its legs read off the
+    planner's breadth-first distance fields. A popped node that fits the
+    budget builds its set under estimated travel, whose outcome the memo
+    already holds, and its set under planned travel, once each, refines
+    until its schedule stops moving, and is scored once after; it is
+    accepted if it still fits, else re-queued with its refined makespan.
+    At acceptance only OpenSet.best, the open node the post-hoc bound
+    reads, is scored into stats.best_open; it stays None when no
+    allocation fits. A* runs only to draw the accepted allocation's paths;
+    planner_calls counts those runs that the planner's memo did not serve.
     schedule_cache, when given, is that memo, so solves that share it (e.g.
     one instance at several alpha values) share the runs; an outcome
     depends only on its set's content, so any solves may share one cache.
@@ -163,7 +162,6 @@ def solve(
     astar_before = planner.calls - planner.cache_hits
     m, n = domain.n_tasks, domain.n_robots
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
-    planned: Optional[TravelTables] = None  # built at the first refinement
     stats = SearchStats()
     memo: ScheduleCache = {} if schedule_cache is None else schedule_cache
 
@@ -201,6 +199,7 @@ def solve(
     if null_outcome.schedule.makespan > domain.time_budget:
         return None, stats
 
+    planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
     piece_ids, columns = tables.piece_ids, tables.columns
     quality_tables = domain.quality_tables()
     shifts = [n * c for c in range(len(columns))]
@@ -227,8 +226,6 @@ def solve(
         loss, overrun, blended = score(quality, makespan)
         alloc = Allocation(key, root.shape)
         if overrun == 0.0:  # so makespan is not None: the node has a schedule
-            if planned is None:
-                planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
             masks = alloc.coalition_masks()
             cs = build_constraints_fast(tables, masks)
             outcome = _refine(cs, build_constraints_fast(planned, masks), stats, schedule)

@@ -244,6 +244,15 @@ def test_learn_uniform_envelope(dataset_file, tmp_path):
         assert lo <= mid <= hi
 
 
+def test_learn_uniform_needs_a_seed(dataset_file, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    rc = main(["learn", str(dataset_file), "--strategy", "uniform", "--seeds", "0",
+               "-o", str(out)])
+    assert rc == EXIT_ERROR
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_learn_budget_exceeding_pool_is_an_error(dataset_file, tmp_path, capsys):
     rc = main(["learn", str(dataset_file), "--budget", "1000",
                "-o", str(tmp_path / "curve.csv")])

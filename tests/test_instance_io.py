@@ -96,7 +96,7 @@ def test_missing_file_is_an_invalid_input(tmp_path):
         load_instance(tmp_path / "nope.json")
 
 
-def test_instance_rejects_malformed_fields():
+def test_instance_rejects_malformed_fields(tmp_path):
     base = instance_to_document(random_instance(3))
 
     doc = json.loads(json.dumps(base))
@@ -128,6 +128,41 @@ def test_instance_rejects_malformed_fields():
     doc["map"] = "not-a-list"
     with pytest.raises(InvalidInput, match="map"):
         instance_from_document(doc)
+
+    with pytest.raises(InvalidInput, match="instance document must be a JSON object"):
+        instance_from_document([base])
+
+    for edit, match in (
+        (lambda d: d.update(precedence={"0": 1}), "precedence: expected a list"),
+        (lambda d: d.update(robots={}), "robots: expected a non-empty list"),
+        (lambda d: d.update(robots=[]), "robots: expected a non-empty list"),
+        (lambda d: d.update(tasks="all"), "tasks: expected a non-empty list"),
+        (lambda d: d.update(tasks=[]), "tasks: expected a non-empty list"),
+        (lambda d: d["robots"].__setitem__(0, [1.0]), r"robots\[0\]: expected an object"),
+        (lambda d: d["tasks"].__setitem__(1, "task"), r"tasks\[1\]: expected an object"),
+        (lambda d: d["robots"][0].pop("speed"), r"robots\[0\]: missing key 'speed'"),
+        (lambda d: d["tasks"][0].pop("end_site"), r"tasks\[0\]: missing key 'end_site'"),
+        (lambda d: d["robots"][0].update(traits=[]), r"robots\[0\]\.traits: expected a non-empty"),
+        (lambda d: d["tasks"][0].update(quality_map=[1.0]), "quality_map must be an object"),
+        (lambda d: d["tasks"][0]["quality_map"].update(weights=[]),
+         r"tasks\[0\]\.quality_map\.weights: expected a non-empty"),
+    ):
+        doc = json.loads(json.dumps(base))
+        edit(doc)
+        with pytest.raises(InvalidInput, match=match):
+            instance_from_document(doc)
+
+    for key, model_doc in (("x_train", {"y_train": [0.5]}), ("y_train", {"x_train": [[1.0]]})):
+        (tmp_path / "model.json").write_text(json.dumps(model_doc), encoding="utf-8")
+        doc = json.loads(json.dumps(base))
+        doc["tasks"][0]["quality_map"] = {"type": "learned", "model_path": "model.json"}
+        with pytest.raises(InvalidInput, match=f"model document missing key '{key}'"):
+            instance_from_document(doc, base_dir=tmp_path)
+
+    unserializable = dataclasses.replace(
+        random_instance(3), quality_maps=(lambda traits: 0.5,) * len(base["tasks"]))
+    with pytest.raises(InvalidInput, match="task 0: quality map function is not serializable"):
+        instance_to_document(unserializable)
 
 
 def test_invalid_robot_or_task_is_named_by_its_position():

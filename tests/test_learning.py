@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from staq.model import InvalidInput
+from staq.model import ContractViolation, InvalidInput
 from staq import learning
 from staq.learning import (
     GPQualityMap,
@@ -171,6 +172,15 @@ def test_gp_variance_is_clamped_not_negative():
     model = gp_fit(x, np.full(4, 0.3), noise_var=1e-8)
     _, var = gp_predict(model, x)
     assert np.all(var >= 0.0)
+
+
+def test_gp_variance_below_round_off_is_a_contract_violation():
+    x = np.array([[0.0, 0.0], [1.0, 0.5]])
+    model = gp_fit(x, np.array([0.2, 0.7]))
+    # a factor 100 times too small inflates the explained variance 10^4-fold
+    broken = dataclasses.replace(model, chol=model.chol / 100.0)
+    with pytest.raises(ContractViolation, match="below round-off tolerance"):
+        gp_predict(broken, x)
 
 
 def test_gp_variance_bounded_and_shrinking():

@@ -17,7 +17,7 @@ from staq.model import (
     TaskNetwork,
     ValidationReport,
     WorldMap,
-    coalition_trait_sums,
+    by_mask,
     successors,
     total_allocation_quality,
     validate_solution,
@@ -323,11 +323,15 @@ def test_quality_tables_hold_what_task_quality_reads(monkeypatch):
 
 def test_coalition_trait_sums_follow_the_mask_layout():
     traits = np.array([[1.0, 0.5], [2.0, 0.25], [4.0, 0.125]])
-    sums = coalition_trait_sums(traits)
-    assert sums.shape == (8, 2)
+    sums = by_mask(traits, np.add)
+    # the same doubling gives a travel table's slowest robot of every mask
+    travel = np.array([[3.0, math.inf], [5.0, 1.0], [0.5, 2.0]])
+    slowest = by_mask(travel, np.maximum)
+    assert sums.shape == slowest.shape == (8, 2)
     for mask in range(8):
         members = [r for r in range(3) if (mask >> (2 - r)) & 1]   # robot 0 most significant
         assert sums[mask].tolist() == traits[members].sum(axis=0).tolist()
+        assert slowest[mask].tolist() == travel[members].max(axis=0, initial=0.0).tolist()
 
 
 # ---------------------------------------------- total allocation quality
@@ -605,6 +609,41 @@ def test_validate_flags_bad_motion_plans():
     report = validate_solution(
         domain, _solution(domain, alloc, (0.0,), 5.0, {(0, 0): bad_length}))
     assert any("recorded length" in v for v in report.violations)
+
+    stay = PathResult(cells=((1, 1),), length=0.0, expanded=0)
+    report = validate_solution(
+        domain, _solution(domain, alloc, (0.0, 0.0), 5.0, {(0, 0): stay}))
+    assert report.violations == ("schedule has 2 start times for 1 tasks",)
+
+    empty = PathResult(cells=(), length=0.0, expanded=0)
+    report = validate_solution(
+        domain, _solution(domain, alloc, (0.0,), 5.0, {(0, 0): empty}))
+    assert report.violations == ("robot 0 -> task 0: empty path",)
+
+    off_site = PathResult(cells=((1, 1), (1, 2)), length=1.0, expanded=2)
+    report = validate_solution(
+        domain, _solution(domain, alloc, (1.0,), 6.0, {(0, 0): off_site}))
+    assert any("path ends at (1, 2), expected (1, 1)" in v for v in report.violations)
+
+    walled = dataclasses.replace(domain, world=WorldMap(4, 4, occupied=frozenset({(1, 2)})))
+    through_wall = PathResult(cells=((1, 1), (1, 2), (1, 1)), length=2.0, expanded=3)
+    report = validate_solution(
+        walled, _solution(walled, alloc, (2.0,), 7.0, {(0, 0): through_wall}))
+    assert any("crosses blocked cell (1, 2)" in v for v in report.violations)
+
+
+def test_validate_flags_overlapping_mutex_pair():
+    domain = two_task_domain(mutex={(0, 1)}, time_budget=100.0)
+    planner = GridPlanner(domain.world)
+    alloc = allocation_from_entries(np.array([[1, 0], [0, 1]]))
+    plans = {
+        (0, 0): planner.plan((0, 0), (2, 0)),
+        (1, 1): planner.plan((7, 7), (5, 7)),
+    }
+    # each robot arrives in time, but the declared mutex pair runs at once
+    sol = _solution(domain, alloc, (2.0, 1.0), 6.0, plans)
+    report = validate_solution(domain, sol, planner)
+    assert report.violations == ("mutex (0,1): tasks overlap under both orderings",)
 
 
 def test_validate_flags_travel_slower_than_schedule():

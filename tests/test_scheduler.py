@@ -21,7 +21,6 @@ from staq.scheduler import (
     ScheduleOutcome,
     build_constraints_fast,
     make_travel_tables,
-    piece_id,
     realized_orderings,
     refine_with_motion_plans,
     solve_milp,
@@ -397,9 +396,9 @@ def test_piece_ids_depend_on_the_table_alone():
             n_masks = 1 << domain.n_robots
             for c in range(len(first.columns)):
                 for mask in range(n_masks):
-                    piece_id(first, c, mask)
+                    first.piece_ids[c][mask]
                 for mask in reversed(range(n_masks)):
-                    piece_id(second, c, mask)
+                    second.piece_ids[c][mask]
             assert first.piece_ids == second.piece_ids
             assert first.pieces == second.pieces
             for c, (ids, pieces) in enumerate(zip(first.piece_ids, first.pieces)):
@@ -434,7 +433,7 @@ def test_lazy_piece_ids_give_the_eager_sets(monkeypatch):
                     masks = Allocation(key, (m, n)).coalition_masks()
                     assert build_constraints_fast(lazy, masks) == build_constraints_fast(eager, masks)
                 for c, pieces in enumerate(lazy.pieces):
-                    ids = [piece_id(lazy, c, mask) for mask in range(1 << n)]
+                    ids = [lazy.piece_ids[c][mask] for mask in range(1 << n)]
                     # numbered in the order first read, equal exactly when the pieces are
                     first_seen = {}
                     assert ids == [first_seen.setdefault(pieces[mask], len(first_seen))
@@ -485,7 +484,7 @@ def test_piece_ids_are_equal_exactly_when_sets_are():
 
         def signature(key):
             masks = Allocation(key, (m, n)).coalition_masks()
-            ids = [piece_id(tables, c, masks[i] & masks[j]) for c, (i, j) in enumerate(tables.columns)]
+            ids = [tables.piece_ids[c][masks[i] & masks[j]] for c, (i, j) in enumerate(tables.columns)]
             assert all(0 <= x < 1 << n for x in ids)
             return sum(x << n * c for c, x in enumerate(ids))
 
@@ -513,9 +512,6 @@ def test_fast_constraints_reject_shape_mismatch(monkeypatch):
         for masks in ((4, 0), (0, -1), (-1, -1), (-4, 3)):
             with pytest.raises(InvalidInput):
                 build_constraints_fast(tables, masks)
-        for mask in (4, -1, -4):
-            with pytest.raises(InvalidInput):
-                piece_id(tables, 0, mask)
 
 
 # ----------------------------------------------------------- worst case
