@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -146,55 +146,46 @@ def bound_report(
     return report
 
 
-def _arrival_floor(arrivals: list[np.ndarray], durations: Sequence[float]) -> np.ndarray:
-    """Lower bound on the makespan of every allocation, indexed like totals,
-    from each task's slowest arrival by coalition mask.
-
-    Any schedule starts task i no earlier than its slowest assigned robot
-    arrives, so max_i(arrival_i + duration_i) under-approximates the makespan
-    regardless of orderings. Monotone in the assignment set.
-    """
-    floor = None
-    for per_mask, duration in zip(arrivals, durations):
-        per_mask = per_mask + duration
-        floor = per_mask if floor is None else np.maximum(floor[:, None], per_mask[None, :]).ravel()
-    return floor
-
-
 FIRST_CHUNK = 1024
+BLOCK_KEYS = 2**16
 
 
-def _quality_order(totals: np.ndarray, too_slow: np.ndarray) -> Iterator[np.ndarray]:
+def _quality_order(
+    block: Callable[[int], tuple[np.ndarray, np.ndarray]], n_keys: int, width: int
+) -> Iterator[np.ndarray]:
     """The keys that are not too slow, by descending total with ties to the
     smaller key: the order of a stable argsort of -totals, produced as
     non-empty chunks so that a scan which stops early sorts only what it
     read.
 
-    Each chunk is every key whose total lies at or above the chunk's
-    threshold (found by partial selection, so ties stay whole) and below
-    the previous one. Chunks grow from FIRST_CHUNK keys, four times each.
+    block(b) gives the totals and too-slow flags of keys [b*width,
+    (b+1)*width) (the last block may be shorter), so no array here spans
+    all n_keys. Each chunk is every key whose total lies at or above the
+    chunk's threshold and below the previous one. One pass over the blocks
+    selects it: it keeps the size largest totals read so far and every tie
+    of the smallest kept, so ties stay whole. Chunks grow from FIRST_CHUNK
+    keys, four times each, up to the block width.
     """
-    below = totals.copy()  # below[:end] holds every total under `last`, and ties of it
-    end = n_below = totals.size  # n_below counts the totals strictly under `last`
     last = math.inf
     size = FIRST_CHUNK
-    while n_below:
-        if n_below > size:
-            # the ties of `last` sort above n_below, so this is the
-            # size-th largest total under `last`
-            kth = n_below - size
-            below[:end].partition(kth)
-            threshold = below[kth]
-            end = kth
-        else:
-            threshold = -math.inf
-        keys = np.flatnonzero((totals >= threshold) & (totals < last))
-        n_below -= keys.size
-        keys = keys[~too_slow[keys]]
+    while True:
+        totals, keys = np.empty(0), np.empty(0, dtype=np.int64)
+        floor = -math.inf  # the size-th largest total kept; -inf while at most size are
+        for b in range(-(-n_keys // width)):
+            block_totals, too_slow = block(b)
+            new = np.flatnonzero(~too_slow & (block_totals < last) & (block_totals >= floor))
+            totals = np.concatenate((totals, block_totals[new]))
+            keys = np.concatenate((keys, new + b * width))
+            if totals.size > size:
+                floor = np.partition(totals, totals.size - size)[totals.size - size]
+                kept = totals >= floor
+                totals, keys = totals[kept], keys[kept]
         if keys.size:
-            yield keys[np.argsort(-totals[keys], kind="stable")]
-        last = threshold
-        size *= 4
+            yield keys[np.argsort(-totals, kind="stable")]
+        if floor == -math.inf:  # this chunk took every key left
+            return
+        last = floor
+        size = min(4 * size, max(width, FIRST_CHUNK))
 
 
 def brute_force_optimal(
@@ -208,17 +199,22 @@ def brute_force_optimal(
     the budget.
 
     Scheduling is skipped when the slowest arrival alone already overshoots
-    the budget. The empty allocation is scheduled first: its makespan is a
+    the budget: some task's slowest assigned robot plus its duration ends
+    after it. The empty allocation is scheduled first: its makespan is a
     lower bound on every allocation's, so when it overruns the instance is
     infeasible after that one run (n_scheduled 1), outside schedule_cap.
 
     Qualities and piece ids are tabulated over every mask
-    (ProblemDomain.quality_arrays, scheduler.tabulate_pieces). An
-    allocation's constraint set is a row of piece ids, one per column of
-    the travel table. The scan reads its order chunk by chunk and builds
-    and schedules only each row's first occurrence, so allocations with
-    equal sets share one branch and bound run; n_scheduled counts every
-    allocation scanned up to the answer. Guarded to at most 2^20
+    (ProblemDomain.quality_arrays, scheduler.tabulate_pieces). Allocation
+    totals (total_allocation_quality's left fold) and too-slow flags are
+    derived BLOCK_KEYS keys at a time and never held for every key, so
+    besides those tables no array exceeds about BLOCK_KEYS entries unless
+    one total has more ties. An allocation's constraint set is a row of
+    piece ids, one per column of the travel table. The scan reads its
+    order chunk by chunk (_quality_order) and builds and schedules only
+    each row's first occurrence, so allocations with equal sets share one
+    branch and bound run; n_scheduled counts every allocation scanned up
+    to the answer. Guarded to at most 2^20
     allocations; schedule_cap, when given, aborts with
     OracleBudgetExceeded after that many.
     """
@@ -231,18 +227,31 @@ def brute_force_optimal(
         planner = GridPlanner(domain.world)
     tables = make_travel_tables(domain, planned_leg_seconds(planner, domain))
 
-    # indexed by allocation key: task 0's coalition mask is the most significant
-    totals = np.zeros(1)
-    for per_mask in domain.quality_arrays():
-        totals = (totals[:, None] + per_mask[None, :]).ravel()
-
+    qualities = domain.quality_arrays()
     # (i, j, piece ids by the mask tasks i and j share)
     piece_ids, pieces = tabulate_pieces(tables)
     columns = [(i, j, np.array(ids)) for (i, j), ids in zip(tables.columns, piece_ids)]
     # the first m columns are the offsets: each task's slowest arrival by mask
-    arrivals = [np.array(pieces[i]) for i in range(m)]
-    too_slow = _arrival_floor(arrivals, tables.durations) > domain.time_budget
+    late = [
+        np.array(pieces[i]) + duration > domain.time_budget
+        for i, duration in enumerate(tables.durations)
+    ]
+    n_keys = 2 ** (m * n)
+    width = min(BLOCK_KEYS, n_keys)
     dtype = np.min_scalar_type(2**n - 1)
+
+    def block(b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Totals and too-slow flags of keys [b*width, (b+1)*width), task
+        0's coalition mask the most significant: each task spans the
+        masks its bits take within the block."""
+        totals, too_slow = np.zeros(1), np.zeros(1, dtype=bool)
+        for i in range(m):
+            shift = n * (m - 1 - i)
+            first = (b * width >> shift) & (2**n - 1)
+            masks = slice(first, first + max(width >> shift, 1))
+            totals = (totals[:, None] + qualities[i][None, masks]).ravel()
+            too_slow = (too_slow[:, None] | late[i][None, masks]).ravel()
+        return totals, too_slow
 
     def piece_rows(keys: np.ndarray) -> np.ndarray:
         task_masks = [(keys >> (n * (m - 1 - i))) & (2**n - 1) for i in range(m)]
@@ -256,14 +265,14 @@ def brute_force_optimal(
         return outcome.schedule is not None and outcome.schedule.makespan <= domain.time_budget
 
     outcomes = {}  # by piece row; only the empty allocation's may fit
-    if not too_slow[0]:
+    if not any(flags[0] for flags in late):
         empty = solve_milp(build_constraints_fast(tables, [0] * m))
         if not fits(empty):
-            return OracleResult(None, None, None, int(totals.size), 1)
+            return OracleResult(None, None, None, n_keys, 1)
         outcomes[piece_rows(np.zeros(1, dtype=np.int64))[0].tobytes()] = empty
 
     n_scheduled = 0
-    for keys in _quality_order(totals, too_slow):
+    for keys in _quality_order(block, n_keys, width):
         over = schedule_cap is not None and keys.size > schedule_cap - n_scheduled
         if over:
             keys = keys[: max(schedule_cap - n_scheduled, 0)]
@@ -277,12 +286,15 @@ def brute_force_optimal(
                 cs = build_constraints_fast(tables, alloc.coalition_masks())
                 outcome = outcomes[row] = solve_milp(cs)
             if fits(outcome):
-                quality = float(totals[alloc.key])
+                quality = float(block(alloc.key // width)[0][alloc.key % width])
                 return OracleResult(
                     quality=quality,
                     allocation=alloc,
                     makespan=outcome.schedule.makespan,
-                    n_strictly_better=int(np.sum(totals > quality + 1e-12)),
+                    n_strictly_better=sum(
+                        int(np.count_nonzero(block(b)[0] > quality + 1e-12))
+                        for b in range(n_keys // width)
+                    ),
                     n_scheduled=n_scheduled + position + 1,
                 )
         n_scheduled += keys.size
@@ -290,7 +302,7 @@ def brute_force_optimal(
             raise OracleBudgetExceeded(
                 f"gave up after scheduling {n_scheduled} allocations"
             )
-    return OracleResult(None, None, None, int(totals.size), n_scheduled)
+    return OracleResult(None, None, None, n_keys, n_scheduled)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,22 @@ def test_oracle_equals_the_per_allocation_scan(seed, cap):
         reference_brute_force_optimal, domain, cap)
 
 
+def test_oracle_holds_no_array_over_every_allocation():
+    """20 assignment bits: arrays over all 2^20 keys (totals, arrival
+    floors, a partition copy) peaked at about 20 MB; blocks of BLOCK_KEYS
+    keys stay near 3 MB."""
+    domain = random_instance(5)
+    assert domain.n_tasks * domain.n_robots == 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleBudgetExceeded):
+            brute_force_optimal(domain, schedule_cap=ORACLE_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_oracle_decides_infeasibility_from_the_empty_allocation():
     """20 assignment bits and a budget just under the empty allocation's
     makespan: the per-allocation scan schedules 524,288 allocations."""
@@ -336,12 +353,24 @@ def _stable_order(totals, too_slow):
     return [int(k) for k in np.argsort(-totals, kind="stable") if not too_slow[k]]
 
 
-def _concatenated(chunks):
-    keys = []
-    for chunk in chunks:
-        assert chunk.size > 0
-        keys += chunk.tolist()
-    return keys
+def _blocked_chunks(totals, too_slow, width):
+    """_quality_order's chunks over the flat arrays cut into blocks of
+    width keys."""
+    def block(b):
+        return totals[b * width:(b + 1) * width], too_slow[b * width:(b + 1) * width]
+
+    chunks = [chunk.tolist() for chunk in _quality_order(block, totals.size, width)]
+    assert all(chunks)
+    return chunks
+
+
+def _joined(chunks):
+    return [key for chunk in chunks for key in chunk]
+
+
+def _block_widths(size):
+    """1 and 7 straddle ties across blocks and chunks; the last is whole."""
+    return (1, 7, FIRST_CHUNK, max(size, 1))
 
 
 @pytest.mark.parametrize(
@@ -349,7 +378,8 @@ def _concatenated(chunks):
 @pytest.mark.parametrize("distinct", (3, 40, None))
 def test_quality_order_is_the_filtered_stable_argsort(size, distinct):
     """Few distinct totals put ties across every chunk threshold; None draws
-    (almost surely) distinct ones."""
+    (almost surely) distinct ones, whose chunks stop growing at the block
+    width. Each case runs at every block width."""
     rng = np.random.default_rng(size)
     if distinct is None:
         totals = rng.random(size)
@@ -357,15 +387,20 @@ def test_quality_order_is_the_filtered_stable_argsort(size, distinct):
         totals = rng.integers(0, distinct, size) / 4.0
     too_slow = rng.random(size) < 0.3
     kept = totals.copy()
-    assert _concatenated(_quality_order(totals, too_slow)) == _stable_order(totals, too_slow)
-    assert np.array_equal(totals, kept)
-    assert _concatenated(_quality_order(totals, np.zeros(size, dtype=bool))) == _stable_order(
-        totals, np.zeros(size, dtype=bool))
+    for width in _block_widths(size):
+        chunks = _blocked_chunks(totals, too_slow, width)
+        assert _joined(chunks) == _stable_order(totals, too_slow)
+        assert np.array_equal(totals, kept)
+        assert _joined(_blocked_chunks(totals, np.zeros(size, dtype=bool), width)) == _stable_order(
+            totals, np.zeros(size, dtype=bool))
+        if distinct is None:
+            assert max(map(len, chunks), default=0) <= max(width, FIRST_CHUNK)
 
 
 def test_quality_order_is_empty_when_every_key_is_too_slow():
     totals = np.random.default_rng(0).integers(0, 5, 5000) / 4.0
-    assert _concatenated(_quality_order(totals, np.ones(5000, dtype=bool))) == []
+    for width in _block_widths(5000):
+        assert _blocked_chunks(totals, np.ones(5000, dtype=bool), width) == []
 
 
 # ------------------------------------------------------------------- sweep
