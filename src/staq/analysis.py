@@ -213,8 +213,9 @@ def brute_force_optimal(
     piece ids, one per column of the travel table. The scan reads its
     order chunk by chunk (_quality_order) and builds and schedules only
     each row's first occurrence, so allocations with equal sets share one
-    branch and bound run; n_scheduled counts every allocation scanned up
-    to the answer. Guarded to at most 2^20
+    branch and bound run; a row that overruns is kept as its bytes alone,
+    with no outcome. n_scheduled counts every allocation scanned up to the
+    answer. Guarded to at most 2^20
     allocations; schedule_cap, when given, aborts with
     OracleBudgetExceeded after that many.
     """
@@ -264,12 +265,15 @@ def brute_force_optimal(
         """The search's acceptance rule: a schedule within the budget."""
         return outcome.schedule is not None and outcome.schedule.makespan <= domain.time_budget
 
-    outcomes = {}  # by piece row; only the empty allocation's may fit
+    # The scan returns at the first row that fits, so of the rows it has
+    # scheduled only the empty allocation's can fit: every other is kept
+    # as a row alone.
+    empty_row, empty, overrun = None, None, set()
     if not any(flags[0] for flags in late):
         empty = solve_milp(build_constraints_fast(tables, [0] * m))
         if not fits(empty):
             return OracleResult(None, None, None, n_keys, 1)
-        outcomes[piece_rows(np.zeros(1, dtype=np.int64))[0].tobytes()] = empty
+        empty_row = piece_rows(np.zeros(1, dtype=np.int64))[0].tobytes()
 
     n_scheduled = 0
     for keys in _quality_order(block, n_keys, width):
@@ -280,11 +284,13 @@ def brute_force_optimal(
         _, first = np.unique(rows, axis=0, return_index=True)
         for position in np.sort(first).tolist():
             row = rows[position].tobytes()
+            if row in overrun:
+                continue
             alloc = Allocation(int(keys[position]), (m, n))
-            outcome = outcomes.get(row)
-            if outcome is None:
-                cs = build_constraints_fast(tables, alloc.coalition_masks())
-                outcome = outcomes[row] = solve_milp(cs)
+            if row == empty_row:
+                outcome = empty
+            else:
+                outcome = solve_milp(build_constraints_fast(tables, alloc.coalition_masks()))
             if fits(outcome):
                 quality = float(block(alloc.key // width)[0][alloc.key % width])
                 return OracleResult(
@@ -297,6 +303,7 @@ def brute_force_optimal(
                     ),
                     n_scheduled=n_scheduled + position + 1,
                 )
+            overrun.add(row)
         n_scheduled += keys.size
         if over:
             raise OracleBudgetExceeded(
@@ -328,7 +335,8 @@ def alpha_sweep(
     the exhaustive optimum, all normalized by the root-to-null quality span.
     Returns None when the instance has no feasible allocation at all.
 
-    The runs share one schedule cache, so a constraint set is scheduled once
+    The runs share one schedule cache, so the estimated travel table's
+    piece ids are tabulated once and a constraint set is scheduled once
     across all of them.
     """
     if alphas is None:

@@ -78,8 +78,8 @@ class TravelTables:
     tasks share the robots in mask, and piece_ids[column][mask] its number,
     in [0, 2^n) for n robots: masks with equal pieces get equal numbers.
     build_constraints_fast assembles a set from these pieces as they are,
-    so allocations with equal pieces give equal sets, each its own
-    schedule-memo key.
+    so allocations with equal pieces give equal sets, and equal piece ids
+    in every column name one set.
 
     A column's pieces start as a model.MaskMemo that derives each mask's
     piece when first read, so a table that builds a few sets (one

@@ -10,7 +10,7 @@ and re-queued if the planned travel pushes it over.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import lshift
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -31,6 +31,7 @@ from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from .scheduler import (
     ConstraintSet,
     ScheduleOutcome,
+    TravelTables,
     build_constraints_fast,
     make_travel_tables,
     realized_orderings,
@@ -39,10 +40,30 @@ from .scheduler import (
 )
 
 LOSS_SLACK = 1e-12
+_UNSEEN = object()  # a signature no solve on the memo has scheduled
 
 
-ScheduleCache = dict[ConstraintSet, ScheduleOutcome]
-"""Branch-and-bound outcomes by constraint set."""
+@dataclass
+class TableMemo:
+    """Schedules of the sets one estimated travel table derives, kept by the
+    solves on that table.
+
+    makespans maps a set's signature to its makespan, None when the set has
+    no schedule. fitting keeps, for a signature whose makespan met the budget
+    of the solve that scheduled it, the set and its outcome, which
+    refinement starts from. outcomes maps the root's, the empty
+    allocation's and the refinement sets by content, as refinement reads
+    their start times.
+    """
+
+    tables: TravelTables
+    makespans: dict[int, Optional[float]] = field(default_factory=dict)
+    fitting: dict[int, tuple[ConstraintSet, ScheduleOutcome]] = field(default_factory=dict)
+    outcomes: dict[ConstraintSet, ScheduleOutcome] = field(default_factory=dict)
+
+
+ScheduleCache = dict[TravelTables, TableMemo]
+"""Schedule memos by estimated travel table, equal tables sharing one."""
 
 
 class FrontierEntry(NamedTuple):
@@ -135,24 +156,32 @@ def solve(
     tables indexed by mask, so a read is a list subscript. A child re-reads
     only the columns of the task whose bit it clears; its quality is that
     task's prefix plus the new entry plus the rest, the additions of
-    total_allocation_quality in their order. Only a signature this solve
-    has not seen builds its set, whose content keys the schedule memo, so
-    branch and bound runs once per distinct set. An open node is held as
-    its quality and makespan (OpenEntry) and scored again when popped,
-    with the same scorer on the same inputs. The planned travel table is
-    made once, after the empty allocation fits, its legs read off the
-    planner's breadth-first distance fields. A popped node that fits the
-    budget builds its set under estimated travel, whose outcome the memo
-    already holds, and its set under planned travel, once each, refines
-    until its schedule stops moving, and is scored once after; it is
-    accepted if it still fits, else re-queued with its refined makespan.
-    At acceptance only OpenSet.best, the open node the post-hoc bound
-    reads, is scored into stats.best_open; it stays None when no
-    allocation fits. A* runs only to draw the accepted allocation's paths;
-    planner_calls counts those runs that the planner's memo did not serve.
-    schedule_cache, when given, is that memo, so solves that share it (e.g.
-    one instance at several alpha values) share the runs; an outcome
-    depends only on its set's content, so any solves may share one cache.
+    total_allocation_quality in their order. The schedule memo (TableMemo)
+    keeps a makespan per signature, so only a new signature builds its set
+    and runs branch and bound, once per distinct set; only a set that fits
+    the budget is kept too, with its outcome. An open node is held as its
+    quality and makespan (OpenEntry) and scored again when popped, with the
+    same scorer on the same inputs. The planned travel table is made once,
+    after the empty allocation fits, its legs read off the planner's
+    breadth-first distance fields. A popped node that fits the budget takes
+    its kept set and outcome, builds its set under planned travel, refines
+    until the schedule's mutex orderings repeat (refinement sets are
+    memoized by content), and is scored once after; it is accepted if it
+    still fits, else re-queued with its refined makespan. At acceptance
+    only OpenSet.best, the open node the post-hoc bound reads, is scored
+    into stats.best_open; it stays None when no allocation fits. A* runs
+    only to draw the accepted allocation's paths; planner_calls counts
+    those runs that the planner's memo did not serve.
+
+    schedule_cache, when given, maps each estimated travel table (compared
+    by content) to the first solve's table and its memo, so solves on an
+    equal table (e.g. one instance at several alpha values) reuse its piece
+    ids and share its runs. Signatures are read off that one table object,
+    so they agree between solves even past model.TABLE_MAX_ROBOTS, where ids
+    follow first reads; a makespan depends only on its set, so any solves
+    may share one cache. A solve with a larger budget than an earlier one
+    on the same memo finds no kept set for a node that fits only its own
+    budget: it builds and schedules that set again, and counts the run.
     scheduler_calls and refinement_rounds count every allocation and round
     this solve scheduled, served by a memo or not; bnb_runs counts only its
     own runs.
@@ -162,23 +191,38 @@ def solve(
     astar_before = planner.calls - planner.cache_hits
     m, n = domain.n_tasks, domain.n_robots
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
+    cache: ScheduleCache = {} if schedule_cache is None else schedule_cache
+    memo = cache.setdefault(tables, TableMemo(tables))
+    tables, makespans, fitting = memo.tables, memo.makespans, memo.fitting
     stats = SearchStats()
-    memo: ScheduleCache = {} if schedule_cache is None else schedule_cache
+
+    def run(cs: ConstraintSet) -> ScheduleOutcome:
+        outcome = solve_milp(cs)
+        stats.bnb_runs += 1
+        stats.bnb_nodes += outcome.nodes_explored
+        return outcome
 
     def schedule(cs: ConstraintSet) -> ScheduleOutcome:
-        outcome = memo.get(cs)
+        outcome = memo.outcomes.get(cs)
         if outcome is None:
-            outcome = memo[cs] = solve_milp(cs)
-            stats.bnb_runs += 1
-            stats.bnb_nodes += outcome.nodes_explored
+            outcome = memo.outcomes[cs] = run(cs)
         return outcome
+
+    def keep(sig: int, cs: ConstraintSet, outcome: ScheduleOutcome) -> Optional[float]:
+        """Record a set's makespan by its signature, and the set with its
+        outcome when it fits the budget; returns the makespan."""
+        makespan = makespans[sig] = None if outcome.schedule is None else outcome.schedule.makespan
+        if makespan is not None and makespan <= domain.time_budget:
+            fitting[sig] = cs, outcome
+        return makespan
 
     # The root's minimal makespan under estimates is the normalization
     # reference for overruns; reuse its solve for the root node.
     root = Allocation.root(m, n)
     root_masks = root.coalition_masks()
     root_quality = total_allocation_quality(root_masks, domain)
-    root_outcome = schedule(build_constraints_fast(tables, root_masks))
+    root_cs = build_constraints_fast(tables, root_masks)
+    root_outcome = schedule(root_cs)
     if root_outcome.schedule is None:
         raise InvalidInput("root allocation admits no schedule")
     null_masks = [0] * m
@@ -195,7 +239,8 @@ def solve(
     # The empty allocation has no travel and only the declared mutex pairs,
     # so its makespan bounds every allocation's from below, planned or not:
     # if it overruns, nothing fits, and no whole table is read.
-    null_outcome = schedule(build_constraints_fast(tables, null_masks))
+    null_cs = build_constraints_fast(tables, null_masks)
+    null_outcome = schedule(null_cs)
     if null_outcome.schedule.makespan > domain.time_budget:
         return None, stats
 
@@ -212,13 +257,12 @@ def solve(
         if j != i:
             touching[j].append((c, piece_ids[c], i, shifts[c]))
 
-    def signature(masks: tuple[int, ...]) -> tuple[int, list[int]]:
+    def signature(masks: Sequence[int]) -> tuple[int, list[int]]:
         ids = [column[masks[i] & masks[j]] for column, (i, j) in zip(piece_ids, columns)]
         return sum(map(lshift, ids, shifts)), ids
 
-    by_signature = {
-        signature(root_masks)[0]: root_outcome, signature(null_masks)[0]: null_outcome
-    }
+    keep(signature(root_masks)[0], root_cs, root_outcome)
+    keep(signature(null_masks)[0], null_cs, null_outcome)
     visited = {root.key}
 
     while len(open_set):
@@ -227,8 +271,13 @@ def solve(
         alloc = Allocation(key, root.shape)
         if overrun == 0.0:  # so makespan is not None: the node has a schedule
             masks = alloc.coalition_masks()
-            cs = build_constraints_fast(tables, masks)
-            outcome = _refine(cs, build_constraints_fast(planned, masks), stats, schedule)
+            sig = signature(masks)[0]
+            kept = fitting.get(sig)
+            if kept is None:  # an earlier solve on this memo ran it under a smaller budget
+                cs = build_constraints_fast(tables, masks)
+                kept = fitting[sig] = cs, run(cs)
+            cs, outcome = kept
+            outcome = _refine(cs, outcome, build_constraints_fast(planned, masks), stats, schedule)
             makespan = None if outcome.schedule is None else outcome.schedule.makespan
             loss, overrun, blended = score(quality, makespan)
             if overrun == 0.0:
@@ -267,18 +316,15 @@ def solve(
             child_sig = sig
             for c, column, other, at in touching[task]:
                 child_sig ^= (column[mask & masks[other]] ^ ids[c]) << at
-            child_outcome = by_signature.get(child_sig)
-            if child_outcome is None:
+            child_makespan = makespans.get(child_sig, _UNSEEN)
+            if child_makespan is _UNSEEN:
                 child_masks = list(masks)
                 child_masks[task] = mask
-                child_outcome = by_signature[child_sig] = schedule(
-                    build_constraints_fast(tables, child_masks)
-                )
+                child_cs = build_constraints_fast(tables, child_masks)
+                child_makespan = keep(child_sig, child_cs, run(child_cs))
             child_q = prefixes[task] + quality_tables[task][mask]
             for q in qualities[task + 1:]:
                 child_q += q
-            child_schedule = child_outcome.schedule
-            child_makespan = None if child_schedule is None else child_schedule.makespan
             child_loss, _, child_blended = score(child_q, child_makespan)
             if check_invariants and child_loss < loss - LOSS_SLACK:
                 raise ContractViolation(
@@ -293,21 +339,26 @@ def solve(
 
 def _refine(
     cs: ConstraintSet,
+    outcome: ScheduleOutcome,
     planned: ConstraintSet,
     stats: SearchStats,
     schedule: Callable[[ConstraintSet], ScheduleOutcome],
 ) -> ScheduleOutcome:
     """Swap estimated travel for planned travel until the schedule stops moving.
 
-    cs and planned are the node's sets under estimated and planned travel;
-    cs's outcome is a memo hit, as the node was scheduled when generated.
-    Each round replaces at least one estimate with its planned value and
-    planned values are final, so the loop is bounded by the quantity count.
-    Returns the last round's outcome.
+    cs is the node's set under estimated travel and outcome its schedule;
+    planned is the node's set under planned travel. Each round replaces at
+    least one estimate with its planned value and planned values are final,
+    so the loop is bounded by the quantity count. A round whose schedule
+    realizes the previous round's mutex orderings ends it: refining again
+    would give back the same set. Returns the last round's outcome.
     """
-    outcome = schedule(cs)
+    orderings = None
     for _ in range(cs.n_quantities + 1):
         if outcome.schedule is None:
+            break
+        previous, orderings = orderings, realized_orderings(cs, outcome.schedule)
+        if orderings == previous:
             break
         cs, changed = refine_with_motion_plans(planned, outcome.schedule, cs)
         if not changed:

@@ -20,7 +20,13 @@ from staq.model import (
     validate_solution,
 )
 from staq.motion import GridPlanner, estimated_leg_seconds
-from staq.scheduler import build_constraints_fast, make_travel_tables, solve_milp, worst_makespan
+from staq.scheduler import (
+    build_constraints_fast,
+    make_travel_tables,
+    realized_orderings,
+    solve_milp,
+    worst_makespan,
+)
 from staq.search import FrontierEntry, OpenSet, solve
 
 from helpers import (
@@ -376,7 +382,10 @@ def test_schedule_cache_is_shared_across_alpha_values():
     domain = two_task_domain(time_budget=60.0)
     cache = {}
     sol1, stats1 = solve(domain, schedule_cache=cache)
-    assert stats1.bnb_runs == len(cache) > 0
+    (memo,) = cache.values()   # one table
+    # the sets the memo holds: by signature, and refinement's by content;
+    # the root and the empty allocation are in both
+    assert stats1.bnb_runs == len(memo.makespans) + len(memo.outcomes) - 2 > 0
 
     other = dataclasses.replace(domain, alpha=0.1)
     sol2, stats2 = solve(other, schedule_cache=cache)
@@ -395,6 +404,89 @@ def test_cached_and_uncached_runs_agree():
     assert sol1.allocation == sol2.allocation == sol3.allocation
     assert sol1.schedule.start_times == sol2.schedule.start_times
     assert sol1.schedule.start_times == sol3.schedule.start_times
+
+
+def _assert_same_search(got, want):
+    """Equal solutions and schedules, and equal stats but for the
+    branch-and-bound runs a shared cache may have served."""
+    (sol, stats), (want_sol, want_stats) = got, want
+    assert sol.allocation == want_sol.allocation
+    assert sol.schedule == want_sol.schedule
+    assert sol.orderings == want_sol.orderings
+    assert (sol.total_quality, sol.blended) == (want_sol.total_quality, want_sol.blended)
+    unserved = dict(bnb_runs=0, bnb_nodes=0)
+    assert dataclasses.replace(stats, **unserved) == dataclasses.replace(want_stats, **unserved)
+
+
+def _recording_milp(monkeypatch):
+    """The sets branch and bound runs on from now on, in order."""
+    scheduled = []
+    real_milp = search.solve_milp
+
+    def recording(cs):
+        scheduled.append(cs)
+        return real_milp(cs)
+
+    monkeypatch.setattr(search, "solve_milp", recording)
+    return scheduled
+
+
+def test_a_larger_budget_on_a_shared_cache_reruns_the_sets_it_did_not_keep(monkeypatch):
+    scheduled = _recording_milp(monkeypatch)
+    for seed in (1, 3):
+        domain = random_instance(seed)
+        wider = dataclasses.replace(domain, time_budget=1.1 * domain.time_budget)
+        want = solve(wider)
+        expected = solve(domain)
+        cache = {}
+        scheduled.clear()
+        _assert_same_search(solve(domain, schedule_cache=cache), expected)
+        first = set(scheduled)
+        scheduled.clear()
+        got = solve(wider, schedule_cache=cache)
+        _assert_same_search(got, want)
+        # a node that fits only the larger budget was kept as a makespan
+        # alone, so its set runs again, and the run is counted
+        again = [cs for cs in scheduled if cs in first]
+        assert again, f"seed {seed}"
+        assert got[1].bnb_runs == len(scheduled) < want[1].bnb_runs
+
+
+def test_an_alpha_sweep_past_the_table_cap_shares_one_cache(monkeypatch):
+    # past model.TABLE_MAX_ROBOTS piece ids follow first reads, so solves
+    # share the first solve's table object, and with it its numbering
+    import staq.model as model
+
+    monkeypatch.setattr(model, "TABLE_MAX_ROBOTS", 0)
+    # the solves read pieces in different orders: numbered per solve, the
+    # ids of the later ones would name other sets than the memo's
+    domain = random_instance(5)
+    cache = {}
+    for alpha in (0.2, 0.4, 1.0):
+        tuned = dataclasses.replace(domain, alpha=alpha)
+        _assert_same_search(solve(tuned, schedule_cache=cache), solve(tuned))
+    assert len(cache) == 1
+
+
+def test_different_instances_may_share_one_cache():
+    cache = {}
+    for seed in (0, 1, 0, 1):
+        domain = random_instance(seed)
+        _assert_same_search(solve(domain, schedule_cache=cache), solve(domain))
+    assert len(cache) == 2   # one memo per estimated travel table
+
+
+def test_a_repeated_solve_on_a_shared_cache_runs_nothing(monkeypatch):
+    scheduled = _recording_milp(monkeypatch)
+    for seed in (0, 5):
+        domain = random_instance(seed)
+        cache = {}
+        solve(domain, schedule_cache=cache)
+        scheduled.clear()
+        again = solve(domain, schedule_cache=cache)
+        assert scheduled == []
+        assert (again[1].bnb_runs, again[1].bnb_nodes) == (0, 0)
+        _assert_same_search(again, solve(domain))
 
 
 def test_planner_calls_count_the_astar_runs_of_one_solve():
@@ -478,10 +570,11 @@ def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
 
 
 def test_children_build_one_set_per_new_signature(monkeypatch):
-    # builds through staq.search are the root's, one per child whose
-    # signature is new, and two per popped node sent to refinement: its
-    # estimated set and its planned set, the only builds on the planned
-    # table; the root's and the children's sets are all distinct
+    # builds through staq.search are the root's, the empty allocation's, one
+    # per child whose signature is new, and one per popped node sent to
+    # refinement: its planned set, the only build on the planned table; the
+    # node's estimated set is the one built when it was generated, and the
+    # root's and the children's sets are all distinct
     built, refined, planned = [], [], []
 
     def counting_build(tables, masks):
@@ -489,10 +582,10 @@ def test_children_build_one_set_per_new_signature(monkeypatch):
         built.append((tables, cs))
         return cs
 
-    def recording_refine(cs, planned_cs, *args):
+    def recording_refine(cs, outcome, planned_cs, *args):
         refined.append(cs)
         planned.append(planned_cs)
-        return real_refine(cs, planned_cs, *args)
+        return real_refine(cs, outcome, planned_cs, *args)
 
     real_build, real_refine = search.build_constraints_fast, search._refine
     monkeypatch.setattr(search, "build_constraints_fast", counting_build)
@@ -506,12 +599,36 @@ def test_children_build_one_set_per_new_signature(monkeypatch):
         on_planned = [cs for tables, cs in built if tables is not estimated]
         assert len(on_planned) == stats.reinserted + 1, f"seed {seed}"
         assert all(a is b for a, b in zip(on_planned, planned)) and len(planned) == len(on_planned)
-        scored = [cs for tables, cs in built
-                  if tables is estimated and not any(cs is r for r in refined)]
-        assert len(built) - len(scored) == len(refined) + len(planned)
+        scored = [cs for tables, cs in built if tables is estimated]
+        assert len(built) - len(scored) == len(planned)   # a popped node builds only its planned set
         assert len(set(scored)) == len(scored), f"seed {seed}: a set was built twice"
         assert set(refined) <= set(scored)
+        assert all(any(cs is kept for kept in scored) for cs in refined)
         assert len(scored) < stats.nodes_generated   # children share signatures
+
+
+def test_refinement_stops_when_the_orderings_repeat(monkeypatch):
+    # a round whose schedule realizes the previous round's mutex orderings
+    # would give back its own set, so no such round is refined again
+    calls = []
+
+    def recording(planned_cs, schedule, cs):
+        calls.append((planned_cs, realized_orderings(cs, schedule)))
+        return real_refine(planned_cs, schedule, cs)
+
+    real_refine = search.refine_with_motion_plans
+    monkeypatch.setattr(search, "refine_with_motion_plans", recording)
+    later_rounds = 0
+    for seed in range(10):
+        calls.clear()
+        _, stats = solve(random_instance(seed))
+        for (planned_a, seen), (planned_b, then) in zip(calls, calls[1:]):
+            if planned_a is planned_b:   # two rounds of one popped node
+                assert then != seen, f"seed {seed}"
+                later_rounds += 1
+        # each round is one call; a node ends on a repeat or on no change
+        assert stats.refinement_rounds <= len(calls) <= stats.refinement_rounds + stats.reinserted + 1
+    assert later_rounds > 0
 
 
 def test_node_qualities_equal_the_total_of_their_masks(recorded):
