@@ -14,7 +14,10 @@ and `result`, the run's last JSON line) and, per end-to-end metric of the
 change side's BENCHMARK.json, each side's median, first and third quartile
 (linear interpolation) and values by pair, the pairs where the change is
 better (`change_wins`) or equal (`ties`), and `median_change`, the change
-median relative to the parent median, rounded to 4 places.
+median relative to the parent median, rounded to 4 places. The script ends
+by printing that summary, one line per metric:
+
+    batch_s: parent 1.52 [1.51, 1.58]  change 1.57 [1.54, 1.59]  wins 3/8  ties 0  median_change +0.0329
 """
 
 from __future__ import annotations
@@ -73,6 +76,24 @@ def summarize(records: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def summary_lines(summary: dict) -> list[str]:
+    """One line per metric of a summary: each side's median [q1, q3], the
+    change's wins and ties out of the pairs, and median_change."""
+    lines = []
+    for name, entry in summary.items():
+        sides = "  ".join(
+            f"{side} {entry[side]['median']:.6g} [{entry[side]['q1']:.6g}, "
+            f"{entry[side]['q3']:.6g}]"
+            for side in SIDES
+        )
+        change = entry["median_change"]
+        lines.append(
+            f"{name}: {sides}  wins {entry['change_wins']}/{entry['pairs']}  ties {entry['ties']}"
+            f"  median_change {'n/a' if change is None else format(change, '+.4f')}"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -110,6 +131,7 @@ def main(argv=None) -> int:
         "summary": summarize(records, better),
     }
     args.output.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(summary_lines(document["summary"])))
     return 0
 
 

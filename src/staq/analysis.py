@@ -11,7 +11,6 @@ stopped. Both are validated here against an exhaustive oracle.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -29,7 +28,7 @@ from .model import (
     TaskNetwork,
     WorldMap,
 )
-from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
+from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds, steps_field
 from .scheduler import build_constraints_fast, make_travel_tables, solve_milp, tabulate_pieces
 from .search import ScheduleCache, SearchStats, solve
 
@@ -376,26 +375,20 @@ def alpha_sweep(
 
 
 def _largest_free_component(world: WorldMap) -> list[tuple[int, int]]:
-    seen: set[tuple[int, int]] = set()
-    best: list[tuple[int, int]] = []
-    for row in range(world.height):
-        for col in range(world.width):
-            cell = (col, row)
-            if not world.is_free(cell) or cell in seen:
-                continue
-            component = [cell]
-            seen.add(cell)
-            queue = deque([cell])
-            while queue:
-                c, r = queue.popleft()
-                for nxt in ((c, r - 1), (c + 1, r), (c, r + 1), (c - 1, r)):
-                    if world.is_free(nxt) and nxt not in seen:
-                        seen.add(nxt)
-                        component.append(nxt)
-                        queue.append(nxt)
-            if len(component) > len(best):
-                best = component
-    return sorted(best)
+    """The largest 4-connected set of free cells, sorted; of equal sizes,
+    the one reached first in row-major order."""
+    width = world.width
+    seen: set[int] = set()
+    best: list[int] = []
+    for i in range(width * world.height):
+        cell = (i % width, i // width)
+        if i in seen or not world.is_free(cell):
+            continue
+        component = [k for k, steps in enumerate(steps_field(world, cell)) if steps >= 0]
+        seen.update(component)
+        if len(component) > len(best):
+            best = component
+    return sorted((k % width, k // width) for k in best)
 
 
 def random_instance(seed: int, *, alpha: float = 0.4) -> ProblemDomain:

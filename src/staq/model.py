@@ -1,18 +1,16 @@
 """Domain model: robots, tasks, allocations, schedules, and solution validation.
 
-Values are observably immutable after construction and safe to share
-across threads; the module-level operations are pure functions. The one
-mutable part is ProblemDomain's quality memo, a pure cache: per task, a
-MaskMemo of the qualities read so far, which quality_tables turns into a
-list of every mask's up to TABLE_MAX_ROBOTS robots. It holds only values
-task_quality would compute again, and dataclasses.replace starts a fresh
-one. MaskMemo and by_mask, a fold over every mask at once, serve the
-scheduler's travel tables too.
+Values are immutable after construction and safe to share across
+threads; the module-level operations are pure functions. MaskMemo, a table
+by coalition mask filled as it is read, and by_mask, a fold over every mask
+at once, serve ProblemDomain's quality tables and the scheduler's travel
+tables alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -51,13 +49,24 @@ def _positive_finite(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def _integer_pair(value, what: str) -> tuple[int, int]:
+    """value as a pair of ints, such as a (col, row) cell or a task pair; a
+    numpy integer passes, a float or a string does not."""
+    try:
+        a, b = value
+        return operator.index(a), operator.index(b)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{what} must be a pair of integers, got {value!r}") from None
+
+
 class ContractViolation(RuntimeError):
     """A numeric precondition was broken beyond tolerance."""
 
 
 @dataclass(frozen=True)
 class WorldMap:
-    """Occupancy grid. Cells are addressed as (col, row), row 0 at the top."""
+    """Occupancy grid. Cells are addressed as (col, row), row 0 at the top.
+    Sizes and cells are integers; numpy integers are stored as ints."""
 
     width: int
     height: int
@@ -65,11 +74,16 @@ class WorldMap:
     cell_size: float = 1.0
 
     def __post_init__(self) -> None:
+        width, height = _integer_pair((self.width, self.height), "map (width, height)")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
         if self.width < 1 or self.height < 1:
             raise InvalidInput("map dimensions must be positive")
         if not _positive_finite(self.cell_size):
             raise InvalidInput(f"cell_size must be positive and finite, got {self.cell_size}")
-        for cell in self.occupied:
+        occupied = frozenset(_integer_pair(cell, "occupied cell") for cell in self.occupied)
+        object.__setattr__(self, "occupied", occupied)
+        for cell in occupied:
             if not self.in_bounds(cell):
                 raise InvalidInput(f"occupied cell {cell} outside map bounds")
 
@@ -120,6 +134,7 @@ class Robot:
         traits = np.asarray(self.traits, dtype=float)
         traits.setflags(write=False)
         object.__setattr__(self, "traits", traits)
+        object.__setattr__(self, "start_cell", _integer_pair(self.start_cell, "robot start_cell"))
         if traits.ndim != 1 or traits.size < 1:
             raise InvalidInput("robot traits must be a non-empty vector")
         if not np.all(np.isfinite(traits)):
@@ -142,12 +157,14 @@ class Task:
     def __post_init__(self) -> None:
         if not _positive_finite(self.duration):
             raise InvalidInput(f"task duration must be positive and finite, got {self.duration}")
+        for name in ("start_site", "end_site"):
+            object.__setattr__(self, name, _integer_pair(getattr(self, name), f"task {name}"))
 
 
 def _canonical_pairs(pairs, m: int, *, ordered: bool, kind: str) -> frozenset[tuple[int, int]]:
     out = set()
     for pair in pairs:
-        i, j = int(pair[0]), int(pair[1])
+        i, j = _integer_pair(pair, f"{kind} pair")
         if i == j:
             raise InvalidInput(f"{kind} pair ({i},{j}) is a self-pair")
         if not (0 <= i < m and 0 <= j < m):
@@ -276,7 +293,6 @@ class ProblemDomain:
     time_budget: float
     alpha: float = 0.4
     traits: np.ndarray = field(init=False, repr=False)
-    _quality_tables: list[Sequence[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         robots = tuple(self.robots)
@@ -307,54 +323,41 @@ class ProblemDomain:
         traits = np.stack([r.traits for r in robots])
         traits.setflags(write=False)
         object.__setattr__(self, "traits", traits)
-        memos = [MaskMemo(partial(_coalition_quality, traits, q)) for q in self.quality_maps]
-        object.__setattr__(self, "_quality_tables", memos)
 
     def task_quality(self, task: int, mask: int) -> float:
         """Quality of one task under a coalition, clamped to [0, 1].
 
         mask is laid out as Allocation.coalition_mask (robot 0 in the most
-        significant bit). Read off the task's quality memo: its table once
-        tabulated (quality_tables), else the one mask, evaluated when first
-        asked for.
+        significant bit). The task's map is called on each read.
         """
         n = self.n_robots
         if not (0 <= task < self.n_tasks and 0 <= mask < 1 << n):
             raise InvalidInput(f"no task {task} or coalition mask {mask} for {n} robots")
-        return self._quality_tables[task][mask]
+        return _coalition_quality(self.traits, self.quality_maps[task], mask)
 
     def quality_tables(self) -> tuple[Sequence[float], ...]:
         """Every task's quality of every coalition, read as
         tables[task][mask]; the caller keeps masks in [0, 2^n).
 
-        Up to TABLE_MAX_ROBOTS robots the first call tabulates every task
-        into a list (_tabulated_qualities); past that each table stays a
-        MaskMemo that evaluates a mask when first read. Either way the
-        tables evaluate each (task, mask) once per domain value.
+        Made afresh on each call: up to TABLE_MAX_ROBOTS robots, the lists
+        of _tabulated_qualities; past that, per task a MaskMemo that
+        evaluates a mask when first read.
         """
-        tables = self._quality_tables
-        if self.n_robots <= TABLE_MAX_ROBOTS and isinstance(tables[0], MaskMemo):
-            tables[:] = self._tabulated_qualities()
-        return tuple(tables)
+        if self.n_robots > TABLE_MAX_ROBOTS:
+            return tuple(MaskMemo(partial(_coalition_quality, self.traits, q))
+                         for q in self.quality_maps)
+        return tuple(self._tabulated_qualities())
 
     def quality_arrays(self) -> list[np.ndarray]:
-        """quality_tables as arrays; past TABLE_MAX_ROBOTS robots every mask
-        the memo lacks is evaluated afresh, as its tabulated list would be
-        2^n Python floats, and not kept."""
-        tables = self.quality_tables()
-        if isinstance(tables[0], MaskMemo):
-            tables = self._tabulated_qualities()
-        return [np.array(table) for table in tables]
+        """_tabulated_qualities as arrays, for a team of any width."""
+        return [np.array(table) for table in self._tabulated_qualities()]
 
     def _tabulated_qualities(self) -> list[list[float]]:
         """Every task's quality of every mask, indexed by mask: each map
         called once per row of by_mask(traits, np.add), which sums as
-        _coalition_quality does, except for masks its memo already holds."""
+        task_quality does."""
         sums = by_mask(self.traits, np.add)
-        return [
-            [memo[mask] if mask in memo else _clamp(float(q(row))) for mask, row in enumerate(sums)]
-            for memo, q in zip(self._quality_tables, self.quality_maps)
-        ]
+        return [[_clamp(float(q(row))) for row in sums] for q in self.quality_maps]
 
     @property
     def n_tasks(self) -> int:

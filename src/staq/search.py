@@ -46,14 +46,13 @@ _UNSEEN = object()  # a signature no solve on the memo has scheduled
 @dataclass
 class TableMemo:
     """Schedules of the sets one estimated travel table derives, kept by the
-    solves on that table.
+    solves on that table and time budget.
 
     makespans maps a set's signature to its makespan, None when the set has
-    no schedule. fitting keeps, for a signature whose makespan met the budget
-    of the solve that scheduled it, the set and its outcome, which
-    refinement starts from. outcomes maps the root's, the empty
-    allocation's and the refinement sets by content, as refinement reads
-    their start times.
+    no schedule. fitting keeps, for a signature whose makespan meets the
+    budget, the set and its outcome, which refinement starts from. outcomes
+    maps the root's, the empty allocation's and the refinement sets by
+    content, as refinement reads their start times.
     """
 
     tables: TravelTables
@@ -62,8 +61,9 @@ class TableMemo:
     outcomes: dict[ConstraintSet, ScheduleOutcome] = field(default_factory=dict)
 
 
-ScheduleCache = dict[TravelTables, TableMemo]
-"""Schedule memos by estimated travel table, equal tables sharing one."""
+ScheduleCache = dict[tuple[TravelTables, float], TableMemo]
+"""Schedule memos by estimated travel table and time budget, equal tables at
+one budget sharing one."""
 
 
 class FrontierEntry(NamedTuple):
@@ -153,9 +153,10 @@ def solve(
     their left-fold prefixes, and its signature: each column c's piece id
     (tables.piece_ids[c] at the column's shared mask) shifted left by
     n * c, equal for two allocations exactly when their sets are. Both are
-    tables indexed by mask, so a read is a list subscript. A child re-reads
-    only the columns of the task whose bit it clears; its quality is that
-    task's prefix plus the new entry plus the rest, the additions of
+    tables indexed by mask, lists up to model.TABLE_MAX_ROBOTS robots, so a
+    read is a list subscript. A child re-reads only the columns of the task
+    whose bit it clears; its quality is that task's prefix plus the new
+    entry plus the rest, the additions of
     total_allocation_quality in their order. The schedule memo (TableMemo)
     keeps a makespan per signature, so only a new signature builds its set
     and runs branch and bound, once per distinct set; only a set that fits
@@ -164,7 +165,8 @@ def solve(
     same scorer on the same inputs. The planned travel table is made once,
     after the empty allocation fits, its legs read off the planner's
     breadth-first distance fields. A popped node that fits the budget takes
-    its kept set and outcome, builds its set under planned travel, refines
+    its kept set and outcome (kept when first scheduled, as every solve on
+    the memo has this budget), builds its set under planned travel, refines
     until the schedule's mutex orderings repeat (refinement sets are
     memoized by content), and is scored once after; it is accepted if it
     still fits, else re-queued with its refined makespan. At acceptance
@@ -174,17 +176,15 @@ def solve(
     those runs that the planner's memo did not serve.
 
     schedule_cache, when given, maps each estimated travel table (compared
-    by content) to the first solve's table and its memo, so solves on an
-    equal table (e.g. one instance at several alpha values) reuse its piece
-    ids and share its runs. Signatures are read off that one table object,
-    so they agree between solves even past model.TABLE_MAX_ROBOTS, where ids
-    follow first reads; a makespan depends only on its set, so any solves
-    may share one cache. A solve with a larger budget than an earlier one
-    on the same memo finds no kept set for a node that fits only its own
-    budget: it builds and schedules that set again, and counts the run.
-    scheduler_calls and refinement_rounds count every allocation and round
-    this solve scheduled, served by a memo or not; bnb_runs counts only its
-    own runs.
+    by content) and time budget to the first such solve's table and its
+    memo, so solves on an equal table and budget (e.g. one instance at
+    several alpha values) reuse its piece ids and share its runs.
+    Signatures are read off that one table object, so they agree between
+    solves even past model.TABLE_MAX_ROBOTS, where ids follow first reads.
+    Any solves may share one cache; one at another budget gets a memo of
+    its own. scheduler_calls and refinement_rounds count every allocation
+    and round this solve scheduled, served by a memo or not; bnb_runs
+    counts only its own runs.
     """
     if planner is None:
         planner = GridPlanner(domain.world)
@@ -192,7 +192,7 @@ def solve(
     m, n = domain.n_tasks, domain.n_robots
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
     cache: ScheduleCache = {} if schedule_cache is None else schedule_cache
-    memo = cache.setdefault(tables, TableMemo(tables))
+    memo = cache.setdefault((tables, domain.time_budget), TableMemo(tables))
     tables, makespans, fitting = memo.tables, memo.makespans, memo.fitting
     stats = SearchStats()
 
@@ -271,12 +271,7 @@ def solve(
         alloc = Allocation(key, root.shape)
         if overrun == 0.0:  # so makespan is not None: the node has a schedule
             masks = alloc.coalition_masks()
-            sig = signature(masks)[0]
-            kept = fitting.get(sig)
-            if kept is None:  # an earlier solve on this memo ran it under a smaller budget
-                cs = build_constraints_fast(tables, masks)
-                kept = fitting[sig] = cs, run(cs)
-            cs, outcome = kept
+            cs, outcome = fitting[signature(masks)[0]]
             outcome = _refine(cs, outcome, build_constraints_fast(planned, masks), stats, schedule)
             makespan = None if outcome.schedule is None else outcome.schedule.makespan
             loss, overrun, blended = score(quality, makespan)

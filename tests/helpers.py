@@ -10,13 +10,14 @@ here too, as only tests use it, and so do the learning loop that refits
 the GP after every label, the rmse of a fit model, the search's child
 quality as a left fold over replaced entries, A* with its occupancy test
 and heuristic behind their own calls, the node score's loss, overrun and
-blend as three functions, an allocation built from its 0/1 matrix, and a
-dataset CSV writer.
+blend as three functions, an allocation built from its 0/1 matrix, a
+dataset CSV writer, and a generator of teams wider than the table cap.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import heapq
 import itertools
 import math
@@ -46,7 +47,7 @@ from staq.model import (
     WorldMap,
     total_allocation_quality,
 )
-from staq.motion import PathResult, euclidean_estimate, planned_leg_seconds
+from staq.motion import PathResult, estimated_leg_seconds, euclidean_estimate, planned_leg_seconds
 from staq.scheduler import (
     ConstraintSet,
     ScheduleOutcome,
@@ -537,6 +538,34 @@ def drop_one_domain(time_budget=9.0, alpha=0.4):
     maps = (LinearQualityMap([1.0, 1.0], 2.0), LinearQualityMap([1.0, 1.0], 2.0))
     return ProblemDomain(network=network, robots=robots, quality_maps=maps,
                          world=world, time_budget=time_budget, alpha=alpha)
+
+
+def wide_team_domain(seed, n_robots, *, n_tasks=2, alpha=0.4):
+    """A seeded domain for teams wider than model.TABLE_MAX_ROBOTS: robots
+    and task sites on distinct cells of an open 10x10 grid, the most capable
+    robots the slowest, linear maps normalized so the whole team scores 1
+    per task, and a budget drawn between the empty allocation's makespan
+    and the root's under estimated travel."""
+    rng = np.random.default_rng(seed)
+    cells = [(c, r) for r in range(10) for c in range(10)]
+    picks = [cells[k] for k in rng.choice(len(cells), size=n_robots + 2 * n_tasks, replace=False)]
+    traits = rng.uniform(0.0, 1.0, size=(n_robots, 3))
+    rank = np.argsort(np.argsort(traits.sum(axis=1))) / (n_robots - 1)
+    robots = tuple(Robot(traits[k], picks[k], float(2.0 - 1.2 * rank[k])) for k in range(n_robots))
+    sites = picks[n_robots:]
+    tasks = tuple(Task(float(rng.uniform(2.0, 6.0)), sites[2 * i], sites[2 * i + 1])
+                  for i in range(n_tasks))
+    weights = rng.uniform(0.2, 1.0, size=(n_tasks, 3))
+    maps = tuple(LinearQualityMap(w, float(w @ traits.sum(axis=0))) for w in weights)
+    base = ProblemDomain(TaskNetwork(tasks, mutex={(0, 1)}), robots, maps, open_world(10, 10),
+                         time_budget=1.0, alpha=alpha)
+    tables = make_travel_tables(base, estimated_leg_seconds(base))
+    floor, ceiling = (
+        solve_milp(build_constraints_fast(tables, [mask] * n_tasks)).schedule.makespan
+        for mask in (0, 2**n_robots - 1)
+    )
+    budget = floor + rng.uniform(0.25, 0.9) * (ceiling - floor)
+    return dataclasses.replace(base, time_budget=budget)
 
 
 def oracle_by_enumeration(domain, planner):

@@ -39,9 +39,15 @@ def test_summary_gives_quartiles_wins_and_ties(bench_pairs):
     assert lower["median_change"] == round(2.0 / 3.0 - 1, 4)
     higher = summary["solve.quality_mean"]
     assert (higher["change_wins"], higher["ties"]) == (1, 1)   # higher is better
+    assert bench_pairs.summary_lines(summary) == [
+        "solve.batch_s: parent 3 [2, 4]  change 2 [1, 2.5]  wins 3/5  ties 1"
+        "  median_change -0.3333",
+        "solve.quality_mean: parent 3 [2, 4]  change 2 [1, 2.5]  wins 1/5  ties 1"
+        "  median_change -0.3333",
+    ]
 
 
-def test_sides_alternate_which_runs_first(bench_pairs, monkeypatch, tmp_path):
+def test_sides_alternate_which_runs_first(bench_pairs, monkeypatch, tmp_path, capsys):
     order = []
 
     def fake_run(checkout, workload, seed, seconds):
@@ -66,3 +72,6 @@ def test_sides_alternate_which_runs_first(bench_pairs, monkeypatch, tmp_path):
         ("parent", 3, 9), ("change", 3, 9)]
     assert written["host"] == "test"
     assert written["summary"]["batch_s"]["ties"] == 3
+    # the output ends with the summary it wrote, one line per metric
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "batch_s: parent 1 [1, 1]  change 1 [1, 1]  wins 0/3  ties 3  median_change +0.0000")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,45 @@ def test_world_rejects_bad_input():
         WorldMap.from_ascii((".x",))         # unknown character
     with pytest.raises(InvalidInput):
         WorldMap.from_ascii(())
+
+
+def _one_task(start_site=(0, 0), end_site=(1, 0)):
+    return Task(duration=1.0, start_site=start_site, end_site=end_site)
+
+
+NOT_INTEGER = [   # (the field the error names, a construction that must fail)
+    pytest.param("map (width, height)", lambda: WorldMap(width=3.5, height=3), id="float-width"),
+    pytest.param("occupied cell", lambda: WorldMap(width=3, height=3, occupied={(1.0, 2)}),
+                 id="float-occupied-cell"),
+    pytest.param("robot start_cell", lambda: Robot(np.ones(2), start_cell=(0.0, 1), speed=1.0),
+                 id="float-robot-cell"),
+    pytest.param("robot start_cell", lambda: Robot(np.ones(2), start_cell=(0, 1, 2), speed=1.0),
+                 id="three-coordinate-robot-cell"),
+    pytest.param("task start_site", lambda: _one_task(start_site=(0, 0.5)), id="float-start-site"),
+    pytest.param("task end_site", lambda: _one_task(end_site=(1.0, 0)), id="float-end-site"),
+    pytest.param("precedence pair", lambda: TaskNetwork((_one_task(),) * 2, precedence={(0, 1.5)}),
+                 id="float-precedence"),
+    pytest.param("precedence pair", lambda: TaskNetwork((_one_task(),) * 2, precedence={(0, "1")}),
+                 id="string-precedence"),
+]
+
+
+@pytest.mark.parametrize("field, make", NOT_INTEGER)
+def test_grid_input_must_be_integers(field, make):
+    with pytest.raises(InvalidInput, match=re.escape(field)):
+        make()
+
+
+def test_numpy_integer_grid_input_is_read_as_ints():
+    i = np.int64
+    world = WorldMap(width=i(8), height=np.int32(8), occupied=frozenset({(i(4), i(4))}))
+    robot = Robot(traits=np.ones(2), start_cell=np.array([0, 1]), speed=1.0)
+    task = _one_task(start_site=(i(2), i(3)))
+    network = TaskNetwork(tasks=(task, task), mutex={(i(1), i(0))})
+    ints = [world.width, world.height, *next(iter(world.occupied)), *robot.start_cell,
+            *task.start_site, *next(iter(network.mutex))]
+    assert all(type(x) is int for x in ints)
+    assert (world.occupied, robot.start_cell, network.mutex) == ({(4, 4)}, (0, 1), {(0, 1)})
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -274,7 +314,7 @@ def test_quality_rejects_allocations_and_masks_outside_the_domain():
             domain.task_quality(task, mask)
 
 
-def test_each_task_and_coalition_is_evaluated_once_per_domain():
+def test_solves_and_the_oracle_read_a_domain_without_changing_it():
     class Counting:
         def __init__(self, inner):
             self.inner, self.calls = inner, 0
@@ -286,18 +326,20 @@ def test_each_task_and_coalition_is_evaluated_once_per_domain():
     base = random_instance(1)
     maps = tuple(Counting(qm) for qm in base.quality_maps)
     domain = dataclasses.replace(base, quality_maps=maps)
+    attributes = dict(vars(domain))
+    assert set(attributes) == {f.name for f in dataclasses.fields(domain)}
     every_mask = 2 ** domain.n_robots
-    solve(domain)
-    assert all(0 < qm.calls <= every_mask for qm in maps)
-    oracle = brute_force_optimal(domain)   # reads every (task, mask)
+    solution, _ = solve(domain)
+    assert solution is not None
+    # the root's and the empty allocation's qualities, then the tables
+    assert all(0 < qm.calls <= every_mask + 2 for qm in maps)
+    for qm in maps:
+        qm.calls = 0
+    oracle = brute_force_optimal(domain)   # reads every (task, mask) once
     assert [qm.calls for qm in maps] == [every_mask] * domain.n_tasks
-    solve(domain)
-    assert [qm.calls for qm in maps] == [every_mask] * domain.n_tasks
+    assert vars(domain).keys() == attributes.keys()
+    assert all(getattr(domain, name) is value for name, value in attributes.items())
     assert brute_force_optimal(base) == oracle
-
-    again = dataclasses.replace(domain, alpha=0.1)   # a new value, a new memo
-    again.task_quality(0, every_mask - 1)
-    assert maps[0].calls == every_mask + 1
 
 
 def test_quality_tables_hold_what_task_quality_reads(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from staq import scheduler, search
-from staq.analysis import random_instance
+from staq.analysis import bound_report, brute_force_optimal, random_instance
 from staq.heuristics import node_scorer
 from staq.model import (
     Allocation,
@@ -38,6 +38,7 @@ from helpers import (
     normalized_quality_loss,
     open_world,
     two_task_domain,
+    wide_team_domain,
 )
 
 
@@ -431,25 +432,16 @@ def _recording_milp(monkeypatch):
     return scheduled
 
 
-def test_a_larger_budget_on_a_shared_cache_reruns_the_sets_it_did_not_keep(monkeypatch):
-    scheduled = _recording_milp(monkeypatch)
+def test_a_shared_cache_keeps_one_memo_per_budget():
     for seed in (1, 3):
         domain = random_instance(seed)
         wider = dataclasses.replace(domain, time_budget=1.1 * domain.time_budget)
-        want = solve(wider)
-        expected = solve(domain)
         cache = {}
-        scheduled.clear()
-        _assert_same_search(solve(domain, schedule_cache=cache), expected)
-        first = set(scheduled)
-        scheduled.clear()
-        got = solve(wider, schedule_cache=cache)
-        _assert_same_search(got, want)
-        # a node that fits only the larger budget was kept as a makespan
-        # alone, so its set runs again, and the run is counted
-        again = [cs for cs in scheduled if cs in first]
-        assert again, f"seed {seed}"
-        assert got[1].bnb_runs == len(scheduled) < want[1].bnb_runs
+        for tuned in (domain, wider):
+            got, want = solve(tuned, schedule_cache=cache), solve(tuned)
+            _assert_same_search(got, want)
+            assert got[1] == want[1], f"seed {seed}"   # bnb_runs included
+        assert sorted(budget for _, budget in cache) == [domain.time_budget, wider.time_budget]
 
 
 def test_an_alpha_sweep_past_the_table_cap_shares_one_cache(monkeypatch):
@@ -531,6 +523,22 @@ def test_search_on_lazy_tables_matches_the_tabulated_search(monkeypatch):
         assert got[0].allocation == want[0].allocation
         assert got[0].schedule == want[0].schedule
         assert got[0].total_quality == want[0].total_quality
+
+
+@pytest.mark.parametrize("n_robots, seed", [(8, 0), (8, 3), (9, 0), (9, 1), (9, 5)])
+def test_a_team_past_the_table_cap_searches_as_a_tabulated_one(monkeypatch, n_robots, seed):
+    import staq.model as model
+
+    domain = wide_team_domain(seed, n_robots)
+    assert n_robots > model.TABLE_MAX_ROBOTS
+    solution, stats = solve(domain)
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "TABLE_MAX_ROBOTS", n_robots)
+        want_solution, want_stats = solve(dataclasses.replace(domain))
+    assert stats == want_stats   # every field
+    assert solution == want_solution
+    report = bound_report(domain, solution, stats, oracle=brute_force_optimal(domain))
+    assert report.guarantee_applies and report.holds_apriori
 
 
 def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
