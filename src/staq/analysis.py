@@ -334,12 +334,14 @@ def alpha_sweep(
     the exhaustive optimum, all normalized by the root-to-null quality span.
     Returns None when the instance has no feasible allocation at all.
 
-    The runs share one schedule cache, so the estimated travel table's
-    piece ids are tabulated once and a constraint set is scheduled once
-    across all of them.
+    Every alpha's domain is built first, so the model rejects a bad alpha
+    before the oracle runs. The runs share one schedule cache, so the
+    estimated travel table's piece ids are tabulated once and a
+    constraint set is scheduled once across all of them.
     """
     if alphas is None:
         alphas = tuple(round(i / 10, 1) for i in range(11))
+    tuned = [replace(domain, alpha=alpha) for alpha in alphas]
     if planner is None:
         planner = GridPlanner(domain.world)
     schedule_cache: ScheduleCache = {}
@@ -349,8 +351,7 @@ def alpha_sweep(
         return None
 
     rows = []
-    for alpha in alphas:
-        domain_a = replace(domain, alpha=float(alpha))
+    for domain_a in tuned:
         solution, stats = solve(domain_a, planner=planner, schedule_cache=schedule_cache)
         if solution is None:
             raise InvalidInput(
@@ -361,7 +362,7 @@ def alpha_sweep(
         norm = span if span > TOL else 1.0
         rows.append(
             SweepRow(
-                alpha=float(alpha),
+                alpha=float(domain_a.alpha),
                 quality=solution.total_quality,
                 makespan=solution.schedule.makespan,
                 norm_gap=report.gap / norm,

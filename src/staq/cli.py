@@ -118,9 +118,6 @@ def _parse_alphas(text: Optional[str]) -> Optional[list[float]]:
         raise InvalidInput(f"--alphas: {exc}") from exc
     if not alphas:
         raise InvalidInput("--alphas: expected at least one value")
-    for a in alphas:
-        if not (0.0 <= a <= 1.0):
-            raise InvalidInput(f"--alphas: {a} outside [0, 1]")
     return alphas
 
 

@@ -50,16 +50,6 @@ def _at(where: str, make, *args):
         _fail(where, str(exc))
 
 
-def _as_cell(value, where: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        _fail(where, f"expected [col, row] integer pair, got {value!r}")
-    return (value[0], value[1])
-
-
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(where, f"expected a number, got {value!r}")
@@ -72,21 +62,14 @@ def _as_number(value, where: str) -> float:
     return number
 
 
-def _as_pairs(value, where: str) -> list[tuple[int, int]]:
+def _as_pairs(value, where: str) -> list:
+    """A precedence or mutex list as written, [] when absent; TaskNetwork
+    checks each pair."""
     if value is None:
         return []
     if not isinstance(value, list):
         _fail(where, f"expected a list of [i, j] pairs, got {value!r}")
-    out = []
-    for k, pair in enumerate(value):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-        ):
-            _fail(f"{where}[{k}]", f"expected an [i, j] integer pair, got {pair!r}")
-        out.append((pair[0], pair[1]))
-    return out
+    return value
 
 
 def load_gp_model(path: Union[str, Path]) -> GPModel:
@@ -126,7 +109,7 @@ def save_gp_model(model: GPModel, path: Union[str, Path]) -> None:
         "noise_var": model.noise_var,
         "prior_mean": model.prior_mean,
     }
-    _write_json(doc, path)
+    write_json_result(doc, path)
 
 
 def _parse_quality_map(doc, where: str, base_dir: Path):
@@ -166,7 +149,9 @@ def _read_json(path: Union[str, Path]) -> dict:
         ) from exc
 
 
-def _write_json(doc, path: Union[str, Path]) -> None:
+def write_json_result(doc, path: Union[str, Path]) -> None:
+    """Write doc as JSON: two-space indent, sorted keys, a trailing newline;
+    NaN and the infinities raise ValueError before anything is written."""
     Path(path).write_text(
         json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
@@ -175,7 +160,13 @@ def _write_json(doc, path: Union[str, Path]) -> None:
 def instance_from_document(
     doc: dict, *, base_dir: Union[str, Path] = ".", alpha_override: Optional[float] = None
 ) -> LoadedInstance:
-    """Build a validated problem domain from a parsed instance document."""
+    """Build a problem domain from a parsed instance document.
+
+    Here only the document's shape is checked (required keys, non-empty
+    lists and objects where the schema has them) and _as_number's JSON
+    rule for numbers. Every value rule (cells, pairs, ranges, quality-map
+    widths) is the model constructors'; a robot's or task's error is
+    prefixed with its position."""
     if not isinstance(doc, dict):
         raise InvalidInput("instance document must be a JSON object")
     base_dir = Path(base_dir)
@@ -203,13 +194,9 @@ def instance_from_document(
         traits = rd["traits"]
         if not isinstance(traits, list) or not traits:
             _fail(f"{where}.traits", "expected a non-empty list of numbers")
-        robots.append(_at(
-            where,
-            Robot,
-            np.asarray([_as_number(t, f"{where}.traits") for t in traits]),
-            _as_cell(rd["start"], f"{where}.start"),
-            _as_number(rd["speed"], f"{where}.speed"),
-        ))
+        traits = [_as_number(t, f"{where}.traits") for t in traits]
+        speed = _as_number(rd["speed"], f"{where}.speed")
+        robots.append(_at(where, Robot, traits, rd["start"], speed))
 
     tasks_doc = doc["tasks"]
     if not isinstance(tasks_doc, list) or not tasks_doc:
@@ -223,26 +210,14 @@ def instance_from_document(
         for key in ("duration", "start_site", "end_site", "quality_map"):
             if key not in td:
                 _fail(where, f"missing key {key!r}")
-        tasks.append(_at(
-            where,
-            Task,
-            _as_number(td["duration"], f"{where}.duration"),
-            _as_cell(td["start_site"], f"{where}.start_site"),
-            _as_cell(td["end_site"], f"{where}.end_site"),
-        ))
-        quality_map = _parse_quality_map(td["quality_map"], f"{where}.quality_map", base_dir)
-        # a map reads the summed traits of a coalition, one entry per robot trait
-        if quality_map.width != robots[0].traits.size:
-            _fail(
-                f"{where}.quality_map",
-                f"reads {quality_map.width} traits, but the robots have {robots[0].traits.size}",
-            )
-        quality_maps.append(quality_map)
+        duration = _as_number(td["duration"], f"{where}.duration")
+        tasks.append(_at(where, Task, duration, td["start_site"], td["end_site"]))
+        quality_maps.append(_parse_quality_map(td["quality_map"], f"{where}.quality_map", base_dir))
 
     network = TaskNetwork(
         tasks=tuple(tasks),
-        precedence=frozenset(_as_pairs(doc.get("precedence"), "precedence")),
-        mutex=frozenset(_as_pairs(doc.get("mutex"), "mutex")),
+        precedence=_as_pairs(doc.get("precedence"), "precedence"),
+        mutex=_as_pairs(doc.get("mutex"), "mutex"),
     )
 
     alpha = _as_number(doc.get("alpha", 0.4), "alpha")
@@ -339,7 +314,7 @@ def save_instance(
     seed: Optional[int] = None,
     model_paths: Optional[dict] = None,
 ) -> None:
-    _write_json(instance_to_document(domain, seed=seed, model_paths=model_paths), path)
+    write_json_result(instance_to_document(domain, seed=seed, model_paths=model_paths), path)
 
 
 def _bound_report_document(report: Optional[BoundReport]) -> Optional[dict]:
@@ -452,10 +427,6 @@ def oracle_document(domain: ProblemDomain, result: OracleResult) -> dict:
             }
         )
     return doc
-
-
-def write_json_result(doc: dict, path: Union[str, Path]) -> None:
-    _write_json(doc, path)
 
 
 def _format_value(x) -> str:

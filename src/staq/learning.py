@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import ContractViolation, InvalidInput
+from .model import ContractViolation, InvalidInput, _positive_finite
 
 VAR_ROUNDOFF = 1e-10
 NOISE_FLOOR = 1e-8
@@ -48,8 +48,8 @@ class LinearQualityMap:
             raise InvalidInput("weights must be a non-empty vector")
         if not (np.all(np.isfinite(weights)) and np.all(weights >= 0)):
             raise InvalidInput("weights must be non-negative and finite")
-        if not (math.isfinite(self.normalizer) and self.normalizer > 0):
-            raise InvalidInput("normalizer must be positive and finite")
+        if not _positive_finite(self.normalizer):
+            raise InvalidInput(f"normalizer must be positive and finite, got {self.normalizer!r}")
 
     @property
     def width(self) -> int:
@@ -117,11 +117,11 @@ def gp_fit(
         raise InvalidInput("need at least one training point")
     _check_features(x)
     _check_labels(y)
-    if not (math.isfinite(signal_var) and signal_var > 0):
+    if not _positive_finite(signal_var):
         raise InvalidInput("signal_var must be positive and finite")
     if length_scale is None:
         length_scale = math.sqrt(x.shape[1])
-    if not (math.isfinite(length_scale) and length_scale > 0):
+    if not _positive_finite(length_scale):
         raise InvalidInput("length_scale must be positive and finite")
     if not math.isfinite(noise_var):
         raise InvalidInput("noise_var must be finite")

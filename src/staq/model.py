@@ -9,8 +9,9 @@ tables alike.
 
 from __future__ import annotations
 
-import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -44,19 +45,34 @@ class InvalidInput(ValueError):
     """An operation received arguments that violate its contract."""
 
 
-def _positive_finite(x: float) -> bool:
-    """NaN fails every comparison, so a plain `x <= 0` check lets it through."""
-    return math.isfinite(x) and x > 0
+def _real(x) -> bool:
+    """A real number, not a bool: numpy numbers pass, numpy bools do not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _positive_finite(x) -> bool:
+    """NaN fails every comparison, so a plain `x <= 0` check lets it through;
+    an infinity or an int beyond the float range fails the upper bound."""
+    return _real(x) and 0 < x <= sys.float_info.max
 
 
 def _integer_pair(value, what: str) -> tuple[int, int]:
     """value as a pair of ints, such as a (col, row) cell or a task pair; a
-    numpy integer passes, a float or a string does not."""
+    numpy integer passes, a bool, a float or a string does not."""
     try:
         a, b = value
-        return operator.index(a), operator.index(b)
+        if not (isinstance(a, bool) or isinstance(b, bool)):
+            return operator.index(a), operator.index(b)
     except (TypeError, ValueError):
-        raise InvalidInput(f"{what} must be a pair of integers, got {value!r}") from None
+        pass
+    raise InvalidInput(f"{what} must be a pair of integers, got {value!r}")
+
+
+def _as_tuple(value, what: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be iterable, got {value!r}") from None
 
 
 class ContractViolation(RuntimeError):
@@ -80,8 +96,9 @@ class WorldMap:
         if self.width < 1 or self.height < 1:
             raise InvalidInput("map dimensions must be positive")
         if not _positive_finite(self.cell_size):
-            raise InvalidInput(f"cell_size must be positive and finite, got {self.cell_size}")
-        occupied = frozenset(_integer_pair(cell, "occupied cell") for cell in self.occupied)
+            raise InvalidInput(f"cell_size must be positive and finite, got {self.cell_size!r}")
+        occupied = frozenset(_integer_pair(cell, "occupied cell")
+                             for cell in _as_tuple(self.occupied, "occupied cells"))
         object.__setattr__(self, "occupied", occupied)
         for cell in occupied:
             if not self.in_bounds(cell):
@@ -142,7 +159,7 @@ class Robot:
         if np.any(traits < 0):
             raise InvalidInput("robot traits must be non-negative")
         if not _positive_finite(self.speed):
-            raise InvalidInput(f"robot speed must be positive and finite, got {self.speed}")
+            raise InvalidInput(f"robot speed must be positive and finite, got {self.speed!r}")
 
 
 @dataclass(frozen=True)
@@ -156,14 +173,14 @@ class Task:
 
     def __post_init__(self) -> None:
         if not _positive_finite(self.duration):
-            raise InvalidInput(f"task duration must be positive and finite, got {self.duration}")
+            raise InvalidInput(f"task duration must be positive and finite, got {self.duration!r}")
         for name in ("start_site", "end_site"):
             object.__setattr__(self, name, _integer_pair(getattr(self, name), f"task {name}"))
 
 
 def _canonical_pairs(pairs, m: int, *, ordered: bool, kind: str) -> frozenset[tuple[int, int]]:
     out = set()
-    for pair in pairs:
+    for pair in _as_tuple(pairs, f"{kind} pairs"):
         i, j = _integer_pair(pair, f"{kind} pair")
         if i == j:
             raise InvalidInput(f"{kind} pair ({i},{j}) is a self-pair")
@@ -182,7 +199,7 @@ class TaskNetwork:
     mutex: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        tasks = tuple(self.tasks)
+        tasks = _as_tuple(self.tasks, "tasks")
         object.__setattr__(self, "tasks", tasks)
         m = len(tasks)
         if m < 1:
@@ -295,9 +312,9 @@ class ProblemDomain:
     traits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        robots = tuple(self.robots)
+        robots = _as_tuple(self.robots, "robots")
         object.__setattr__(self, "robots", robots)
-        object.__setattr__(self, "quality_maps", tuple(self.quality_maps))
+        object.__setattr__(self, "quality_maps", _as_tuple(self.quality_maps, "quality_maps"))
         if not robots:
             raise InvalidInput("need at least one robot")
         u = robots[0].traits.size
@@ -317,9 +334,9 @@ class ProblemDomain:
             if width != u:
                 raise InvalidInput(f"task {k}: quality map reads {width} traits, robots have {u}")
         if not _positive_finite(self.time_budget):
-            raise InvalidInput(f"time budget must be positive and finite, got {self.time_budget}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise InvalidInput(f"alpha must be in [0,1], got {self.alpha}")
+            raise InvalidInput(f"time budget must be positive and finite, got {self.time_budget!r}")
+        if not (_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
+            raise InvalidInput(f"alpha must be in [0,1], got {self.alpha!r}")
         traits = np.stack([r.traits for r in robots])
         traits.setflags(write=False)
         object.__setattr__(self, "traits", traits)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -91,11 +92,13 @@ def plan_path(world: WorldMap, start: Cell, goal: Cell) -> Optional[PathResult]:
     return None
 
 
-def steps_field(world: WorldMap, goal: Cell) -> list[int]:
+def steps_field(world: WorldMap, goal: Cell) -> array:
     """Fewest 4-connected moves from each cell to goal, indexed
     row * width + col, by breadth-first search from goal; -1 where a free
     cell cannot reach goal, -2 on a blocked cell. Moves are symmetric, so
-    each count is the length of plan_path(world, cell, goal) minus one."""
+    each count is the length of plan_path(world, cell, goal) minus one.
+    Searched on a list, which is faster; returned as an array('i'), 4
+    bytes a cell where a list keeps a pointer and past 256 an int object."""
     if not world.is_free(goal):
         raise InvalidInput(f"goal cell {goal} is blocked or out of bounds")
     width, size = world.width, world.width * world.height
@@ -121,7 +124,7 @@ def steps_field(world: WorldMap, goal: Cell) -> list[int]:
         if col and steps[i - 1] == -1:
             steps[i - 1] = d
             queue.append(i - 1)
-    return steps
+    return array("i", steps)
 
 
 class GridPlanner:
@@ -131,7 +134,7 @@ class GridPlanner:
     def __init__(self, world: WorldMap):
         self.world = world
         self._cache: dict[tuple[Cell, Cell], Optional[PathResult]] = {}
-        self._fields: dict[Cell, list[int]] = {}
+        self._fields: dict[Cell, array] = {}
         self.calls = 0
         self.cache_hits = 0
 

@@ -135,7 +135,7 @@ def test_sweep_with_explicit_alphas(instance_file, tmp_path):
 def test_sweep_rejects_bad_alphas(instance_file, tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", str(instance_file), "--alphas", "1.5", "-o", out]) == EXIT_ERROR
-    assert "outside [0, 1]" in capsys.readouterr().err
+    assert "alpha must be in [0,1], got 1.5" in capsys.readouterr().err
     assert main(["sweep", str(instance_file), "--alphas", "x", "-o", out]) == EXIT_ERROR
     assert main(["sweep", str(instance_file), "--alphas", ",", "-o", out]) == EXIT_ERROR
 
@@ -337,7 +337,7 @@ def test_quality_map_of_the_wrong_width_is_an_input_error(command, kind, tmp_pat
     rc = main([command, str(tmp_path / "instance.json"), "-o", str(tmp_path / "out")])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "tasks[0].quality_map" in err
+    assert err.startswith("error:") and "task 0: quality map reads" in err
 
 
 def test_missing_instance_file(tmp_path, capsys):

@@ -87,6 +87,15 @@ NOT_INTEGER = [   # (the field the error names, a construction that must fail)
                  id="float-precedence"),
     pytest.param("precedence pair", lambda: TaskNetwork((_one_task(),) * 2, precedence={(0, "1")}),
                  id="string-precedence"),
+    # a bool is an int to operator.index, but not a size, a coordinate or a task
+    pytest.param("map (width, height)", lambda: WorldMap(width=True, height=3), id="bool-width"),
+    pytest.param("occupied cell", lambda: WorldMap(width=3, height=3, occupied={(True, 2)}),
+                 id="bool-occupied-cell"),
+    pytest.param("robot start_cell", lambda: Robot(np.ones(2), start_cell=(False, 1), speed=1.0),
+                 id="bool-robot-cell"),
+    pytest.param("task end_site", lambda: _one_task(end_site=(True, 0)), id="bool-end-site"),
+    pytest.param("precedence pair", lambda: TaskNetwork((_one_task(),) * 2, precedence={(0, True)}),
+                 id="bool-precedence"),
 ]
 
 
@@ -94,6 +103,50 @@ NOT_INTEGER = [   # (the field the error names, a construction that must fail)
 def test_grid_input_must_be_integers(field, make):
     with pytest.raises(InvalidInput, match=re.escape(field)):
         make()
+
+
+NOT_ITERABLE = [   # (the container the error names, a construction that must fail)
+    pytest.param("occupied cells", lambda: WorldMap(width=3, height=3, occupied=5), id="occupied"),
+    pytest.param("tasks", lambda: TaskNetwork(5), id="tasks"),
+    pytest.param("precedence pairs", lambda: TaskNetwork(_tasks(2), precedence=5),
+                 id="precedence"),
+    pytest.param("robots", lambda: dataclasses.replace(two_task_domain(), robots=5), id="robots"),
+    pytest.param("quality_maps", lambda: dataclasses.replace(two_task_domain(), quality_maps=5),
+                 id="quality-maps"),
+]
+
+
+@pytest.mark.parametrize("field, make", NOT_ITERABLE)
+def test_containers_must_be_iterable(field, make):
+    with pytest.raises(InvalidInput, match=re.escape(f"{field} must be iterable, got 5")):
+        make()
+
+
+NUMBER_FIELDS = [   # (the field the error names, a construction from the value under test)
+    pytest.param("cell_size", lambda v: WorldMap(width=3, height=3, cell_size=v), id="cell-size"),
+    pytest.param("robot speed", lambda v: Robot(np.ones(2), start_cell=(0, 0), speed=v),
+                 id="speed"),
+    pytest.param("task duration", lambda v: Task(duration=v, start_site=(0, 0), end_site=(1, 0)),
+                 id="duration"),
+    pytest.param("time budget", lambda v: two_task_domain(time_budget=v), id="time-budget"),
+    pytest.param("alpha", lambda v: two_task_domain(alpha=v), id="alpha"),
+    pytest.param("normalizer", lambda v: LinearQualityMap(np.ones(2), v), id="normalizer"),
+]
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "string"])
+@pytest.mark.parametrize("field, make", NUMBER_FIELDS)
+def test_number_input_must_be_a_real_number(field, make, value):
+    # the message quotes the value, so a string reads '1', not 1
+    with pytest.raises(InvalidInput, match=re.escape(f"{field} must be") + ".* got "
+                       + re.escape(repr(value))):
+        make(value)
+
+
+@pytest.mark.parametrize("field, make", [p for p in NUMBER_FIELDS if p.id != "alpha"])
+def test_an_int_beyond_the_float_range_is_not_finite(field, make):
+    with pytest.raises(InvalidInput, match=re.escape(f"{field} must be positive and finite")):
+        make(10**400)
 
 
 def test_numpy_integer_grid_input_is_read_as_ints():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,21 @@ def test_planner_keeps_one_distance_field_per_goal(monkeypatch):
         assert planner.steps(start, (1, 1)) == abs(start[0] - 1) + abs(start[1] - 1)
     assert planner.steps((1, 1), (4, 0)) == 4
     assert made == [(1, 1), (4, 0)]
+
+
+def test_a_planner_keeps_a_distance_field_at_4_bytes_a_cell():
+    # the farthest cell is 198 moves away: a list would keep an 8-byte
+    # pointer to a cached small int a cell
+    side = 100
+    planner = GridPlanner(open_world(side, side))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert planner.steps((0, 0), (side - 1, side - 1)) == 2 * (side - 1)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 4.0 <= kept / side**2 < 4.1
 
 
 # ------------------------------------------------------- leg time sources

@@ -31,7 +31,7 @@ from staq.model import (  # noqa: E402
     WorldMap,
     validate_solution,
 )
-from staq.motion import GridPlanner, estimated_leg_seconds  # noqa: E402
+from staq.motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds  # noqa: E402
 from staq.scheduler import (  # noqa: E402
     TOL,
     ConstraintSet,
@@ -120,6 +120,17 @@ def test_branch_and_bound_matches_full_relaxation_with_infinite_terms(cs):
     assert solve_milp(cs) == reference_solve_milp(cs)[0]
 
 
+def _assert_optimal_under_planned_travel(domain, solution):
+    """The accepted schedule's makespan is exactly the optimum of its
+    allocation's constraint set under planned travel: refinement never
+    raises a term above its planned value, and at its fixpoint every mutex
+    direction the schedule uses carries its planned value (docs/format.md,
+    makespan)."""
+    planned = make_travel_tables(domain, planned_leg_seconds(GridPlanner(domain.world), domain))
+    cs = build_constraints_fast(planned, solution.allocation.coalition_masks())
+    assert solve_milp(cs).schedule.makespan == solution.schedule.makespan
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 199),
@@ -128,8 +139,9 @@ def test_branch_and_bound_matches_full_relaxation_with_infinite_terms(cs):
 )
 def test_every_solution_validates(seed, alpha, budget_fraction):
     """Solutions on drawn instances, blend weights and budgets (a fraction
-    of the instance's own) pass validate_solution; None means the search
-    found nothing within the budget."""
+    of the instance's own) pass validate_solution and are optimal for
+    their allocation under planned travel; None means the search found
+    nothing within the budget."""
     domain = random_instance(seed)
     assume(domain.n_tasks * domain.n_robots <= MAX_BITS)
     domain = replace(domain, alpha=alpha, time_budget=domain.time_budget * budget_fraction)
@@ -137,6 +149,7 @@ def test_every_solution_validates(seed, alpha, budget_fraction):
     if solution is not None:
         report = validate_solution(domain, solution)
         assert report.ok, report.violations
+        _assert_optimal_under_planned_travel(domain, solution)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -212,11 +225,11 @@ def test_search_and_oracle_agree_on_drawn_domains(domain):
     """The search finds no solution exactly when the oracle finds no
     allocation within the budget, both judging it by makespan <= budget.
     The instance written as a JSON document and read back solves to the
-    same solution and stats. Each solution validates, gives one direction
-    for each mutex pair of its allocation's set and nothing else, scores
-    no better than the optimum, and gets a bound report with no NaN field,
-    whose bounds hold wherever the guarantee applies and alpha is below
-    0.5."""
+    same solution and stats. Each solution validates, is optimal for its
+    allocation under planned travel, gives one direction for each mutex
+    pair of its allocation's set and nothing else, scores no better than
+    the optimum, and gets a bound report with no NaN field, whose bounds
+    hold wherever the guarantee applies and alpha is below 0.5."""
     oracle = brute_force_optimal(domain, GridPlanner(domain.world))
     solution, stats = solve(domain)
     assert (solution is None) == (not oracle.feasible)
@@ -224,6 +237,7 @@ def test_search_and_oracle_agree_on_drawn_domains(domain):
     if solution is not None:
         report = validate_solution(domain, solution)
         assert report.ok, report.violations
+        _assert_optimal_under_planned_travel(domain, solution)
         cs = build_constraints(domain, solution.allocation, estimated_leg_seconds(domain))
         assert sorted(solution.orderings) == [pair for pair, _ in cs.mutex_pairs]
         assert set(solution.orderings.values()) <= {1, -1}
