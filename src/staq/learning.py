@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import ContractViolation, InvalidInput, _positive_finite
+from .model import ContractViolation, InvalidInput, _positive_finite, _real_vector
 
 VAR_ROUNDOFF = 1e-10
 NOISE_FLOOR = 1e-8
@@ -41,8 +41,7 @@ class LinearQualityMap:
     normalizer: float
 
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
-        weights.setflags(write=False)
+        weights = _real_vector(self.weights, "weights")
         object.__setattr__(self, "weights", weights)
         if weights.ndim != 1 or weights.size < 1:
             raise InvalidInput("weights must be a non-empty vector")

@@ -75,6 +75,24 @@ def _as_tuple(value, what: str) -> tuple:
         raise InvalidInput(f"{what} must be iterable, got {value!r}") from None
 
 
+def _real_vector(values, what: str) -> np.ndarray:
+    """values as a read-only float array, each member a real number and not
+    a bool (_real); a numpy array of ints or floats passes whole."""
+    members = values
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        members = _as_tuple(values, what)
+        if not all(map(_real, members)):
+            raise InvalidInput(f"{what} must be real numbers, got {values!r}")
+    vector = np.array(members, dtype=float)
+    vector.setflags(write=False)
+    return vector
+
+
+def _of_type(value, kind: type, what: str) -> None:
+    if not isinstance(value, kind):
+        raise InvalidInput(f"{what} must be a {kind.__name__}, got {value!r}")
+
+
 class ContractViolation(RuntimeError):
     """A numeric precondition was broken beyond tolerance."""
 
@@ -148,8 +166,7 @@ class Robot:
     speed: float
 
     def __post_init__(self) -> None:
-        traits = np.asarray(self.traits, dtype=float)
-        traits.setflags(write=False)
+        traits = _real_vector(self.traits, "robot traits")
         object.__setattr__(self, "traits", traits)
         object.__setattr__(self, "start_cell", _integer_pair(self.start_cell, "robot start_cell"))
         if traits.ndim != 1 or traits.size < 1:
@@ -201,6 +218,8 @@ class TaskNetwork:
     def __post_init__(self) -> None:
         tasks = _as_tuple(self.tasks, "tasks")
         object.__setattr__(self, "tasks", tasks)
+        for k, task in enumerate(tasks):
+            _of_type(task, Task, f"tasks[{k}]")
         m = len(tasks)
         if m < 1:
             raise InvalidInput("task network needs at least one task")
@@ -312,11 +331,15 @@ class ProblemDomain:
     traits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _of_type(self.network, TaskNetwork, "network")
+        _of_type(self.world, WorldMap, "world")
         robots = _as_tuple(self.robots, "robots")
         object.__setattr__(self, "robots", robots)
         object.__setattr__(self, "quality_maps", _as_tuple(self.quality_maps, "quality_maps"))
         if not robots:
             raise InvalidInput("need at least one robot")
+        for k, r in enumerate(robots):
+            _of_type(r, Robot, f"robots[{k}]")
         u = robots[0].traits.size
         for k, r in enumerate(robots):
             if r.traits.size != u:
@@ -330,6 +353,8 @@ class ProblemDomain:
         if len(self.quality_maps) != len(self.network):
             raise InvalidInput("need exactly one quality map per task")
         for k, q in enumerate(self.quality_maps):
+            if not callable(q):
+                raise InvalidInput(f"quality_maps[{k}] must be callable, got {q!r}")
             width = getattr(q, "width", u)
             if width != u:
                 raise InvalidInput(f"task {k}: quality map reads {width} traits, robots have {u}")

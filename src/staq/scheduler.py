@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import model
-from .model import TOL, Allocation, InvalidInput, MaskMemo, ProblemDomain, Schedule, by_mask
+from .model import Allocation, InvalidInput, MaskMemo, ProblemDomain, Schedule, by_mask
 from .motion import LegSeconds, estimated_leg_seconds
 
 
@@ -43,14 +43,6 @@ class ConstraintSet(NamedTuple):
     initial_offsets: tuple[float, ...]
     precedence_travel: tuple[tuple[tuple[int, int], float], ...]
     mutex_pairs: tuple[tuple[tuple[int, int], tuple[float, float]], ...]
-
-    @property
-    def n_quantities(self) -> int:
-        return (
-            len(self.initial_offsets)
-            + len(self.precedence_travel)
-            + 2 * len(self.mutex_pairs)
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,39 +384,28 @@ def worst_makespan(domain: ProblemDomain) -> float:
 
 def refine_with_motion_plans(
     planned: ConstraintSet,
-    schedule: Schedule,
+    orderings: dict[tuple[int, int], int],
     cs: ConstraintSet,
 ) -> tuple[ConstraintSet, bool]:
-    """Replace the travel quantities this schedule relies on with planned ones.
+    """Replace the travel quantities a schedule of cs relies on with planned
+    ones.
 
     planned is the allocation's set under travel times along grid paths
     (infinite where a leg is unreachable, which the solver reports as
     infeasible), built once per node: a round never changes it. Every
     release offset and precedence travel term is active in any schedule, so
     those come from planned; of each mutex disjunction only the direction
-    the schedule realized (realized_orderings) is, and the other keeps its
-    value from cs, a set of the same allocation, which lists the same pairs
-    in the same order.
-    Returns the updated set and whether anything grew; planned paths are
-    never shorter than the straight-line estimate, so quantities only
-    increase and repeated refinement reaches a fixpoint.
+    the schedule realized is, orderings giving it per pair as
+    realized_orderings does, and the other keeps its value from cs, a set
+    of the same allocation, which lists the same pairs in the same order.
+    Returns the updated set and whether it differs from cs, compared
+    exactly: each term of cs is its estimate or its planned value, planned
+    paths are never shorter than the straight line, and an unrealized
+    direction keeps its value, so no term falls and any change is growth.
     """
-    orderings = realized_orderings(cs, schedule)
     mutex_pairs = tuple(
         (pair, (x_ij, old_ji) if orderings[pair] == 1 else (old_ij, x_ji))
         for (pair, (x_ij, x_ji)), (_, (old_ij, old_ji)) in zip(planned.mutex_pairs, cs.mutex_pairs)
     )
     refined = planned._replace(mutex_pairs=mutex_pairs)
-    changed = (
-        any(x > old + TOL for x, old in zip(refined.initial_offsets, cs.initial_offsets))
-        or any(
-            x > old + TOL
-            for (_, x), (_, old) in zip(refined.precedence_travel, cs.precedence_travel)
-        )
-        or any(
-            x > old + TOL
-            for (_, xs), (_, olds) in zip(mutex_pairs, cs.mutex_pairs)
-            for x, old in zip(xs, olds)
-        )
-    )
-    return refined, changed
+    return refined, refined != cs

@@ -167,7 +167,7 @@ def solve(
     breadth-first distance fields. A popped node that fits the budget takes
     its kept set and outcome (kept when first scheduled, as every solve on
     the memo has this budget), builds its set under planned travel, refines
-    until the schedule's mutex orderings repeat (refinement sets are
+    until refining gives back the set exactly (_refine; refinement sets are
     memoized by content), and is scored once after; it is accepted if it
     still fits, else re-queued with its refined makespan. At acceptance
     only OpenSet.best, the open node the post-hoc bound reads, is scored
@@ -339,23 +339,25 @@ def _refine(
     stats: SearchStats,
     schedule: Callable[[ConstraintSet], ScheduleOutcome],
 ) -> ScheduleOutcome:
-    """Swap estimated travel for planned travel until the schedule stops moving.
+    """Swap estimated travel for planned travel until the set is a fixpoint.
 
     cs is the node's set under estimated travel and outcome its schedule;
-    planned is the node's set under planned travel. Each round replaces at
-    least one estimate with its planned value and planned values are final,
-    so the loop is bounded by the quantity count. A round whose schedule
-    realizes the previous round's mutex orderings ends it: refining again
-    would give back the same set. Returns the last round's outcome.
+    planned is the node's set under planned travel. Each round refines the
+    set for the orderings its schedule realizes and schedules it again,
+    until refining gives back the set exactly. That ends: a term moves at
+    most once, from its estimate to its planned value (offsets and
+    precedence terms in the first round; a mutex direction, once planned,
+    stays planned), so there are no more changing rounds than terms. A
+    schedule that realizes the previous round's orderings ends it without
+    a call, as refining would give back its own set. Returns the last
+    round's outcome.
     """
     orderings = None
-    for _ in range(cs.n_quantities + 1):
-        if outcome.schedule is None:
-            break
+    while outcome.schedule is not None:
         previous, orderings = orderings, realized_orderings(cs, outcome.schedule)
         if orderings == previous:
             break
-        cs, changed = refine_with_motion_plans(planned, outcome.schedule, cs)
+        cs, changed = refine_with_motion_plans(planned, orderings, cs)
         if not changed:
             break
         stats.refinement_rounds += 1

@@ -122,6 +122,26 @@ def test_containers_must_be_iterable(field, make):
         make()
 
 
+WRONG_MEMBER = [   # (the field the error names, a construction that must fail)
+    pytest.param("robots[0] must be a Robot",
+                 lambda: dataclasses.replace(two_task_domain(), robots=(5,)), id="robot"),
+    pytest.param("world must be a WorldMap",
+                 lambda: dataclasses.replace(two_task_domain(), world=5), id="world"),
+    pytest.param("network must be a TaskNetwork",
+                 lambda: dataclasses.replace(two_task_domain(), network=5), id="network"),
+    pytest.param("tasks[0] must be a Task", lambda: TaskNetwork(tasks=(1, 2)), id="task"),
+    pytest.param("quality_maps[0] must be callable",
+                 lambda: dataclasses.replace(two_task_domain(), quality_maps=(5, 5)),
+                 id="quality-map"),
+]
+
+
+@pytest.mark.parametrize("field, make", WRONG_MEMBER)
+def test_members_must_have_their_type(field, make):
+    with pytest.raises(InvalidInput, match=re.escape(f"{field}, got ")):
+        make()
+
+
 NUMBER_FIELDS = [   # (the field the error names, a construction from the value under test)
     pytest.param("cell_size", lambda v: WorldMap(width=3, height=3, cell_size=v), id="cell-size"),
     pytest.param("robot speed", lambda v: Robot(np.ones(2), start_cell=(0, 0), speed=v),
@@ -140,6 +160,20 @@ def test_number_input_must_be_a_real_number(field, make, value):
     # the message quotes the value, so a string reads '1', not 1
     with pytest.raises(InvalidInput, match=re.escape(f"{field} must be") + ".* got "
                        + re.escape(repr(value))):
+        make(value)
+
+
+VECTOR_FIELDS = [   # (the field the error names, a construction from the vector under test)
+    pytest.param("robot traits", lambda v: Robot(v, start_cell=(0, 0), speed=1.0), id="traits"),
+    pytest.param("weights", lambda v: LinearQualityMap(v, 1.0), id="weights"),
+]
+
+
+@pytest.mark.parametrize("value", [[True], np.array([True]), ["a"]],
+                         ids=["bool", "numpy-bool", "string"])
+@pytest.mark.parametrize("field, make", VECTOR_FIELDS)
+def test_vector_input_must_be_real_numbers(field, make, value):
+    with pytest.raises(InvalidInput, match=re.escape(f"{field} must be real numbers, got ")):
         make(value)
 
 

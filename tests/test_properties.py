@@ -24,6 +24,7 @@ from staq.instance_io import (  # noqa: E402
 )
 from staq.learning import LinearQualityMap  # noqa: E402
 from staq.model import (  # noqa: E402
+    TOL,
     ProblemDomain,
     Robot,
     Task,
@@ -33,7 +34,6 @@ from staq.model import (  # noqa: E402
 )
 from staq.motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds  # noqa: E402
 from staq.scheduler import (  # noqa: E402
-    TOL,
     ConstraintSet,
     build_constraints_fast,
     make_travel_tables,
@@ -175,7 +175,8 @@ def test_oracle_matches_enumeration(seed, budget_fraction):
 @st.composite
 def domains(draw):
     """At most 12 allocation bits on a 5x4 grid with about a quarter of its
-    cells walled, so some legs are unreachable. Traits and weights may be 0,
+    cells walled, so some legs are unreachable. A robot may be fast enough
+    that its legs take under 1e-9 s. Traits and weights may be 0,
     tasks may form precedence chains and declare mutex pairs, and the team
     or the task list may have one member. The budget is the empty
     allocation's makespan, 5e-10 either side of it, or the worst case."""
@@ -193,7 +194,7 @@ def domains(draw):
     amount = st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0))
     robots = tuple(
         Robot(traits=draw(st.lists(amount, min_size=u, max_size=u)), start_cell=draw(cell),
-              speed=draw(st.sampled_from((0.5, 1.0, 2.0))))
+              speed=draw(st.sampled_from((0.5, 1.0, 2.0, 1e10))))
         for _ in range(n)
     )
     tasks = tuple(

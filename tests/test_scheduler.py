@@ -154,12 +154,6 @@ def test_branch_and_bound_finds_no_schedule_across_an_unreachable_leg():
         assert (outcome, None) == reference_solve_milp(cs)
 
 
-def test_n_quantities_counts_all_travel_terms():
-    cs = _cs([1.0, 1.0, 1.0], precedence={(0, 1): 0.5},
-             mutex={(1, 2): (0.1, 0.2)})
-    assert cs.n_quantities == 3 + 1 + 2
-
-
 # ------------------------------------------------------ fixed-order solve
 
 def test_single_task_starts_after_travel():
@@ -560,8 +554,8 @@ def test_refinement_fixpoint_on_open_map():
     alloc = Allocation.root(1, 1)
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
-    refined, changed = refine_with_motion_plans(_planned(domain, alloc),
-                                                outcome.schedule, cs)
+    refined, changed = refine_with_motion_plans(
+        _planned(domain, alloc), realized_orderings(cs, outcome.schedule), cs)
     assert not changed
     assert refined.initial_offsets == cs.initial_offsets
 
@@ -579,14 +573,14 @@ def test_refinement_grows_travel_around_walls():
     before = solve_milp(cs).schedule.makespan
     planned = _planned(domain, alloc)
     refined, changed = refine_with_motion_plans(
-        planned, solve_milp(cs).schedule, cs)
+        planned, realized_orderings(cs, solve_milp(cs).schedule), cs)
     assert changed
     after_outcome = solve_milp(refined)
     assert after_outcome.schedule.makespan >= before
     assert after_outcome.schedule.makespan == pytest.approx(20.0 + 2.0)
     # second pass is a fixpoint
     again, changed2 = refine_with_motion_plans(
-        planned, after_outcome.schedule, refined)
+        planned, realized_orderings(refined, after_outcome.schedule), refined)
     assert not changed2
     assert again == refined
 
@@ -604,9 +598,9 @@ def test_refinement_updates_only_the_realized_mutex_direction():
     alloc = allocation_from_entries(np.array([[1], [1]]))
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
-    direction = realized_orderings(cs, outcome.schedule)[(0, 1)]
-    refined, changed = refine_with_motion_plans(_planned(domain, alloc),
-                                                outcome.schedule, cs)
+    orderings = realized_orderings(cs, outcome.schedule)
+    direction = orderings[(0, 1)]
+    refined, changed = refine_with_motion_plans(_planned(domain, alloc), orderings, cs)
     assert changed
     [(_, old)] = cs.mutex_pairs
     [(_, new)] = refined.mutex_pairs
@@ -629,7 +623,7 @@ def test_refinement_keeps_the_fresh_sets_pair_order():
         schedule = solve_milp(cs).schedule
         starts = schedule.start_times
         fresh = _planned(domain, alloc)
-        refined, _ = refine_with_motion_plans(fresh, schedule, cs)
+        refined, _ = refine_with_motion_plans(fresh, realized_orderings(cs, schedule), cs)
         assert [p for p, _ in refined.mutex_pairs] == [p for p, _ in fresh.mutex_pairs]
         for ((i, j), new), (_, planned_pair), (_, old) in zip(
                 refined.mutex_pairs, fresh.mutex_pairs, cs.mutex_pairs):
@@ -653,8 +647,8 @@ def test_refinement_marks_unreachable_legs_infinite():
     alloc = Allocation.root(1, 1)
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
-    refined, changed = refine_with_motion_plans(_planned(domain, alloc),
-                                                outcome.schedule, cs)
+    refined, changed = refine_with_motion_plans(
+        _planned(domain, alloc), realized_orderings(cs, outcome.schedule), cs)
     assert changed
     assert math.isinf(refined.initial_offsets[0])
     assert solve_milp(refined).schedule is None

@@ -19,11 +19,10 @@ from staq.model import (
     total_allocation_quality,
     validate_solution,
 )
-from staq.motion import GridPlanner, estimated_leg_seconds
+from staq.motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
 from staq.scheduler import (
     build_constraints_fast,
     make_travel_tables,
-    realized_orderings,
     solve_milp,
     worst_makespan,
 )
@@ -620,9 +619,9 @@ def test_refinement_stops_when_the_orderings_repeat(monkeypatch):
     # would give back its own set, so no such round is refined again
     calls = []
 
-    def recording(planned_cs, schedule, cs):
-        calls.append((planned_cs, realized_orderings(cs, schedule)))
-        return real_refine(planned_cs, schedule, cs)
+    def recording(planned_cs, orderings, cs):
+        calls.append((planned_cs, orderings))
+        return real_refine(planned_cs, orderings, cs)
 
     real_refine = search.refine_with_motion_plans
     monkeypatch.setattr(search, "refine_with_motion_plans", recording)
@@ -637,6 +636,26 @@ def test_refinement_stops_when_the_orderings_repeat(monkeypatch):
         # each round is one call; a node ends on a repeat or on no change
         assert stats.refinement_rounds <= len(calls) <= stats.refinement_rounds + stats.reinserted + 1
     assert later_rounds > 0
+
+
+def test_fast_robots_meet_planned_travel_exactly():
+    # at 1e10 times the speed every leg takes under 1e-9 s, so a change
+    # test with a tolerance would stop refinement on estimates; the exact
+    # fixpoint meets every planned term and is optimal for the planned set
+    for seed in range(10):
+        domain = random_instance(seed)
+        fast = tuple(dataclasses.replace(r, speed=r.speed * 1e10) for r in domain.robots)
+        domain = dataclasses.replace(domain, robots=fast)
+        sol, _ = solve(domain)
+        planned = make_travel_tables(domain, planned_leg_seconds(GridPlanner(domain.world), domain))
+        cs = build_constraints_fast(planned, sol.allocation.coalition_masks())
+        s, d = sol.schedule.start_times, cs.durations
+        assert all(si >= x for si, x in zip(s, cs.initial_offsets)), f"seed {seed}"
+        arcs = [(i, j, x) for (i, j), x in cs.precedence_travel]
+        for (i, j), (x_ij, x_ji) in cs.mutex_pairs:
+            arcs.append((i, j, x_ij) if sol.orderings[(i, j)] == 1 else (j, i, x_ji))
+        assert all(s[j] >= s[i] + (d[i] + x) for i, j, x in arcs), f"seed {seed}"
+        assert sol.schedule.makespan == solve_milp(cs).schedule.makespan, f"seed {seed}"
 
 
 def test_node_qualities_equal_the_total_of_their_masks(recorded):
