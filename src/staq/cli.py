@@ -10,6 +10,7 @@ interface: 0 a solution/result was produced, 2 the instance is infeasible,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -76,21 +77,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    loaded = load_instance(args.instance, alpha_override=args.alpha)
-    solution, stats = search_solve(loaded.domain)
+    domain = load_instance(args.instance).domain
+    if args.alpha is not None:
+        domain = dataclasses.replace(domain, alpha=args.alpha)
+    solution, stats = search_solve(domain)
     if solution is None:
-        write_json_result(infeasible_document(loaded.domain, stats), args.output)
+        write_json_result(infeasible_document(domain, stats), args.output)
         print(
-            f"infeasible: no allocation fits the {loaded.domain.time_budget:g}s budget "
+            f"infeasible: no allocation fits the {domain.time_budget:g}s budget "
             f"({stats.nodes_expanded} nodes expanded)"
         )
         return EXIT_INFEASIBLE
-    report = bound_report(loaded.domain, solution, stats)
-    write_json_result(solution_document(loaded.domain, solution, stats, report), args.output)
+    report = bound_report(domain, solution, stats)
+    write_json_result(solution_document(domain, solution, stats, report), args.output)
     print(
         f"solution: quality {solution.total_quality:.6g}, "
         f"makespan {solution.schedule.makespan:.6g}s "
-        f"(budget {loaded.domain.time_budget:g}s, alpha {loaded.domain.alpha:g}) -> {args.output}"
+        f"(budget {domain.time_budget:g}s, alpha {domain.alpha:g}) -> {args.output}"
     )
     return EXIT_OK
 

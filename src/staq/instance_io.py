@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -157,9 +157,7 @@ def write_json_result(doc, path: Union[str, Path]) -> None:
     )
 
 
-def instance_from_document(
-    doc: dict, *, base_dir: Union[str, Path] = ".", alpha_override: Optional[float] = None
-) -> LoadedInstance:
+def instance_from_document(doc: dict, *, base_dir: Union[str, Path] = ".") -> LoadedInstance:
     """Build a problem domain from a parsed instance document.
 
     Here only the document's shape is checked (required keys, non-empty
@@ -221,9 +219,6 @@ def instance_from_document(
     )
 
     alpha = _as_number(doc.get("alpha", 0.4), "alpha")
-    if alpha_override is not None:
-        alpha = float(alpha_override)
-
     domain = ProblemDomain(
         network=network,
         robots=tuple(robots),
@@ -244,13 +239,8 @@ def instance_from_document(
     return LoadedInstance(domain=domain, seed=seed)
 
 
-def load_instance(
-    path: Union[str, Path], *, alpha_override: Optional[float] = None
-) -> LoadedInstance:
-    doc = _read_json(path)
-    return instance_from_document(
-        doc, base_dir=Path(path).parent, alpha_override=alpha_override
-    )
+def load_instance(path: Union[str, Path]) -> LoadedInstance:
+    return instance_from_document(_read_json(path), base_dir=Path(path).parent)
 
 
 def _quality_map_document(qm, index: int, model_paths: Optional[dict]) -> dict:
@@ -317,50 +307,30 @@ def save_instance(
     write_json_result(instance_to_document(domain, seed=seed, model_paths=model_paths), path)
 
 
-def _bound_report_document(report: Optional[BoundReport]) -> Optional[dict]:
-    if report is None:
-        return None
-    return {
-        "alpha": report.alpha,
-        "q_root": report.q_root,
-        "q_null": report.q_null,
-        "q_solution": report.q_solution,
-        "q_optimal": report.q_optimal,
-        "apriori_bound": _json_number(report.apriori_bound),
-        "posthoc_bound": _json_number(report.posthoc_bound),
-        "gap": report.gap,
-        "overrun_of_best_open": _json_number(report.overrun_of_best_open),
-        "apriori_trivial": report.apriori_trivial,
-        "guarantee_applies": report.guarantee_applies,
-        "holds_apriori": report.holds_apriori,
-        "holds_posthoc": report.holds_posthoc,
-    }
-
-
-def _json_number(x: float):
+def _json_number(x):
     # JSON has no inf; the documented sentinel is the string "inf".
-    if math.isinf(x):
+    if isinstance(x, float) and math.isinf(x):
         return "inf"
     return x
 
 
+def _record_document(record) -> dict:
+    """A dataclass's fields by name, each float through _json_number."""
+    return {f.name: _json_number(getattr(record, f.name)) for f in fields(record)}
+
+
+def _bound_report_document(report: Optional[BoundReport]) -> Optional[dict]:
+    return None if report is None else _record_document(report)
+
+
 def _stats_document(stats: SearchStats) -> dict:
     """The search counters and normalization references, the same block in
-    the solution and the infeasible document."""
-    return {
-        "nodes_expanded": stats.nodes_expanded,
-        "nodes_generated": stats.nodes_generated,
-        "duplicates_skipped": stats.duplicates_skipped,
-        "scheduler_calls": stats.scheduler_calls,
-        "refinement_rounds": stats.refinement_rounds,
-        "bnb_runs": stats.bnb_runs,
-        "bnb_nodes": stats.bnb_nodes,
-        "reinserted": stats.reinserted,
-        "planner_calls": stats.planner_calls,
-        "worst_makespan": stats.worst_makespan,
-        "quality_root": stats.quality_root,
-        "quality_null": stats.quality_null,
-    }
+    the solution and the infeasible document. best_open, the post-hoc
+    bound's input, is left to the bounds block."""
+    doc = _record_document(stats)
+    del doc["best_open"]
+    doc["scheduler_calls"] = stats.scheduler_calls
+    return doc
 
 
 def solution_document(
@@ -440,16 +410,7 @@ def _format_value(x) -> str:
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: Union[str, Path]) -> None:
-    columns = [
-        "alpha",
-        "quality",
-        "makespan",
-        "norm_gap",
-        "norm_apriori_bound",
-        "norm_posthoc_bound",
-        "holds_apriori",
-        "holds_posthoc",
-    ]
+    columns = [f.name for f in fields(SweepRow)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)

@@ -392,16 +392,19 @@ def refine_with_motion_plans(
 
     planned is the allocation's set under travel times along grid paths
     (infinite where a leg is unreachable, which the solver reports as
-    infeasible), built once per node: a round never changes it. Every
-    release offset and precedence travel term is active in any schedule, so
-    those come from planned; of each mutex disjunction only the direction
-    the schedule realized is, orderings giving it per pair as
-    realized_orderings does, and the other keeps its value from cs, a set
-    of the same allocation, which lists the same pairs in the same order.
-    Returns the updated set and whether it differs from cs, compared
-    exactly: each term of cs is its estimate or its planned value, planned
-    paths are never shorter than the straight line, and an unrealized
-    direction keeps its value, so no term falls and any change is growth.
+    infeasible). Every release offset and precedence travel term is active
+    in any schedule, so those come from planned; of each mutex disjunction
+    only the direction the schedule realized is, orderings giving it per
+    pair as realized_orderings does, and the other keeps its value from
+    cs, a set of the same allocation, which lists the same pairs in the
+    same order. Returns the updated set and whether it differs from cs,
+    compared exactly: each term of cs is its estimate or its planned
+    value, planned paths are never shorter than the straight line, and an
+    unrealized direction keeps its value, so no term falls and any change
+    is growth. The search calls it once per popped node that fits, on the
+    node's estimated set, as the test whether the schedule relies on a
+    term below its planned value; the set it returns is not scheduled, as
+    one run on planned gives the same makespan (search.solve).
     """
     mutex_pairs = tuple(
         (pair, (x_ij, old_ji) if orderings[pair] == 1 else (old_ij, x_ji))

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import lshift
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .heuristics import node_scorer
 from .model import (
@@ -50,9 +50,10 @@ class TableMemo:
 
     makespans maps a set's signature to its makespan, None when the set has
     no schedule. fitting keeps, for a signature whose makespan meets the
-    budget, the set and its outcome, which refinement starts from. outcomes
-    maps the root's, the empty allocation's and the refinement sets by
-    content, as refinement reads their start times.
+    budget, the set and its outcome, which the node's change test reads
+    when it is popped. outcomes maps the root's, the empty allocation's and
+    the planned sets by content, so the solves sharing the memo run each
+    such set once.
     """
 
     tables: TravelTables
@@ -80,7 +81,7 @@ class SearchStats:
     nodes_expanded: int = 0
     nodes_generated: int = 0
     duplicates_skipped: int = 0
-    refinement_rounds: int = 0  # re-solves triggered by planned travel times
+    refinement_rounds: int = 0  # popped nodes whose planned set was scheduled
     bnb_runs: int = 0  # branch-and-bound runs, both phases; memo hits excluded
     bnb_nodes: int = 0  # sum of nodes_explored over those runs
     reinserted: int = 0
@@ -166,14 +167,27 @@ def solve(
     after the empty allocation fits, its legs read off the planner's
     breadth-first distance fields. A popped node that fits the budget takes
     its kept set and outcome (kept when first scheduled, as every solve on
-    the memo has this budget), builds its set under planned travel, refines
-    until refining gives back the set exactly (_refine; refinement sets are
-    memoized by content), and is scored once after; it is accepted if it
-    still fits, else re-queued with its refined makespan. At acceptance
-    only OpenSet.best, the open node the post-hoc bound reads, is scored
-    into stats.best_open; it stays None when no allocation fits. A* runs
-    only to draw the accepted allocation's paths; planner_calls counts
-    those runs that the planner's memo did not serve.
+    the memo has this budget) and builds its set under planned travel. When
+    refine_with_motion_plans says a travel term its schedule relies on
+    changes, the node schedules its planned set, in one run at most;
+    otherwise its estimated outcome stands. It is scored once after, and
+    accepted if it still fits, else re-queued with its planned makespan.
+    At acceptance only OpenSet.best, the open node the post-hoc bound
+    reads, is scored into stats.best_open; it stays None when no
+    allocation fits. A* runs only to draw the accepted allocation's paths;
+    planner_calls counts those runs that the planner's memo did not serve.
+
+    That one step gives the makespan that refining to a fixpoint would:
+    round by round, swapping the terms each schedule relies on for their
+    planned values. Each refined term lies between its estimate and its
+    planned value (a straight line is never longer than a grid path), and
+    float addition and max are monotone, so under any orientation of the
+    mutex pairs no task starts later in a refined set than in the planned
+    set. The fixpoint schedule's orientation relies on planned values
+    only, so it gives the same least-fixpoint starts in both sets. The
+    planned set's optimum therefore equals the fixpoint's makespan as
+    floats, and a node whose change test finds no change is its own
+    fixpoint.
 
     schedule_cache, when given, maps each estimated travel table (compared
     by content) and time budget to the first such solve's table and its
@@ -183,7 +197,7 @@ def solve(
     solves even past model.TABLE_MAX_ROBOTS, where ids follow first reads.
     Any solves may share one cache; one at another budget gets a memo of
     its own. scheduler_calls and refinement_rounds count every allocation
-    and round this solve scheduled, served by a memo or not; bnb_runs
+    and planned set this solve scheduled, served by a memo or not; bnb_runs
     counts only its own runs.
     """
     if planner is None:
@@ -272,7 +286,11 @@ def solve(
         if overrun == 0.0:  # so makespan is not None: the node has a schedule
             masks = alloc.coalition_masks()
             cs, outcome = fitting[signature(masks)[0]]
-            outcome = _refine(cs, outcome, build_constraints_fast(planned, masks), stats, schedule)
+            planned_cs = build_constraints_fast(planned, masks)
+            orderings = realized_orderings(cs, outcome.schedule)
+            if refine_with_motion_plans(planned_cs, orderings, cs)[1]:
+                stats.refinement_rounds += 1
+                outcome = schedule(planned_cs)
             makespan = None if outcome.schedule is None else outcome.schedule.makespan
             loss, overrun, blended = score(quality, makespan)
             if overrun == 0.0:
@@ -330,39 +348,6 @@ def solve(
         stats.duplicates_skipped += len(children) - fresh
 
     raise ContractViolation("search exhausted the graph although the empty allocation fits")
-
-
-def _refine(
-    cs: ConstraintSet,
-    outcome: ScheduleOutcome,
-    planned: ConstraintSet,
-    stats: SearchStats,
-    schedule: Callable[[ConstraintSet], ScheduleOutcome],
-) -> ScheduleOutcome:
-    """Swap estimated travel for planned travel until the set is a fixpoint.
-
-    cs is the node's set under estimated travel and outcome its schedule;
-    planned is the node's set under planned travel. Each round refines the
-    set for the orderings its schedule realizes and schedules it again,
-    until refining gives back the set exactly. That ends: a term moves at
-    most once, from its estimate to its planned value (offsets and
-    precedence terms in the first round; a mutex direction, once planned,
-    stays planned), so there are no more changing rounds than terms. A
-    schedule that realizes the previous round's orderings ends it without
-    a call, as refining would give back its own set. Returns the last
-    round's outcome.
-    """
-    orderings = None
-    while outcome.schedule is not None:
-        previous, orderings = orderings, realized_orderings(cs, outcome.schedule)
-        if orderings == previous:
-            break
-        cs, changed = refine_with_motion_plans(planned, orderings, cs)
-        if not changed:
-            break
-        stats.refinement_rounds += 1
-        outcome = schedule(cs)
-    return outcome
 
 
 def _motion_plans(

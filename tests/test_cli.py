@@ -55,6 +55,17 @@ def test_solve_alpha_override(instance_file, tmp_path):
     assert doc["bounds"]["alpha"] == 0.7
 
 
+def test_solve_alpha_override_keeps_the_document_alpha_check(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    doc = instance_to_document(drop_one_domain(time_budget=9.0))
+    doc["alpha"] = 1.5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "solution.json"
+    assert main(["solve", str(path), "--alpha", "0.3", "-o", str(out)]) == EXIT_ERROR
+    assert "alpha must be in [0,1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_reports_infeasible_with_exit_2(tmp_path, capsys):
     path = tmp_path / "tight.json"
     save_instance(drop_one_domain(time_budget=0.5), path)

@@ -71,9 +71,6 @@ def test_save_and_load_instance_file(tmp_path):
     assert loaded.domain.time_budget == domain.time_budget
     assert worst_makespan(loaded.domain) == pytest.approx(worst_makespan(domain))
 
-    override = load_instance(path, alpha_override=0.7)
-    assert override.domain.alpha == 0.7
-
 
 def test_instance_requires_core_keys():
     doc = instance_to_document(random_instance(2))

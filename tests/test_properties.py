@@ -122,10 +122,9 @@ def test_branch_and_bound_matches_full_relaxation_with_infinite_terms(cs):
 
 def _assert_optimal_under_planned_travel(domain, solution):
     """The accepted schedule's makespan is exactly the optimum of its
-    allocation's constraint set under planned travel: refinement never
-    raises a term above its planned value, and at its fixpoint every mutex
-    direction the schedule uses carries its planned value (docs/format.md,
-    makespan)."""
+    allocation's constraint set under planned travel: the search either
+    schedules that set or keeps an estimated schedule whose every used
+    term already carries its planned value (docs/format.md, makespan)."""
     planned = make_travel_tables(domain, planned_leg_seconds(GridPlanner(domain.world), domain))
     cs = build_constraints_fast(planned, solution.allocation.coalition_masks())
     assert solve_milp(cs).schedule.makespan == solution.schedule.makespan

@@ -578,10 +578,11 @@ def test_each_distinct_constraint_set_is_scheduled_once(monkeypatch):
 
 def test_children_build_one_set_per_new_signature(monkeypatch):
     # builds through staq.search are the root's, the empty allocation's, one
-    # per child whose signature is new, and one per popped node sent to
-    # refinement: its planned set, the only build on the planned table; the
-    # node's estimated set is the one built when it was generated, and the
-    # root's and the children's sets are all distinct
+    # per child whose signature is new, and one per popped node that fits:
+    # its planned set, the only build on the planned table, which the change
+    # test gets as argument 0; the node's estimated set, argument 2, is the
+    # one built when it was generated, and the root's and the children's
+    # sets are all distinct
     built, refined, planned = [], [], []
 
     def counting_build(tables, masks):
@@ -589,14 +590,14 @@ def test_children_build_one_set_per_new_signature(monkeypatch):
         built.append((tables, cs))
         return cs
 
-    def recording_refine(cs, outcome, planned_cs, *args):
+    def recording_refine(planned_cs, orderings, cs):
         refined.append(cs)
         planned.append(planned_cs)
-        return real_refine(cs, outcome, planned_cs, *args)
+        return real_refine(planned_cs, orderings, cs)
 
-    real_build, real_refine = search.build_constraints_fast, search._refine
+    real_build, real_refine = search.build_constraints_fast, search.refine_with_motion_plans
     monkeypatch.setattr(search, "build_constraints_fast", counting_build)
-    monkeypatch.setattr(search, "_refine", recording_refine)
+    monkeypatch.setattr(search, "refine_with_motion_plans", recording_refine)
     for seed in range(10):
         built.clear()
         refined.clear()
@@ -614,37 +615,48 @@ def test_children_build_one_set_per_new_signature(monkeypatch):
         assert len(scored) < stats.nodes_generated   # children share signatures
 
 
-def test_refinement_stops_when_the_orderings_repeat(monkeypatch):
-    # a round whose schedule realizes the previous round's mutex orderings
-    # would give back its own set, so no such round is refined again
-    calls = []
+def test_a_popped_node_is_refined_in_one_step(monkeypatch):
+    # each popped node that fits makes one change test, and runs its planned
+    # set (the test's argument 0) at most once, right after a test that
+    # found a change; every re-queued node changed, and the accepted one may
+    events = []
 
-    def recording(planned_cs, orderings, cs):
-        calls.append((planned_cs, orderings))
-        return real_refine(planned_cs, orderings, cs)
+    def recording_refine(planned_cs, orderings, cs):
+        refined, changed = real_refine(planned_cs, orderings, cs)
+        events.append(("refine", planned_cs, changed))
+        return refined, changed
 
-    real_refine = search.refine_with_motion_plans
-    monkeypatch.setattr(search, "refine_with_motion_plans", recording)
-    later_rounds = 0
+    def recording_milp(cs):
+        events.append(("run", cs, None))
+        return real_milp(cs)
+
+    real_refine, real_milp = search.refine_with_motion_plans, search.solve_milp
+    monkeypatch.setattr(search, "refine_with_motion_plans", recording_refine)
+    monkeypatch.setattr(search, "solve_milp", recording_milp)
+    planned_runs = 0
     for seed in range(10):
-        calls.clear()
+        events.clear()
         _, stats = solve(random_instance(seed))
-        for (planned_a, seen), (planned_b, then) in zip(calls, calls[1:]):
-            if planned_a is planned_b:   # two rounds of one popped node
-                assert then != seen, f"seed {seed}"
-                later_rounds += 1
-        # each round is one call; a node ends on a repeat or on no change
-        assert stats.refinement_rounds <= len(calls) <= stats.refinement_rounds + stats.reinserted + 1
-    assert later_rounds > 0
+        tests = [(at, cs, changed) for at, (kind, cs, changed) in enumerate(events) if kind == "refine"]
+        assert len(tests) == stats.reinserted + 1, f"seed {seed}"
+        for at, planned_cs, changed in tests:
+            runs = [i for i, (kind, cs, _) in enumerate(events) if kind == "run" and cs is planned_cs]
+            assert runs in ([], [at + 1]) and (changed or not runs), f"seed {seed}"
+            planned_runs += len(runs)
+        assert stats.refinement_rounds == sum(changed for _, _, changed in tests)
+        assert stats.reinserted <= stats.refinement_rounds <= stats.reinserted + 1
+    assert planned_runs > 0
 
 
-def test_fast_robots_meet_planned_travel_exactly():
-    # at 1e10 times the speed every leg takes under 1e-9 s, so a change
-    # test with a tolerance would stop refinement on estimates; the exact
-    # fixpoint meets every planned term and is optimal for the planned set
+@pytest.mark.parametrize("speed_factor", [1.0, 1e10])
+def test_fast_robots_meet_planned_travel_exactly(speed_factor):
+    # the accepted schedule meets every planned term its orientation uses
+    # and is optimal for the planned set; at 1e10 times the speed every leg
+    # takes under 1e-9 s, so a change test with a tolerance would accept
+    # schedules on estimates
     for seed in range(10):
         domain = random_instance(seed)
-        fast = tuple(dataclasses.replace(r, speed=r.speed * 1e10) for r in domain.robots)
+        fast = tuple(dataclasses.replace(r, speed=r.speed * speed_factor) for r in domain.robots)
         domain = dataclasses.replace(domain, robots=fast)
         sol, _ = solve(domain)
         planned = make_travel_tables(domain, planned_leg_seconds(GridPlanner(domain.world), domain))
@@ -680,15 +692,15 @@ def test_node_qualities_equal_the_total_of_their_masks(recorded):
 PINNED = (
     # seed, allocation key, makespan, expanded, refinement rounds, reinserted
     (0, 2383, 32.74497788907867, 43, 1, 0),
-    (1, 4054, 49.19148813334264, 10, 21, 16),
-    (2, 2399, 39.71652589970252, 11, 18, 10),
-    (3, 2759, 44.60609057469941, 13, 4, 2),
-    (4, 1032169, 53.979412712564056, 147, 535, 519),
-    (5, 134141, 33.328205438044506, 33, 12, 10),
+    (1, 4054, 49.19148813334264, 10, 17, 16),
+    (2, 2399, 39.71652589970252, 11, 11, 10),
+    (3, 2759, 44.60609057469941, 13, 3, 2),
+    (4, 1032169, 53.979412712564056, 147, 520, 519),
+    (5, 134141, 33.328205438044506, 33, 11, 10),
     (6, 3809, 27.910483862180357, 47, 4, 3),
-    (7, 19391, 47.92793466985958, 5, 5, 2),
+    (7, 19391, 47.92793466985958, 5, 3, 2),
     (8, 1365, 28.592560814657595, 34, 13, 12),
-    (9, 31511, 27.95464897451987, 34, 51, 36),
+    (9, 31511, 27.95464897451987, 34, 37, 36),
 )
 
 
@@ -706,15 +718,15 @@ def test_search_results_are_pinned(seed, key, makespan, expanded, rounds, reinse
 # allocation, so scheduling it after the root adds one run and its nodes.
 PINNED_WORK = (
     (0, 328, 90, 328, 142, 1966),
-    (1, 82, 21, 82, 31, 329),
-    (2, 90, 17, 90, 74, 3026),
-    (3, 97, 12, 97, 53, 317),
-    (4, 1452, 1037, 1452, 163, 1827),
-    (5, 386, 61, 386, 131, 3883),
-    (6, 272, 97, 272, 76, 436),
-    (7, 71, 0, 71, 44, 698),
+    (1, 82, 21, 82, 30, 312),
+    (2, 90, 17, 90, 67, 2757),
+    (3, 97, 12, 97, 52, 310),
+    (4, 1452, 1037, 1452, 159, 1809),
+    (5, 386, 61, 386, 130, 3864),
+    (6, 272, 97, 272, 76, 442),
+    (7, 71, 0, 71, 42, 664),
     (8, 163, 96, 163, 131, 1069),
-    (9, 280, 88, 280, 73, 769),
+    (9, 280, 88, 280, 69, 717),
 )
 
 
