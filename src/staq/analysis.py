@@ -28,7 +28,7 @@ from .model import (
     TaskNetwork,
     WorldMap,
 )
-from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds, steps_field
+from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds, planner_for, steps_field
 from .scheduler import build_constraints_fast, make_travel_tables, solve_milp, tabulate_pieces
 from .search import ScheduleCache, SearchStats, solve
 
@@ -47,7 +47,8 @@ class BoundReport:
     exhaustive result is supplied. guarantee_applies records the two
     preconditions of the guarantee: every quality map is a LinearQualityMap,
     the one kind known to be monotone, and the worst-case makespan reaches
-    the budget, without which the overrun normalization can exceed 1.
+    the budget, without which the overrun normalization can exceed 1. The
+    bounds are claimed only where it is true; elsewhere they are computed.
     """
 
     alpha: float
@@ -82,15 +83,14 @@ def apriori_bound(alpha: float, q_root: float, q_null: float) -> float:
     """Worst-case quality gap guaranteed before running the search.
 
     Returns +inf at alpha = 1; values at alpha >= 0.5 are computed but wider
-    than the whole quality span, hence vacuous.
+    than the whole quality span, hence vacuous. A span below 0 (a root
+    below the null quality, from a map that is not monotone) counts as 0.
     """
     if not (0.0 <= alpha <= 1.0):
         raise InvalidInput(f"alpha must be in [0,1], got {alpha}")
-    if q_root < q_null - TOL:
-        raise InvalidInput(f"root quality {q_root} below null quality {q_null}")
     if alpha >= 1.0:
         return math.inf
-    return alpha / (1.0 - alpha) * (q_root - q_null)
+    return alpha / (1.0 - alpha) * max(q_root - q_null, 0.0)
 
 
 def posthoc_bound(
@@ -223,8 +223,7 @@ def brute_force_optimal(
         raise InvalidInput(
             f"oracle limited to {ORACLE_MAX_BITS} assignment bits, got {m * n}"
         )
-    if planner is None:
-        planner = GridPlanner(domain.world)
+    planner = planner_for(domain, planner)
     tables = make_travel_tables(domain, planned_leg_seconds(planner, domain))
 
     qualities = domain.quality_arrays()
@@ -342,8 +341,7 @@ def alpha_sweep(
     if alphas is None:
         alphas = tuple(round(i / 10, 1) for i in range(11))
     tuned = [replace(domain, alpha=alpha) for alpha in alphas]
-    if planner is None:
-        planner = GridPlanner(domain.world)
+    planner = planner_for(domain, planner)
     schedule_cache: ScheduleCache = {}
     if oracle is None:
         oracle = brute_force_optimal(domain, planner)

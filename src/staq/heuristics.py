@@ -29,28 +29,27 @@ def node_scorer(
 
     quality_root and quality_null are the qualities of the root allocation
     (every robot on every task) and the empty one, makespan_worst the
-    root's minimal makespan under straight-line travel; a root quality
-    below the null quality beyond TOL is a ContractViolation.
+    root's minimal makespan under straight-line travel. Any quality map the
+    model accepts is scored, monotone or not.
 
     loss is the fraction of the root-to-null quality range given up: 0 at
-    root quality, 1 at null quality, and 0 when the range is degenerate
-    (nothing is at stake); a quality outside the range beyond TOL is a
-    ContractViolation. overrun is the makespan's excess over the budget
-    scaled by the worst-case margin: 0 within budget, and inf over it when
-    the margin is degenerate, so overruns still dominate any quality term.
+    root quality, 1 at null quality, clamped to [0, 1] outside the range,
+    and 0 for every node when the span (root minus null) is at most TOL, a
+    root below the null quality included: no range is there to give up.
+    overrun is the makespan's excess over the budget scaled by the
+    worst-case margin: 0 within budget, and inf over it when the margin is
+    degenerate, so overruns still dominate any quality term.
     blend is (1 - alpha) * loss + alpha * overrun; at alpha = 0 an infinite
     overrun is ignored rather than producing nan. A makespan of None means
     the node has no schedule: its overrun and blend are inf, whatever alpha
     is. The span, the margin and the alpha check are settled once here.
     """
     root, null, budget = quality_root, quality_null, time_budget
-    if root < null - TOL:
-        raise ContractViolation(f"root quality {root} below null quality {null}")
     if not (0.0 <= alpha <= 1.0):
         raise InvalidInput(f"alpha must be in [0,1], got {alpha}")
     beta = 1.0 - alpha
     span = root - null
-    no_span = abs(span) <= TOL
+    no_span = span <= TOL
     margin = abs(makespan_worst - budget)
     no_margin = margin <= TOL
     inf = math.inf
@@ -59,10 +58,7 @@ def node_scorer(
         if no_span:
             loss = 0.0
         else:
-            loss = (root - quality) / span
-            if loss < -TOL or loss > 1.0 + TOL:
-                raise ContractViolation(f"quality {quality} outside [{null}, {root}]")
-            loss = min(1.0, max(0.0, loss))
+            loss = min(1.0, max(0.0, (root - quality) / span))
         if makespan is None:
             return loss, inf, inf
         if makespan < 0:

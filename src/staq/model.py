@@ -543,11 +543,10 @@ def validate_solution(domain: ProblemDomain, sol: Solution, planner=None) -> Val
     under planned travel times. Empty coalitions are flagged separately and do
     not invalidate the solution.
     """
-    from .motion import GridPlanner, planned_leg_seconds
+    from .motion import planned_leg_seconds, planner_for
     from .scheduler import build_constraints_fast, make_travel_tables
 
-    if planner is None:
-        planner = GridPlanner(domain.world)
+    planner = planner_for(domain, planner)
     violations: list[str] = []
     sched = sol.schedule
     m = domain.n_tasks

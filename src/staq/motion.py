@@ -162,6 +162,16 @@ class GridPlanner:
         return None if steps == -1 else steps
 
 
+def planner_for(domain: ProblemDomain, planner: Optional[GridPlanner] = None) -> GridPlanner:
+    """planner, or a new GridPlanner on domain.world when None; a planner for
+    another map is InvalidInput, as its paths would cross the domain's walls."""
+    if planner is None:
+        return GridPlanner(domain.world)
+    if planner.world != domain.world:
+        raise InvalidInput("planner plans on another map than the domain's world")
+    return planner
+
+
 def estimated_leg_seconds(domain: ProblemDomain) -> LegSeconds:
     """Travel times from straight-line distances; used before paths exist."""
     cell_size = domain.world.cell_size

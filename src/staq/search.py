@@ -27,7 +27,7 @@ from .model import (
     successors,
     total_allocation_quality,
 )
-from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds
+from .motion import GridPlanner, estimated_leg_seconds, planned_leg_seconds, planner_for
 from .scheduler import (
     ConstraintSet,
     ScheduleOutcome,
@@ -39,7 +39,6 @@ from .scheduler import (
     solve_milp,
 )
 
-LOSS_SLACK = 1e-12
 _UNSEEN = object()  # a signature no solve on the memo has scheduled
 
 
@@ -136,7 +135,6 @@ def solve(
     domain: ProblemDomain,
     *,
     planner: Optional[GridPlanner] = None,
-    check_invariants: bool = False,
     schedule_cache: Optional[ScheduleCache] = None,
 ) -> tuple[Optional[Solution], SearchStats]:
     """Find a budget-respecting allocation, greedily favoring high quality.
@@ -144,9 +142,10 @@ def solve(
     Returns (solution, stats); the solution is None when no allocation in the
     graph admits a schedule within the budget under planned travel, which
     the empty allocation decides before any expansion: scheduled right
-    after the root, its makespan bounds every allocation's from below. With
-    check_invariants the search asserts that removing an assignment never
-    reduces normalized quality loss, which the suboptimality bound relies on.
+    after the root, its makespan bounds every allocation's from below.
+    Every quality map the model accepts is scored, monotone or not; the
+    bounds that need monotone maps are claimed only where
+    analysis.BoundReport.guarantee_applies.
 
     successors gives a popped node's child keys; a visited child is skipped
     before any other work. At its first new child the node derives, once,
@@ -200,8 +199,7 @@ def solve(
     and planned set this solve scheduled, served by a memo or not; bnb_runs
     counts only its own runs.
     """
-    if planner is None:
-        planner = GridPlanner(domain.world)
+    planner = planner_for(domain, planner)
     astar_before = planner.calls - planner.cache_hits
     m, n = domain.n_tasks, domain.n_robots
     tables = make_travel_tables(domain, estimated_leg_seconds(domain))
@@ -281,7 +279,7 @@ def solve(
 
     while len(open_set):
         _, depth, key, quality, makespan = open_set.pop()
-        loss, overrun, blended = score(quality, makespan)
+        overrun = score(quality, makespan)[1]
         alloc = Allocation(key, root.shape)
         if overrun == 0.0:  # so makespan is not None: the node has a schedule
             masks = alloc.coalition_masks()
@@ -338,11 +336,7 @@ def solve(
             child_q = prefixes[task] + quality_tables[task][mask]
             for q in qualities[task + 1:]:
                 child_q += q
-            child_loss, _, child_blended = score(child_q, child_makespan)
-            if check_invariants and child_loss < loss - LOSS_SLACK:
-                raise ContractViolation(
-                    f"quality loss dropped from {loss} to {child_loss} on removing an assignment"
-                )
+            _, _, child_blended = score(child_q, child_makespan)
             open_set.push(depth + 1, child_key, child_q, child_makespan, child_blended)
         stats.nodes_generated += fresh
         stats.duplicates_skipped += len(children) - fresh

@@ -29,6 +29,7 @@ import numpy as np
 from staq.analysis import OracleBudgetExceeded, OracleResult
 from staq.learning import (
     GPModel,
+    GPQualityMap,
     LabelingAborted,
     LinearQualityMap,
     gp_fit,
@@ -65,16 +66,14 @@ SCORE_TOL = 1e-9
 def normalized_quality_loss(quality, quality_root, quality_null):
     """Fraction of the root-to-null quality range given up by this allocation.
 
-    0 at root quality, 1 at null quality. Degenerate range (root == null)
-    yields 0: no quality is at stake, so nothing is lost.
+    0 at root quality, 1 at null quality, clamped to [0, 1] outside the
+    range. A span (root - null) of at most SCORE_TOL, a root below null
+    included, yields 0: no range is there to give up.
     """
     span = quality_root - quality_null
-    if abs(span) <= SCORE_TOL:
+    if span <= SCORE_TOL:
         return 0.0
-    loss = (quality_root - quality) / span
-    if loss < -SCORE_TOL or loss > 1.0 + SCORE_TOL:
-        raise ContractViolation(f"quality {quality} outside [{quality_null}, {quality_root}]")
-    return min(1.0, max(0.0, loss))
+    return min(1.0, max(0.0, (quality_root - quality) / span))
 
 
 def budget_overrun(makespan, makespan_worst, time_budget):
@@ -538,6 +537,32 @@ def drop_one_domain(time_budget=9.0, alpha=0.4):
     maps = (LinearQualityMap([1.0, 1.0], 2.0), LinearQualityMap([1.0, 1.0], 2.0))
     return ProblemDomain(network=network, robots=robots, quality_maps=maps,
                          world=world, time_budget=time_budget, alpha=alpha)
+
+
+def _one_task_two_robots(quality_map, time_budget):
+    """One 1 s task at (2, 2) of an open 6x6 grid, and two unit-speed robots
+    of one unit trait at (0, 0) and (5, 5)."""
+    robots = tuple(Robot(traits=np.array([1.0]), start_cell=cell, speed=1.0)
+                   for cell in ((0, 0), (5, 5)))
+    tasks = (Task(duration=1.0, start_site=(2, 2), end_site=(2, 2)),)
+    return ProblemDomain(network=TaskNetwork(tasks=tasks), robots=robots,
+                         quality_maps=(quality_map,), world=open_world(6, 6),
+                         time_budget=time_budget)
+
+
+def gp_below_null_domain():
+    """A learned map fit to quality 1 at one robot and 0.2 at two: the whole
+    team (the root) scores 0.2003, below the empty allocation's 1.0. The
+    root fits the budget of 7.5."""
+    return _one_task_two_robots(GPQualityMap(gp_fit([[1.0], [2.0]], [1.0, 0.2])), 7.5)
+
+
+def one_robot_peak_domain():
+    """A map that peaks at one robot: quality 0, 1 and 0.3 by team size. The
+    root fits the budget of 5.5 under straight-line travel but not under
+    planned travel, so the search expands it and scores children above it."""
+    by_size = {0: 0.0, 1: 1.0, 2: 0.3}
+    return _one_task_two_robots(lambda y: by_size[round(float(y[0]))], 5.5)
 
 
 def wide_team_domain(seed, n_robots, *, n_tasks=2, alpha=0.4):

@@ -44,7 +44,6 @@ from helpers import (
     dense_gp_reference,
     drop_one_domain,
     enumerate_schedules,
-    normalized_quality_loss,
     random_constraint_set,
 )
 
@@ -180,24 +179,22 @@ def _random_linear_domain(rng):
 
 
 def test_loss_is_monotone_under_assignment_removal():
+    """Under linear maps no child's quality exceeds its parent's, with no
+    slack, so the normalized loss never drops: the guarantee's monotonicity
+    holds wherever it applies, and the search need not check it."""
     rng = np.random.default_rng(2024)
     checks = 0
     violations = 0
     while checks < 10_000:
         domain = _random_linear_domain(rng)
         m, n = domain.n_tasks, domain.n_robots
-        root = total_allocation_quality(Allocation.root(m, n).coalition_masks(), domain)
-        null = total_allocation_quality(Allocation.null(m, n).coalition_masks(), domain)
         for _ in range(8):
             key = int(rng.integers(1, 2 ** (m * n)))
             parent = Allocation(key, (m, n))
-            parent_loss = normalized_quality_loss(
-                total_allocation_quality(parent.coalition_masks(), domain), root, null)
+            parent_quality = total_allocation_quality(parent.coalition_masks(), domain)
             for child in successors(parent):
                 masks = Allocation(child, (m, n)).coalition_masks()
-                child_loss = normalized_quality_loss(
-                    total_allocation_quality(masks, domain), root, null)
-                if child_loss < parent_loss - 1e-12:
+                if total_allocation_quality(masks, domain) > parent_quality:
                     violations += 1
                 checks += 1
     assert checks >= 10_000

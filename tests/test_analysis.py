@@ -56,6 +56,9 @@ def test_apriori_bound_values():
     assert apriori_bound(0.5, 3.0, 0.0) == pytest.approx(3.0)
     assert apriori_bound(1.0, 3.0, 0.0) == math.inf
     assert apriori_bound(0.4, 2.5, 0.5) == pytest.approx(0.4 / 0.6 * 2.0)
+    # a root below null, which only a map that is not monotone gives, bounds nothing
+    assert apriori_bound(0.4, 0.0, 1.0) == 0.0
+    assert posthoc_bound(0.4, 0.0, 1.0, 2.0) == 0.0
 
 
 def test_apriori_bound_rejects_bad_inputs():
@@ -63,8 +66,6 @@ def test_apriori_bound_rejects_bad_inputs():
         apriori_bound(-0.1, 1.0, 0.0)
     with pytest.raises(InvalidInput):
         apriori_bound(1.1, 1.0, 0.0)
-    with pytest.raises(InvalidInput):
-        apriori_bound(0.4, 0.0, 1.0)   # root below null
 
 
 def test_posthoc_bound_values():

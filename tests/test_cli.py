@@ -9,10 +9,12 @@ import pytest
 
 from staq.analysis import random_instance
 from staq.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
-from staq.instance_io import instance_to_document, save_instance
+from staq.instance_io import instance_to_document, save_gp_model, save_instance
 from staq.learning import LinearQualityMap
 
-from helpers import drop_one_domain, save_dataset_csv, walled_world
+from staq.search import solve
+
+from helpers import drop_one_domain, gp_below_null_domain, save_dataset_csv, walled_world
 
 
 @pytest.fixture
@@ -33,6 +35,26 @@ def dataset_file(tmp_path):
 
 
 # ------------------------------------------------------------------ solve
+
+def test_a_learned_map_whose_root_scores_below_null_solves_and_sweeps(tmp_path):
+    """The model accepts a learned map that scores the whole team below the
+    empty allocation, so solve, oracle and sweep all exit 0 on it, written
+    as a document with its model file; the solve reads back to the
+    in-memory allocation and quality, no better than the oracle's."""
+    domain = gp_below_null_domain()
+    save_gp_model(domain.quality_maps[0].model, tmp_path / "qmap.json")
+    instance = tmp_path / "instance.json"
+    save_instance(domain, instance, model_paths={0: "qmap.json"})
+    for command, name in (("solve", "solution.json"), ("oracle", "oracle.json"),
+                          ("sweep", "sweep.csv")):
+        assert main([command, str(instance), "-o", str(tmp_path / name)]) == EXIT_OK
+    written = json.loads((tmp_path / "solution.json").read_text(encoding="utf-8"))
+    oracle = json.loads((tmp_path / "oracle.json").read_text(encoding="utf-8"))
+    sol, _ = solve(domain)
+    assert written["allocation_key"] == sol.allocation.key
+    assert written["total_quality"] == pytest.approx(sol.total_quality)
+    assert written["total_quality"] <= oracle["quality"] + 1e-9
+
 
 def test_solve_writes_a_solution(instance_file, tmp_path, capsys):
     out = tmp_path / "solution.json"

@@ -32,16 +32,10 @@ def test_loss_clamps_within_tolerance():
     assert normalized_quality_loss(-5e-10, 2.0, 0.0) == 1.0
 
 
-def test_loss_out_of_range_is_a_contract_violation():
-    with pytest.raises(ContractViolation):
-        normalized_quality_loss(-1.0, 2.0, 0.0)
-    with pytest.raises(ContractViolation):
-        normalized_quality_loss(3.0, 2.0, 0.0)
-
-
 def test_loss_degenerate_range_is_zero():
     assert normalized_quality_loss(1.0, 1.0, 1.0) == 0.0
     assert normalized_quality_loss(7.0, 1.0, 1.0) == 0.0
+    assert normalized_quality_loss(0.7, 0.5, 1.0) == 0.0   # root below null
 
 
 # ----------------------------------------------------- budget overrun
@@ -96,13 +90,6 @@ def test_blend_rejects_alpha_outside_unit_interval():
         blend(0.1, 0.1, 1.01)
 
 
-# ------------------------------------------------------------ context
-
-def test_context_rejects_root_below_null():
-    with pytest.raises(ContractViolation):
-        node_scorer(*_ctx(root=0.5, null=1.0, worst=10.0, budget=5.0))
-
-
 # ------------------------------------------------------ one-step score
 
 SCORED_CONTEXTS = (
@@ -110,6 +97,7 @@ SCORED_CONTEXTS = (
     _ctx(alpha=0.0),
     _ctx(alpha=1.0),
     _ctx(root=1.0, null=1.0),                # degenerate span
+    _ctx(root=0.5, null=1.0),                # root below null: no span
     _ctx(worst=100.0, budget=100.0),         # degenerate margin
     _ctx(worst=100.0, budget=100.0, alpha=0.0),
     _ctx(root=2.7, null=0.3, worst=61.3, budget=47.9, alpha=0.3),
@@ -120,7 +108,10 @@ SCORED_CONTEXTS = (
 def test_one_step_score_equals_the_three_functions(ctx):
     score = node_scorer(*ctx)
     root, null, worst, budget, alpha = ctx
-    qualities = (null, root, root + 5e-10, null - 5e-10, (root + null) / 3)
+    # the last two lie outside the root-to-null range, as a map that is
+    # not monotone gives
+    qualities = (null, root, root + 5e-10, null - 5e-10, (root + null) / 3,
+                 max(root, null) + 1.0, min(root, null) - 1.0)
     makespans = (0.0, 12.5, budget, budget + 1e-7, 1.7 * budget, math.inf)
     for quality in qualities:
         loss = normalized_quality_loss(quality, root, null)
@@ -140,10 +131,5 @@ def test_one_step_score_rejects_a_bad_alpha(alpha):
 
 def test_one_step_score_raises_what_the_three_functions_raise():
     score = node_scorer(*_ctx(root=2.0, null=0.0))
-    for quality in (-1.0, 3.0):
-        with pytest.raises(ContractViolation):
-            score(quality, 50.0)
-        with pytest.raises(ContractViolation):
-            score(quality, None)
     with pytest.raises(ContractViolation):
         score(1.0, -1.0)

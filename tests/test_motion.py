@@ -4,7 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from staq.model import InvalidInput, ProblemDomain, Robot, Task, TaskNetwork, WorldMap
+from staq.analysis import alpha_sweep, brute_force_optimal, random_instance
+from staq.model import (
+    InvalidInput,
+    ProblemDomain,
+    Robot,
+    Task,
+    TaskNetwork,
+    WorldMap,
+    validate_solution,
+)
 from staq.motion import (
     GridPlanner,
     estimated_leg_seconds,
@@ -14,6 +23,7 @@ from staq.motion import (
     steps_field,
     travel_time,
 )
+from staq.search import solve
 
 from helpers import (
     LinearMap,
@@ -178,6 +188,28 @@ def test_planner_caches_unreachable_results_too():
     assert planner.plan((0, 0), (2, 0)) is None
     assert planner.plan((0, 0), (2, 0)) is None
     assert planner.cache_hits == 1
+
+
+# each entry point that takes a planner, called with one
+PLANNER_ENTRY_POINTS = {
+    "solve": lambda domain, planner: solve(domain, planner=planner),
+    "brute_force_optimal": lambda domain, planner: brute_force_optimal(domain, planner),
+    "alpha_sweep": lambda domain, planner: alpha_sweep(domain, (0.4,), planner=planner),
+    "validate_solution": lambda domain, planner: validate_solution(
+        domain, solve(domain)[0], planner),
+}
+
+
+@pytest.mark.parametrize("entry", PLANNER_ENTRY_POINTS)
+def test_a_planner_for_another_map_is_invalid_input(entry):
+    """A planner on an open map of the domain's size would plan paths
+    through its walls; a planner on an equal map is accepted."""
+    domain = random_instance(1)
+    call = PLANNER_ENTRY_POINTS[entry]
+    with pytest.raises(InvalidInput, match="another map"):
+        call(domain, GridPlanner(WorldMap(12, 12)))
+    world = domain.world
+    call(domain, GridPlanner(WorldMap(world.width, world.height, world.occupied, world.cell_size)))
 
 
 def test_planned_leg_seconds_is_infinite_when_unreachable():
