@@ -38,7 +38,8 @@ def node_scorer(
     root below the null quality included: no range is there to give up.
     overrun is the makespan's excess over the budget scaled by the
     worst-case margin: 0 within budget, and inf over it when the margin is
-    degenerate, so overruns still dominate any quality term.
+    degenerate, so overruns still dominate any quality term. A tiny excess
+    over a huge margin rounds to 0: the search judges fit by makespan.
     blend is (1 - alpha) * loss + alpha * overrun; at alpha = 0 an infinite
     overrun is ignored rather than producing nan. A makespan of None means
     the node has no schedule: its overrun and blend are inf, whatever alpha

@@ -387,28 +387,22 @@ def refine_with_motion_plans(
     orderings: dict[tuple[int, int], int],
     cs: ConstraintSet,
 ) -> tuple[ConstraintSet, bool]:
-    """Replace the travel quantities a schedule of cs relies on with planned
-    ones.
-
-    planned is the allocation's set under travel times along grid paths
-    (infinite where a leg is unreachable, which the solver reports as
-    infeasible). Every release offset and precedence travel term is active
-    in any schedule, so those come from planned; of each mutex disjunction
-    only the direction the schedule realized is, orderings giving it per
-    pair as realized_orderings does, and the other keeps its value from
-    cs, a set of the same allocation, which lists the same pairs in the
-    same order. Returns the updated set and whether it differs from cs,
-    compared exactly: each term of cs is its estimate or its planned
-    value, planned paths are never shorter than the straight line, and an
-    unrealized direction keeps its value, so no term falls and any change
-    is growth. The search calls it once per popped node that fits, on the
-    node's estimated set, as the test whether the schedule relies on a
-    term below its planned value; the set it returns is not scheduled, as
-    one run on planned gives the same makespan (search.solve).
+    """Whether a travel term a schedule of cs relies on differs in planned,
+    the set of cs's allocation under grid-path travel (infinite where a
+    leg is unreachable); returns (planned, that flag). The terms are every
+    release offset and precedence travel term, and each mutex pair's
+    realized direction, orderings giving it as realized_orderings does;
+    planned lists cs's pairs in cs's order. They are compared exactly. A
+    grid path is never shorter than the straight line, so in search.solve,
+    where cs is a node's estimated set, a change is a term below its
+    planned value.
     """
-    mutex_pairs = tuple(
-        (pair, (x_ij, old_ji) if orderings[pair] == 1 else (old_ij, x_ji))
-        for (pair, (x_ij, x_ji)), (_, (old_ij, old_ji)) in zip(planned.mutex_pairs, cs.mutex_pairs)
+    changed = (
+        planned.initial_offsets != cs.initial_offsets
+        or planned.precedence_travel != cs.precedence_travel
+        or any(
+            new[0] != old[0] if orderings[pair] == 1 else new[1] != old[1]
+            for (pair, new), (_, old) in zip(planned.mutex_pairs, cs.mutex_pairs)
+        )
     )
-    refined = planned._replace(mutex_pairs=mutex_pairs)
-    return refined, refined != cs
+    return planned, changed

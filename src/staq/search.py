@@ -98,8 +98,8 @@ class SearchStats:
 
 OpenEntry = tuple[float, int, int, float, Optional[float]]
 """(rounded blend, depth, key, quality, makespan); makespan is None when the
-node's set has no schedule. Numbers only, so the collector stops tracking
-the entries; the solve's node_scorer gives loss, overrun and blend again."""
+node's set has no schedule. Numbers only, so the collector does not track
+the entries."""
 
 
 class OpenSet:
@@ -161,32 +161,34 @@ def solve(
     keeps a makespan per signature, so only a new signature builds its set
     and runs branch and bound, once per distinct set; only a set that fits
     the budget is kept too, with its outcome. An open node is held as its
-    quality and makespan (OpenEntry) and scored again when popped, with the
-    same scorer on the same inputs. The planned travel table is made once,
-    after the empty allocation fits, its legs read off the planner's
+    quality and makespan (OpenEntry). The planned travel table is made
+    once, after the empty allocation fits, its legs read off the planner's
     breadth-first distance fields. A popped node that fits the budget takes
     its kept set and outcome (kept when first scheduled, as every solve on
-    the memo has this budget) and builds its set under planned travel. When
-    refine_with_motion_plans says a travel term its schedule relies on
-    changes, the node schedules its planned set, in one run at most;
-    otherwise its estimated outcome stands. It is scored once after, and
-    accepted if it still fits, else re-queued with its planned makespan.
-    At acceptance only OpenSet.best, the open node the post-hoc bound
-    reads, is scored into stats.best_open; it stays None when no
+    the memo has this budget) and builds its set under planned travel. If
+    refine_with_motion_plans finds a term its schedule relies on that
+    differs in the planned set, the node schedules its planned set, in one
+    run at most; else its estimated outcome stands. It is scored once
+    after, and accepted if it still fits, else re-queued with its planned
+    makespan. At acceptance only OpenSet.best, the open node the post-hoc
+    bound reads, is scored into stats.best_open; it stays None when no
     allocation fits. A* runs only to draw the accepted allocation's paths;
     planner_calls counts those runs that the planner's memo did not serve.
 
-    That one step gives the makespan that refining to a fixpoint would:
-    round by round, swapping the terms each schedule relies on for their
-    planned values. Each refined term lies between its estimate and its
-    planned value (a straight line is never longer than a grid path), and
-    float addition and max are monotone, so under any orientation of the
-    mutex pairs no task starts later in a refined set than in the planned
-    set. The fixpoint schedule's orientation relies on planned values
-    only, so it gives the same least-fixpoint starts in both sets. The
-    planned set's optimum therefore equals the fixpoint's makespan as
-    floats, and a node whose change test finds no change is its own
-    fixpoint.
+    One rule, fits (a schedule exists and its makespan is at most the
+    budget, as in the oracle), decides the pop and acceptance tests, what
+    the memo keeps and the empty-allocation exit; the scorer's overrun,
+    which can round to 0 over the budget, only orders and reports nodes.
+
+    That one step gives the makespan refining to a fixpoint would, round
+    by round swapping the terms each schedule relies on for planned ones.
+    Each term on the way lies between its estimate and its planned value
+    (a straight line is never longer than a grid path), and float addition
+    and max are monotone, so under any orientation of the mutex pairs no
+    task starts later than in the planned set. The fixpoint's orientation
+    relies on planned values only, so it gives the same least starts in
+    both, and the planned set's optimum equals the fixpoint's makespan as
+    floats; a node whose change test finds no change is its own fixpoint.
 
     schedule_cache, when given, maps each estimated travel table (compared
     by content) and time budget to the first such solve's table and its
@@ -220,11 +222,14 @@ def solve(
             outcome = memo.outcomes[cs] = run(cs)
         return outcome
 
+    def fits(makespan: Optional[float]) -> bool:
+        return makespan is not None and makespan <= domain.time_budget
+
     def keep(sig: int, cs: ConstraintSet, outcome: ScheduleOutcome) -> Optional[float]:
         """Record a set's makespan by its signature, and the set with its
         outcome when it fits the budget; returns the makespan."""
         makespan = makespans[sig] = None if outcome.schedule is None else outcome.schedule.makespan
-        if makespan is not None and makespan <= domain.time_budget:
+        if fits(makespan):
             fitting[sig] = cs, outcome
         return makespan
 
@@ -253,7 +258,7 @@ def solve(
     # if it overruns, nothing fits, and no whole table is read.
     null_cs = build_constraints_fast(tables, null_masks)
     null_outcome = schedule(null_cs)
-    if null_outcome.schedule.makespan > domain.time_budget:
+    if not fits(null_outcome.schedule.makespan):
         return None, stats
 
     planned = make_travel_tables(domain, planned_leg_seconds(planner, domain))
@@ -279,9 +284,8 @@ def solve(
 
     while len(open_set):
         _, depth, key, quality, makespan = open_set.pop()
-        overrun = score(quality, makespan)[1]
         alloc = Allocation(key, root.shape)
-        if overrun == 0.0:  # so makespan is not None: the node has a schedule
+        if fits(makespan):
             masks = alloc.coalition_masks()
             cs, outcome = fitting[signature(masks)[0]]
             planned_cs = build_constraints_fast(planned, masks)
@@ -291,7 +295,7 @@ def solve(
                 outcome = schedule(planned_cs)
             makespan = None if outcome.schedule is None else outcome.schedule.makespan
             loss, overrun, blended = score(quality, makespan)
-            if overrun == 0.0:
+            if fits(makespan):
                 best = open_set.best()
                 if best is not None:
                     _, _, best_key, best_quality, best_makespan = best

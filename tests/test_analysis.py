@@ -291,6 +291,13 @@ def test_oracle_equals_the_per_allocation_scan(seed, cap):
         reference_brute_force_optimal, domain, cap)
 
 
+def test_an_uncapped_oracle_streams_past_one_block():
+    """20 assignment bits, uncapped: the scan reads its order block after
+    block, far past one chunk's width, and still finds the optimum."""
+    result = brute_force_optimal(random_instance(5))
+    assert (result.n_scheduled, result.allocation.key) == (254969, 217068)
+
+
 def test_oracle_holds_no_array_over_every_allocation():
     """20 assignment bits: arrays over all 2^20 keys (totals, arrival
     floors, a partition copy) peaked at about 20 MB; blocks of BLOCK_KEYS

@@ -387,3 +387,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "oracle" in proc.stdout
+
+
+def test_the_library_imports_no_scipy():
+    # scipy is a test requirement only; scipy.linalg alone adds about 28 MB
+    # of resident memory. A fresh interpreter, as this test process has
+    # scipy loaded already.
+    modules = ("staq.cli", "staq.search", "staq.analysis", "staq.learning",
+               "staq.instance_io", "staq.motion")
+    code = f"import sys; import {', '.join(modules)}; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

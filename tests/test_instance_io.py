@@ -24,7 +24,7 @@ from staq.instance_io import (
     write_sweep_csv,
 )
 from staq.learning import gp_fit, gp_predict
-from staq.model import InvalidInput
+from staq.model import InvalidInput, validate_solution
 from staq.scheduler import worst_makespan
 from staq.search import SearchStats, solve
 
@@ -79,6 +79,18 @@ def test_instance_requires_core_keys():
         del broken[key]
         with pytest.raises(InvalidInput, match=key):
             instance_from_document(broken)
+
+
+def test_absent_precedence_and_mutex_keys_load_as_no_pairs():
+    doc = instance_to_document(random_instance(0))
+    assert doc["precedence"] and doc["mutex"]
+    del doc["precedence"], doc["mutex"]
+    domain = instance_from_document(doc).domain
+    assert domain.network.precedence == frozenset()
+    assert domain.network.mutex == frozenset()
+    sol, _ = solve(domain)
+    assert sol is not None
+    assert validate_solution(domain, sol).ok
 
 
 def test_malformed_json_reports_line_and_column(tmp_path):

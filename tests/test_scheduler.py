@@ -585,6 +585,15 @@ def test_refinement_grows_travel_around_walls():
     assert again == refined
 
 
+def _grow_one_direction(cs, at, side):
+    """cs with mutex pair number at's term on side (0: after i, 1: after j)
+    raised by one second, every other term as it is."""
+    pairs = list(cs.mutex_pairs)
+    pair, terms = pairs[at]
+    pairs[at] = (pair, tuple(x + 1.0 if k == side else x for k, x in enumerate(terms)))
+    return ConstraintSet(cs.durations, cs.initial_offsets, cs.precedence_travel, tuple(pairs))
+
+
 def test_refinement_updates_only_the_realized_mutex_direction():
     world = walled_world()
     # two tasks on opposite sides of the wall share the only robot
@@ -599,20 +608,19 @@ def test_refinement_updates_only_the_realized_mutex_direction():
     cs = _build(domain, alloc, estimated_leg_seconds(domain))
     outcome = solve_milp(cs)
     orderings = realized_orderings(cs, outcome.schedule)
-    direction = orderings[(0, 1)]
-    refined, changed = refine_with_motion_plans(_planned(domain, alloc), orderings, cs)
-    assert changed
-    [(_, old)] = cs.mutex_pairs
-    [(_, new)] = refined.mutex_pairs
-    if direction == 1:
-        assert new[1] == old[1]       # unrealized direction untouched
-        assert new[0] >= old[0]
-    else:
-        assert new[0] == old[0]
-        assert new[1] >= old[1]
+    planned = _planned(domain, alloc)
+    assert refine_with_motion_plans(planned, orderings, cs) == (planned, True)
+    # only the direction the schedule realized is compared
+    realized = 0 if orderings[(0, 1)] == 1 else 1
+    unrealized = _grow_one_direction(cs, 0, 1 - realized)
+    assert refine_with_motion_plans(unrealized, orderings, cs) == (unrealized, False)
+    grown = _grow_one_direction(cs, 0, realized)
+    assert refine_with_motion_plans(grown, orderings, cs) == (grown, True)
 
 
 def test_refinement_keeps_the_fresh_sets_pair_order():
+    # on sets with several mutex pairs, each pair's unrealized direction is
+    # ignored and its realized direction is compared, pair by pair
     checked = 0
     for seed in range(10):
         domain = random_instance(seed)
@@ -622,15 +630,14 @@ def test_refinement_keeps_the_fresh_sets_pair_order():
             continue
         schedule = solve_milp(cs).schedule
         starts = schedule.start_times
-        fresh = _planned(domain, alloc)
-        refined, _ = refine_with_motion_plans(fresh, realized_orderings(cs, schedule), cs)
-        assert [p for p, _ in refined.mutex_pairs] == [p for p, _ in fresh.mutex_pairs]
-        for ((i, j), new), (_, planned_pair), (_, old) in zip(
-                refined.mutex_pairs, fresh.mutex_pairs, cs.mutex_pairs):
-            if starts[i] <= starts[j]:   # i runs first
-                assert new == (planned_pair[0], old[1])
-            else:
-                assert new == (old[0], planned_pair[1])
+        orderings = realized_orderings(cs, schedule)
+        assert refine_with_motion_plans(cs, orderings, cs) == (cs, False)
+        for at, ((i, j), _) in enumerate(cs.mutex_pairs):
+            realized = 0 if starts[i] <= starts[j] else 1   # 0: i runs first
+            assert not refine_with_motion_plans(
+                _grow_one_direction(cs, at, 1 - realized), orderings, cs)[1], f"seed {seed}"
+            assert refine_with_motion_plans(
+                _grow_one_direction(cs, at, realized), orderings, cs)[1], f"seed {seed}"
         checked += 1
     assert checked >= 3
 

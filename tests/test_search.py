@@ -9,6 +9,7 @@ import pytest
 from staq import scheduler, search
 from staq.analysis import alpha_sweep, bound_report, brute_force_optimal, random_instance
 from staq.heuristics import node_scorer
+from staq.learning import LinearQualityMap
 from staq.model import (
     Allocation,
     ContractViolation,
@@ -339,6 +340,48 @@ def test_unreachable_handover_in_the_unused_direction_still_validates():
     assert sol.orderings == {(0, 1): -1}
     report = validate_solution(domain, sol)
     assert report.ok, report.violations
+
+
+def _margin_dwarfs_excess_domain(fast_cell, phase):
+    # one 1e-9 s task at (0, 0), a robot of speed 1e10 next to it and one of
+    # speed 1e-300 in the far corner: the root's makespan, about 1e301 s,
+    # sets the overrun's margin, so an excess of one ulp over the budget
+    # scores an overrun of 0.0. The budget is one ulp below the fast
+    # robot's makespan alone under the given phase's travel.
+    robots = (Robot(traits=np.array([1.0]), start_cell=fast_cell, speed=1e10),
+              Robot(traits=np.array([1.0]), start_cell=(7, 7), speed=1e-300))
+    tasks = (Task(duration=1e-9, start_site=(0, 0), end_site=(0, 0)),)
+    domain = ProblemDomain(network=TaskNetwork(tasks=tasks), robots=robots,
+                           quality_maps=(LinearQualityMap([1.0], 2.0),),
+                           world=open_world(8, 8), time_budget=1.0)
+    leg_seconds = {"estimated": estimated_leg_seconds(domain),
+                   "planned": planned_leg_seconds(GridPlanner(domain.world), domain)}[phase]
+    fast_only = [0b10]   # robot 0 is the mask's high bit
+    tables = make_travel_tables(domain, leg_seconds)
+    makespan = solve_milp(build_constraints_fast(tables, fast_only)).schedule.makespan
+    return dataclasses.replace(domain, time_budget=math.nextafter(makespan, 0.0)), makespan
+
+
+@pytest.mark.parametrize("fast_cell,phase,makespan", [
+    # the fast-only node scores overrun 0.0 though its estimated makespan is
+    # over the budget: it has no kept set, where the pop test read overrun
+    ((1, 0), "estimated", 1.1e-09),
+    # the straight-line estimate fits, and the planned makespan's overrun
+    # scores 0.0: the acceptance test read overrun and took it
+    ((1, 1), "planned", 1.2e-09),
+])
+def test_the_budget_is_judged_by_makespan_where_overrun_rounds_to_zero(
+        fast_cell, phase, makespan):
+    domain, fast_only = _margin_dwarfs_excess_domain(fast_cell, phase)
+    assert fast_only == pytest.approx(makespan, rel=1e-12)
+    score = node_scorer(1.0, 0.0, worst_makespan(domain), domain.time_budget, domain.alpha)
+    assert score(0.5, fast_only)[1] == 0.0
+    oracle = brute_force_optimal(domain)
+    sol, _ = solve(domain)
+    assert sol.allocation == oracle.allocation
+    assert sol.allocation.key == 0
+    assert sol.schedule.makespan == oracle.makespan <= domain.time_budget
+    assert validate_solution(domain, sol).ok
 
 
 # ------------------------------------------------------------- invariants
